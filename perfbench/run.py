@@ -4,23 +4,27 @@ Usage, from the root of a checkout:
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-The workload's inputs are generated from the seed. One closed-loop client then
-runs the workload's round of ``rootpeel`` commands as child processes, back to
-back, until ``--seconds`` have passed and at least two rounds are done; every
-output is checked and must be byte-identical across rounds. The last line of
-stdout is a JSON object with ``correct``, ``attempted``, ``failed`` and
-``metrics``: the end-to-end metrics with ``--trace 0``, the per-layer metrics
-of a traced in-process replay (``traced.py``) with ``--trace 1``, whose spans
+The workload's inputs are generated from the seed. With ``--trace 0`` one
+closed-loop client runs the workload's round of ``rootpeel`` commands as child
+processes, back to back, until ``--seconds`` have passed and at least two
+rounds are done; set-up time is sampled between the commands all through the
+run. Every output is checked and must be byte-identical across rounds. With
+``--trace 1`` one checked round is followed by a traced in-process replay of
+it (``traced.py``), whose outputs are checked the same way and whose spans
 are kept in ``.perfbench_work/spans-WORKLOAD-SEED.json``.
 
-The program is always the one in ``src/`` of the current directory; the
-benchmark exits with code 2 when there is none.
+The last line of stdout is a JSON object with ``correct``, ``attempted``,
+``failed`` and ``metrics``: the end-to-end metrics with ``--trace 0``, the
+per-layer metrics with ``--trace 1``. The program is always the one in
+``src/`` of the current directory; the benchmark exits with code 2 when there
+is none, and also when a command is still running 170 s after launch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import signal
@@ -31,16 +35,17 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 import workloads
 
 HERE = Path(__file__).resolve().parent
-SETUP_REPEATS = 5
+SETUP_SAMPLES = 20  # spread evenly over the timed rounds
 MIN_ROUNDS = 2
-ROUNDS_UNTIL_S = 120.0  # no round starts later than this after launch
-KILL_AFTER_S = 170.0  # any child still running then is killed
+MAX_SECONDS = 60.0
+KILL_AFTER_S = 170.0  # any child still running then is killed and the run fails
 # two pool workers (nproc here) and no BLAS threads, whatever the host has
 CHILD_ENV = {"ROOTPEEL_THREADS": "2", "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
 CLI = "import sys; from rootpeel.cli import main; sys.exit(main())"
@@ -102,7 +107,9 @@ class Result:
     stderr: str
 
 
-def _kill_group(pid: int) -> None:
+def _kill_group(pid: int, killed: Optional[threading.Event] = None) -> None:
+    if killed is not None:
+        killed.set()
     try:
         os.killpg(pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -124,7 +131,9 @@ class Runner:
             t0 = time.perf_counter()
             proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=out, stderr=err,
                                     env=self.env, start_new_session=True)
-            timer = threading.Timer(max(0.0, self.kill_at - time.monotonic()), _kill_group, (proc.pid,))
+            killed = threading.Event()
+            timer = threading.Timer(max(0.0, self.kill_at - time.monotonic()), _kill_group,
+                                    (proc.pid, killed))
             timer.start()
             status = None
             try:
@@ -135,6 +144,8 @@ class Runner:
                     _kill_group(proc.pid)
                     os.waitpid(proc.pid, 0)
             wall = time.perf_counter() - t0
+        if killed.is_set():
+            raise RuntimeError(f"{' '.join(map(str, argv))} still ran {KILL_AFTER_S:.0f} s after launch")
         proc.returncode = os.waitstatus_to_exitcode(status)
         return Result(proc.returncode, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss,
                       out_path.read_text(encoding="utf-8", errors="replace"),
@@ -150,17 +161,27 @@ class Runner:
         return res
 
 
-def measure_setup(runner: Runner, root: Path) -> float:
-    """Median wall time of a fresh interpreter importing ``rootpeel.cli``,
-    after one untimed import that also confirms which copy is imported."""
+def check_import(runner: Runner, root: Path) -> None:
+    """Children must import the ``rootpeel`` under test, not an installed one."""
     where = runner.run([sys.executable, "-c", WHERE])
     want = (root / "src" / "rootpeel" / "cli.py").resolve()
     if where.code != 0 or Path(where.stdout.strip()).resolve() != want:
         raise RuntimeError(f"rootpeel.cli resolves to {where.stdout.strip() or where.stderr.strip()!r}, "
                            f"not {want}")
-    times = [runner.run([sys.executable, "-c", "import rootpeel.cli"]).wall
-             for _ in range(SETUP_REPEATS)]
-    return statistics.median(times)
+
+
+class SetupSampler:
+    """Wall times of fresh interpreters running ``import rootpeel.cli``,
+    taken between the commands so that they spread over the whole run."""
+
+    def __init__(self, runner: Runner):
+        self.runner = runner
+        self.samples = []
+
+    def keep_pace(self, share: float) -> None:
+        """Sample until ``share`` of ``SETUP_SAMPLES`` are taken."""
+        while len(self.samples) < math.ceil(SETUP_SAMPLES * min(1.0, share)):
+            self.samples.append(self.runner.run([sys.executable, "-c", "import rootpeel.cli"]).wall)
 
 
 def op_failure(op, res: Result, first) -> str:
@@ -174,76 +195,89 @@ def op_failure(op, res: Result, first) -> str:
     return op.check(res.stdout, output)
 
 
-def run_rounds(runner: Runner, ops, seconds: float, started: float):
-    walls, cpus = [], []
-    peak_kib, attempted, failed = 0, 0, 0
-    first = [None] * len(ops)
-    deadline = time.monotonic() + seconds
-    while len(walls) < MIN_ROUNDS or time.monotonic() < deadline:
-        if time.monotonic() - started > ROUNDS_UNTIL_S:
-            break
+class Tally:
+    """Checks each op's result against its check and the first round's output."""
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.first = [None] * len(ops)
+        self.attempted = self.failed = 0
+
+    def add(self, k: int, res: Result, label: str) -> None:
+        op = self.ops[k]
+        self.attempted += 1
+        why = op_failure(op, res, self.first[k])
+        if why:
+            self.failed += 1
+            print(f"op failed ({label}): rootpeel {' '.join(op.args)}: {why}", file=sys.stderr)
+        elif self.first[k] is None:
+            self.first[k] = (res.stdout, op.output.read_text(encoding="utf-8") if op.output else "")
+
+
+def run_rounds(runner: Runner, tally: Tally, seconds: float, min_rounds: int, setup=None) -> dict:
+    """Closed-loop rounds until ``seconds`` have passed and ``min_rounds`` are
+    done; ``setup`` (a SetupSampler) keeps pace with the elapsed share."""
+    walls, cpus, peak_kib = [], [], 0
+    t0 = time.monotonic()
+    while len(walls) < min_rounds or time.monotonic() - t0 < seconds:
         wall = cpu = 0.0
-        for k, op in enumerate(ops):
+        for k, op in enumerate(tally.ops):
             res = runner.cli(op.args)
-            attempted += 1
-            why = op_failure(op, res, first[k])
-            if why:
-                failed += 1
-                print(f"op failed: rootpeel {' '.join(op.args)}: {why}", file=sys.stderr)
-            elif first[k] is None:
-                first[k] = (res.stdout, op.output.read_text(encoding="utf-8") if op.output else "")
+            tally.add(k, res, f"round {len(walls) + 1}")
             wall += res.wall
             cpu += res.cpu
             peak_kib = max(peak_kib, res.maxrss_kib)
+            if setup is not None:
+                setup.keep_pace((time.monotonic() - t0) / seconds)
         walls.append(wall)
         cpus.append(cpu)
+    if setup is not None:
+        setup.keep_pace(1.0)
     return {
         "round_walls": walls,
-        "attempted": attempted,
-        "failed": failed,
         "wall_s": statistics.median(walls),
-        "throughput": sum(op.units for op in ops) / statistics.median(walls),
+        "throughput": sum(op.units for op in tally.ops) / statistics.median(walls),
         "cpu_s": statistics.median(cpus),
         "peak_rss_mib": peak_kib / 1024.0,
+        "setup_s": statistics.median(setup.samples) if setup is not None else None,
     }
 
 
-def layer_metrics(runner: Runner, ops, wall_s: float, setup_s: float, spans_json: Path) -> dict:
-    """Run the traced replay of one round in a fresh process and reduce the
-    spans it leaves in ``spans_json``."""
+def layer_metrics(runner: Runner, tally: Tally, spans_json: Path) -> dict:
+    """Replay one round in a fresh traced process, check its outputs like a
+    round's, and reduce the spans it leaves in ``spans_json``."""
     round_json = runner.work / "round.json"
-    round_json.write_text(json.dumps([op.args for op in ops]), encoding="utf-8")
+    round_json.write_text(json.dumps([op.args for op in tally.ops]), encoding="utf-8")
     res = runner.run([sys.executable, str(HERE / "traced.py"), str(spans_json), str(round_json)])
     if res.code != 0:
         raise RuntimeError(f"traced replay exited {res.code}: {res.stderr.strip()}")
-    return reduce_spans(json.loads(spans_json.read_text(encoding="utf-8")), len(ops), wall_s, setup_s)
+    trace = json.loads(spans_json.read_text(encoding="utf-8"))
+    for k, (code, stdout) in enumerate(zip(trace["codes"], trace["stdouts"])):
+        tally.add(k, Result(code, 0.0, 0.0, 0, stdout, res.stderr if code else ""), "traced replay")
+    return reduce_spans(trace)
 
 
-def reduce_spans(trace: dict, n_ops: int, wall_s: float, setup_s: float) -> dict:
-    """Per-layer metrics from the replay's spans and counts and the untraced
-    round's ``wall_s`` and ``setup_s``."""
+def reduce_spans(trace: dict) -> dict:
+    """Per-layer metrics from the replay's spans, counts and overhead."""
     spans, counts = trace["spans"], trace["counts"]
     covered = [0.0] * len(spans)
     for s in spans:
         if s["parent"] is not None:
             covered[s["parent"]] += s["end"] - s["start"]
-    self_s, trial_s, mirrored_self = {}, 0.0, 0.0
+    self_s, trial_s = {}, 0.0
     for s, child in zip(spans, covered):
         dur = s["end"] - s["start"]
         self_s[s["name"]] = self_s.get(s["name"], 0.0) + dur - child
         if s["name"] == "experiment.trial":
             trial_s += dur
-        elif not s["probe"] and s["name"] != "cli.import":
-            mirrored_self += dur - child
 
-    # the untraced round minus the interpreter start-ups the replay pays once
-    untraced = wall_s - n_ops * setup_s
     pool_s = self_s.get("experiment.run_trials", 0.0)
     derived = {
         "experiment.trial_s": trial_s,
         "experiment.pool_efficiency": trial_s / (workloads.SIM_JOBS * pool_s) if pool_s else 0.0,
-        "trace.remainder_s": untraced - mirrored_self,
-        "trace.overhead_s": trace["mirror_s"] - untraced,
+        # time inside the replayed cli.main calls that no layer span covers
+        "trace.remainder_s": self_s.get("cli.op", 0.0),
+        "trace.overhead_s": trace["overhead_s"],
     }
     out = {}
     for name, (unit, span) in PER_LAYER.items():
@@ -259,6 +293,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
+    if not 0 < args.seconds <= MAX_SECONDS:
+        p.error(f"--seconds must be in (0, {MAX_SECONDS:.0f}]: runs must end within 180 s")
 
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     started = time.monotonic()
@@ -271,14 +307,18 @@ def main(argv=None) -> int:
     try:
         runner = Runner(root, work, started)
         try:
-            setup_s = measure_setup(runner, root)
+            check_import(runner, root)
             inputs = workloads.WORKLOADS[args.workload](work, np.random.default_rng(args.seed), runner.cli_ok)
-            e2e = run_rounds(runner, inputs.ops, args.seconds, started)
-            layers = None
+            tally = Tally(inputs.ops)
             if args.trace:
+                e2e = run_rounds(runner, tally, 0.0, 1)
                 spans_json = work.parent / f"spans-{args.workload}-{args.seed}.json"
-                layers = layer_metrics(runner, inputs.ops, e2e["wall_s"], setup_s, spans_json)
+                metrics = layer_metrics(runner, tally, spans_json)
                 print(f"spans written to {spans_json.relative_to(root)}", file=sys.stderr)
+            else:
+                setup = SetupSampler(runner)
+                e2e = run_rounds(runner, tally, args.seconds, MIN_ROUNDS, setup)
+                metrics = {name: {"value": e2e[name], "unit": unit} for name, unit in END_TO_END.items()}
         except RuntimeError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
@@ -289,23 +329,18 @@ def main(argv=None) -> int:
         except OSError:
             pass  # kept spans, or another run still uses it
 
-    e2e["setup_s"] = setup_s
     walls = " ".join(f"{w:.3f}" for w in e2e["round_walls"])
     print(f"workload {args.workload}  seed {args.seed}  {len(inputs.ops)} ops per round, round walls [{walls}] s")
-    for name, unit in END_TO_END.items():
-        unit = f"{inputs.unit}/s" if name == "throughput" else unit
-        print(f"  {name:<16} {e2e[name]:.6g} {unit}")
-    print(f"  {'fail_share':<16} {e2e['failed'] / e2e['attempted']:.6g} ({e2e['failed']}/{e2e['attempted']} ops)")
-    if layers:
-        for name, m in layers.items():
-            print(f"  {name:<28} {m['value']:.6g} {m['unit']}")
-        metrics = layers
-    else:
-        metrics = {name: {"value": e2e[name], "unit": unit} for name, unit in END_TO_END.items()}
+    if not args.trace:
+        print(f"  {'setup samples':<16} {len(setup.samples)}")
+    for name, m in metrics.items():
+        unit = f"{inputs.unit}/s" if name == "throughput" else m["unit"]
+        print(f"  {name:<28} {m['value']:.6g} {unit}")
+    print(f"  {'fail_share':<28} {tally.failed / tally.attempted:.6g} ({tally.failed}/{tally.attempted} ops)")
     print(json.dumps({
-        "correct": e2e["failed"] == 0,
-        "attempted": e2e["attempted"],
-        "failed": e2e["failed"],
+        "correct": tally.failed == 0,
+        "attempted": tally.attempted,
+        "failed": tally.failed,
         "metrics": metrics,
     }))
     return 0

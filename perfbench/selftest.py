@@ -13,6 +13,7 @@ import numpy as np
 
 import checks
 import run
+import traced
 import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,27 +134,28 @@ class SpanReduction(unittest.TestCase):
     def _span(self, name, start, end, parent=None, probe=False):
         return {"name": name, "op": 0, "parent": parent, "probe": probe, "start": start, "end": end}
 
-    def test_self_time_remainder_and_overhead(self):
+    def test_self_time_and_remainder(self):
         trace = {
             "spans": [
                 self._span("cli.import", 0.0, 0.2),
-                self._span("pset.forest", 1.0, 3.0),
-                self._span("cli.lazy_import", 1.5, 2.0, parent=1),
-                self._span("rooted.peel", 3.0, 4.0),
+                self._span("cli.op", 1.0, 4.5),
+                self._span("pset.forest", 1.0, 3.0, parent=1),
+                self._span("cli.lazy_import", 1.5, 2.0, parent=2),
+                self._span("rooted.peel", 3.0, 4.0, parent=1),
                 self._span("pset.forest_peak", 5.0, 9.0, probe=True),
             ],
             "counts": {"rooted.peel_records": 7},
-            "mirror_s": 3.5,
+            "overhead_s": 0.01,
         }
-        m = {k: v["value"] for k, v in run.reduce_spans(trace, 2, wall_s=4.0, setup_s=0.25).items()}
+        m = {k: v["value"] for k, v in run.reduce_spans(trace).items()}
         self.assertAlmostEqual(m["pset.forest_s"], 1.5)
         self.assertAlmostEqual(m["cli.lazy_import_s"], 0.5)
         self.assertAlmostEqual(m["cli.import_s"], 0.2)
         self.assertEqual(m["rooted.peel_records"], 7)
         self.assertEqual(m["space.kde_s"], 0.0)
-        # untraced work 4.0 - 2 * 0.25 = 3.5; mirrored self time 1.5 + 0.5 + 1.0
+        # the op's 3.5 s minus the 2.0 + 1.0 s its layer spans cover
         self.assertAlmostEqual(m["trace.remainder_s"], 0.5)
-        self.assertAlmostEqual(m["trace.overhead_s"], 0.0)
+        self.assertAlmostEqual(m["trace.overhead_s"], 0.01)
 
     def test_pool_efficiency(self):
         trace = {
@@ -164,12 +166,44 @@ class SpanReduction(unittest.TestCase):
                 self._span("experiment.trial", 3.5, 5.0, probe=True),
             ],
             "counts": {},
-            "mirror_s": 2.0,
+            "overhead_s": 0.0,
         }
-        m = {k: v["value"] for k, v in run.reduce_spans(trace, 1, wall_s=2.5, setup_s=0.5).items()}
+        m = {k: v["value"] for k, v in run.reduce_spans(trace).items()}
         self.assertAlmostEqual(m["experiment.trial_s"], 3.0)
         self.assertAlmostEqual(m["experiment.pool_efficiency"], 0.75)
-        self.assertAlmostEqual(m["trace.remainder_s"], 0.0)
+        self.assertAlmostEqual(m["rooted.peel_s"], 0.5)
+
+
+class TracedWrappers(unittest.TestCase):
+    """The replay's wrappers record a span per call and counts from results."""
+
+    def setUp(self):
+        self.kept, traced.TRACER = traced.TRACER, traced.Tracer()
+        traced.TRACER.op = 0
+
+    def tearDown(self):
+        traced.TRACER = self.kept
+
+    def test_span_and_count_from_result(self):
+        fn = traced.traced(lambda k: list(range(k)), "rooted.peel",
+                           lambda result, k: traced.TRACER.count("rooted.peel_records", len(result)))
+        with traced.TRACER.span("cli.op"):
+            self.assertEqual(fn(3), [0, 1, 2])
+        names = [(s["name"], s["parent"]) for s in traced.TRACER.spans]
+        self.assertEqual(names, [("cli.op", None), ("rooted.peel", 0)])
+        self.assertEqual(traced.TRACER.counts, {"rooted.peel_records": 3})
+        self.assertEqual(traced.TRACER.wrapped_calls, 1)
+
+    def test_paused_tracer_records_nothing(self):
+        fn = traced.traced(lambda: 1, "pset.forest")
+        traced.TRACER.paused = True
+        self.assertEqual(fn(), 1)
+        self.assertEqual(traced.TRACER.spans, [])
+
+    def test_calibration_is_small_and_nonnegative(self):
+        wrap_s, import_s = traced.calibrate(batches=3, calls=2000)
+        self.assertTrue(0.0 <= wrap_s < 1e-3 and 0.0 <= import_s < 1e-3)
+        self.assertEqual(traced.TRACER.spans, [])
 
 
 class MetricTables(unittest.TestCase):
