@@ -6,7 +6,7 @@ only on the workload seed and are written as text files, so the program
 never sees anything but its documented input format.
 
 CPU speed on the shared 2-vCPU machine this was tuned on drifts by up to 2x
-for minutes at a time, so a run is long (40 s of rounds, rounds of 10-15 s)
+for minutes at a time, so a run is long (40 s of rounds of 11-19 s)
 and there are only two workloads to keep the total time bounded. The second
 one bundles the commands that skip the general peel phase and the trace JSON,
 so a change there should move ``peel`` and leave ``sim-oracle-barcode`` alone.
@@ -27,7 +27,7 @@ import checks
 # which one level per point exhausts near n = 590
 KDE_N, KDE_PEAKS, KDE_SPREAD = 560, 5, 0.05
 TIES_N, TIES_LEVELS = 2000, 10
-# criterion 7's d=2 row with half its 20 trials, so that a run holds 3-4 rounds
+# criterion 7's d=2 row with half its 20 trials, so that a run holds several rounds
 SIM_N, SIM_TRIALS, SIM_JOBS = 2000, 10, 2
 ORACLE_N, ORACLE_SPACES = 8, 8
 BARCODE_N, BARCODE_INPUTS = 400, 1
