@@ -9,15 +9,10 @@ Carlo harness and limit constants), and ``cli``.
 from .space import AugmentedMetricSpace, attach_density, canonical_order, load_points
 from .pset import (
     GradeGrid,
-    Generator,
     LeveledMergeForest,
     PeelView,
     build,
-    cluster_at,
-    first_merge_scale,
     fresh_view,
-    restrict,
-    ultrametric,
 )
 from .rooted import (
     IntervalSupport,
@@ -52,7 +47,6 @@ from .experiment import (
     c_constant,
     run_trials,
     sample,
-    table1_replica,
 )
 
 __version__ = "0.1.0"
@@ -60,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedMetricSpace",
     "GradeGrid",
-    "Generator",
     "GridModule",
     "IntervalSupport",
     "LeveledMergeForest",
@@ -77,11 +70,9 @@ __all__ = [
     "build",
     "c_constant",
     "canonical_order",
-    "cluster_at",
     "constant_conqueror",
     "elder_barcode_1d",
     "endomorphism_space",
-    "first_merge_scale",
     "fresh_view",
     "idempotent_from_peel",
     "interval_support",
@@ -94,11 +85,8 @@ __all__ = [
     "nn_graph",
     "peel_all",
     "replay",
-    "restrict",
     "sample",
     "split",
     "staircode",
     "run_trials",
-    "table1_replica",
-    "ultrametric",
 ]

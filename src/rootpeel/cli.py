@@ -212,7 +212,7 @@ def _cmd_oracle_check(args) -> int:
     space = _load_space(args, need_density=True)
     if space.n > 8:
         raise ValueError(f"oracle replay is desk-scale only: n = {space.n} > 8")
-    records = rooted.trace_records_from_json(_read_text(args.trace))
+    records = rooted.trace_records_from_json(_read_text(args.trace), space.n)
     forest = pset.LeveledMergeForest(space)
     view = pset.fresh_view(forest)
     sigmas = [float(s) for s in forest.sigma_levels]

@@ -183,13 +183,13 @@ def _density_for(space: AugmentedMetricSpace, mode: str, rng, bandwidth) -> Augm
 
 
 def _run_one_trial(args) -> TrialResult:
-    (trial, config, density_mode, n, seed_seq, bandwidth, max_bytes) = args
+    (trial, config, density_mode, n, seed_seq, bandwidth) = args
     rng = np.random.default_rng(seed_seq)
     pts = _sample_with_rng(config, n, rng)
     space = _density_for(AugmentedMetricSpace(points=pts), density_mode, rng, bandwidth)
     t0 = time.perf_counter()
     pairs = len(nn_graph(space).mutual_pairs) if n >= 2 else 0
-    trace = peel_all(space, max_bytes=max_bytes)
+    trace = peel_all(space)
     elapsed = time.perf_counter() - t0
     return TrialResult(
         trial=trial,
@@ -274,16 +274,18 @@ def run_trials(
     seed: int,
     n_jobs: Optional[int] = None,
     kde_bandwidth=None,
-    max_bytes: int = 512 * 1024 * 1024,
 ) -> ExperimentReport:
-    """Run seeded independent trials; aggregation is order-deterministic."""
+    """Run seeded independent trials; aggregation is order-deterministic.
+
+    The peeled-interval counts are certified lower bounds for the number of
+    intervals in the full decomposition, not the full decomposition itself;
+    the CSV's certificate column fires exactly when a count reaches n, which
+    proves that trial's module interval-decomposable.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     seqs = np.random.SeedSequence(seed).spawn(trials)
-    jobs = [
-        (k, config, density_mode, n, seqs[k], kde_bandwidth, max_bytes)
-        for k in range(trials)
-    ]
+    jobs = [(k, config, density_mode, n, seqs[k], kde_bandwidth) for k in range(trials)]
     workers = _job_count(trials, n_jobs)
     if workers == 1:
         results = [_run_one_trial(j) for j in jobs]
@@ -303,23 +305,3 @@ def run_trials(
     }
     return ExperimentReport(config=cfg, trials=results)
 
-
-def table1_replica(
-    config: SamplerConfig,
-    density_mode: str,
-    n: int,
-    runs: int = 5,
-    seed: int = 0,
-    n_jobs: Optional[int] = None,
-    max_bytes: int = 512 * 1024 * 1024,
-) -> ExperimentReport:
-    """Peeled-interval counts for a batch of runs in one table row.
-
-    The counts are certified lower bounds for the number of intervals in the
-    full decomposition, not the full decomposition itself; the certificate
-    column fires exactly when the count reaches n, which proves the module
-    interval-decomposable.
-    """
-    return run_trials(
-        config, density_mode, n, trials=runs, seed=seed, n_jobs=n_jobs, max_bytes=max_bytes
-    )

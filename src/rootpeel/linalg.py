@@ -431,34 +431,29 @@ class ModuleMorphism:
 # -- linearization -----------------------------------------------------------------
 
 
-def _survivor_labels(view: PeelView, level: int, eps: float) -> np.ndarray:
-    """Representative position (canonical-min surviving cluster member) for
-    every position active at this level."""
+def _grade_bases(view: PeelView) -> Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]]:
+    """Survivor labels and basis at every grade (eps index, sigma index).
+
+    The labels give each position active at the grade's level the position of
+    its cluster's canonically first survivor. The basis maps each label that a
+    survivor carries, in increasing order, to its column: one basis vector per
+    surviving cluster.
+    """
     fo = view.forest
-    m = int(fo.level_sizes[level])
-    alive = view._alive[:m]
-    u = fo.levels[level][:m, :m]
-    mask = (u <= eps) & alive[None, :]
-    return np.argmax(mask, axis=1)
+    out: Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]] = {}
+    for j in range(fo.num_levels):
+        m = int(fo.level_sizes[j])
+        alive = view._alive[:m]
+        live = np.flatnonzero(alive)
+        for i, eps in enumerate(fo.grid.eps_values):
+            labels = np.argmax((fo.levels[j] <= eps) & alive[None, :], axis=1)
+            out[(i, j)] = labels, {int(b): k for k, b in enumerate(np.unique(labels[live]))}
+    return out
 
 
 def grade_dims(view: PeelView) -> Dict[Tuple[int, int], int]:
     """Fiber dimensions of the linearized view at every grade of the full grid."""
-    fo = view.forest
-    grid = fo.grid
-    out: Dict[Tuple[int, int], int] = {}
-    ne = len(grid.eps_values)
-    ns = len(grid.sigma_values)
-    for j in range(ns):
-        m = int(fo.level_sizes[j])
-        live = np.flatnonzero(view._alive[:m])
-        for i in range(ne):
-            if live.size == 0:
-                out[(i, j)] = 0
-                continue
-            reps = _survivor_labels(view, j, float(grid.eps_values[i]))
-            out[(i, j)] = int(np.unique(reps[live]).size)
-    return out
+    return {g: len(basis) for g, (_, basis) in _grade_bases(view).items()}
 
 
 def linearize(view: PeelView, dim_budget: int = 64) -> GridModule:
@@ -467,36 +462,22 @@ def linearize(view: PeelView, dim_budget: int = 64) -> GridModule:
     grid = fo.grid
     ne, ns = len(grid.eps_values), len(grid.sigma_values)
 
-    reps_at: Dict[Tuple[int, int], np.ndarray] = {}
-    basis_at: Dict[Tuple[int, int], np.ndarray] = {}
-    index_of: Dict[Tuple[int, int], Dict[int, int]] = {}
-    dims: Dict[Tuple[int, int], int] = {}
-    total = 0
-    for j in range(ns):
-        m = int(fo.level_sizes[j])
-        live = np.flatnonzero(view._alive[:m])
-        for i in range(ne):
-            reps = _survivor_labels(view, j, float(grid.eps_values[i]))
-            basis = np.unique(reps[live]) if live.size else np.empty(0, dtype=np.intp)
-            reps_at[(i, j)] = reps
-            basis_at[(i, j)] = basis
-            index_of[(i, j)] = {int(b): k for k, b in enumerate(basis)}
-            dims[(i, j)] = len(basis)
-            total += len(basis)
+    bases = _grade_bases(view)
+    dims = {g: len(basis) for g, (_, basis) in bases.items()}
+    total = sum(dims.values())
     if total > dim_budget:
         raise BudgetError(f"module has total dimension {total}, over the budget {dim_budget}")
 
     def functional(src_key, dst_key) -> np.ndarray:
-        src_basis, dst_reps = basis_at[src_key], reps_at[dst_key]
-        dst_index = index_of[dst_key]
+        dst_labels, dst_basis = bases[dst_key]
         mat = np.zeros((dims[dst_key], dims[src_key]), dtype=np.int64)
-        for col, rep in enumerate(src_basis):
-            mat[dst_index[int(dst_reps[rep])], col] = 1
+        for col, rep in enumerate(bases[src_key][1]):
+            mat[dst_basis[int(dst_labels[rep])], col] = 1
         return mat
 
     right = {(i, j): functional((i, j), (i + 1, j)) for j in range(ns) for i in range(ne - 1)}
     up = {(i, j): functional((i, j), (i, j + 1)) for j in range(ns - 1) for i in range(ne)}
-    basis_reps = {k: tuple(int(fo.perm[p]) for p in b) for k, b in basis_at.items()}
+    basis_reps = {g: tuple(int(fo.perm[p]) for p in basis) for g, (_, basis) in bases.items()}
     return GridModule(
         eps_values=tuple(float(e) for e in grid.eps_values),
         sigma_values=tuple(float(s) for s in grid.sigma_values),
@@ -529,24 +510,16 @@ def idempotent_from_peel(
         module = linearize(view, dim_budget=dim_budget)
     fo = view.forest
     px, proot = int(fo.pos_of[x]), int(fo.pos_of[root])
-    grid = fo.grid
-    ne, ns = len(grid.eps_values), len(grid.sigma_values)
     mats: Dict[Tuple[int, int], np.ndarray] = {}
-    for j in range(ns):
+    for (i, j), (labels, basis) in _grade_bases(view).items():
         m = int(fo.level_sizes[j])
-        live = np.flatnonzero(view._alive[:m])
-        for i in range(ne):
-            d = module.dims[(i, j)]
-            reps = _survivor_labels(view, j, float(grid.eps_values[i]))
-            basis = np.unique(reps[live]) if live.size else np.empty(0, dtype=np.intp)
-            index = {int(b): k for k, b in enumerate(basis)}
-            mat = np.zeros((d, d), dtype=np.int64)
-            for col, rep in enumerate(basis):
-                target = int(rep)
-                if px < m and target == px:
-                    target = int(reps[proot]) if proot < m else target
-                mat[index[target], col] = 1
-            mats[(i, j)] = mat
+        d = module.dims[(i, j)]
+        mat = np.zeros((d, d), dtype=np.int64)
+        for col, rep in enumerate(basis):
+            if rep == px and proot < m:
+                rep = int(labels[proot])
+            mat[basis[rep], col] = 1
+        mats[(i, j)] = mat
     phi = ModuleMorphism(module, module, mats)
     phi.check_natural()
     phi.check_idempotent()
@@ -562,21 +535,13 @@ def bottom_idempotent(view: PeelView, module: Optional[GridModule] = None,
         raise ConsistencyError("the densest generator was removed from this view")
     if module is None:
         module = linearize(view, dim_budget=dim_budget)
-    grid = fo.grid
-    ne, ns = len(grid.eps_values), len(grid.sigma_values)
     mats: Dict[Tuple[int, int], np.ndarray] = {}
-    for j in range(ns):
-        for i in range(ne):
-            d = module.dims[(i, j)]
-            reps = _survivor_labels(view, j, float(grid.eps_values[i]))
-            live = np.flatnonzero(view._alive[: int(fo.level_sizes[j])])
-            basis = np.unique(reps[live]) if live.size else np.empty(0, dtype=np.intp)
-            index = {int(b): k for k, b in enumerate(basis)}
-            mat = np.zeros((d, d), dtype=np.int64)
-            if d:
-                tgt = index[int(reps[0])]
-                mat[tgt, :] = 1
-            mats[(i, j)] = mat
+    for g, (labels, basis) in _grade_bases(view).items():
+        d = module.dims[g]
+        mat = np.zeros((d, d), dtype=np.int64)
+        if d:
+            mat[basis[int(labels[0])], :] = 1
+        mats[g] = mat
     phi = ModuleMorphism(module, module, mats)
     phi.check_natural()
     phi.check_idempotent()

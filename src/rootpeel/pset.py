@@ -31,6 +31,9 @@ from .space import AugmentedMetricSpace
 # directly by SLINK instead of one-point-at-a-time minimax updates.
 _DIRECT_BUILD_DELTA = 64
 
+# default memory budget for the per-level matrices of one forest
+FOREST_BUDGET_BYTES = 512 * 1024 * 1024
+
 
 class QueryError(ValueError):
     """Raised when a grade/point query violates its preconditions."""
@@ -52,14 +55,6 @@ class GradeGrid:
         self.sigma_values.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A point seen as a generator of the persistent set, born at (0, f(x))."""
-
-    index: int
-    grade: Tuple[float, float]
-
-
 class LeveledMergeForest:
     """Immutable merge structure of an augmented metric space, one level per density.
 
@@ -69,7 +64,7 @@ class LeveledMergeForest:
     prefix of size ``level_sizes[j]``.
     """
 
-    def __init__(self, space: AugmentedMetricSpace, max_bytes: int = 512 * 1024 * 1024):
+    def __init__(self, space: AugmentedMetricSpace, max_bytes: int = FOREST_BUDGET_BYTES):
         f = space.require_density()
         self.space = space
         self.n = space.n
@@ -83,11 +78,17 @@ class LeveledMergeForest:
         self.num_levels = len(self.sigma_levels)
         self.birth_level = np.searchsorted(self.sigma_levels, self.f_by_pos)
 
+        total = int(np.sum(self.level_sizes.astype(np.int64) ** 2)) * 8
+        if total > max_bytes:
+            raise ForestMemoryError(
+                f"per-level matrices need {total // (1024 * 1024)} MiB, "
+                f"budget is {max_bytes // (1024 * 1024)} MiB; raise max_bytes to proceed"
+            )
         dm = space.distance_matrix()
         self.dist = dm[np.ix_(self.perm, self.perm)]
         self.dist.setflags(write=False)
 
-        self.levels = _build_level_ultrametrics(self.dist, self.level_sizes, max_bytes)
+        self.levels = _build_level_ultrametrics(self.dist, self.level_sizes)
         self._grid: Optional[GradeGrid] = None
 
     # -- basic lookups -------------------------------------------------------
@@ -105,12 +106,6 @@ class LeveledMergeForest:
             raise QueryError(f"no point has density <= {sigma}")
         return j
 
-    def density_of(self, x: int) -> float:
-        return float(self.f_by_pos[self.pos_of[x]])
-
-    def generators(self) -> List[Generator]:
-        return [Generator(int(x), (0.0, float(self.space.density[x]))) for x in self.perm]
-
     def ultrametric(self, sigma: float, x: int, y: int) -> float:
         """Merge scale of x and y in the single-linkage hierarchy at level sigma."""
         j = self.level_index(sigma)
@@ -120,6 +115,39 @@ class LeveledMergeForest:
             absent = x if px >= m else y
             raise QueryError(f"point {absent} is absent at density level {sigma}")
         return float(self.levels[j][px, py])
+
+    def root_candidates(self, alive: np.ndarray, px: int) -> Tuple[Optional[np.ndarray], float]:
+        """Mask over positions ``[0, px)`` of the survivors that root the
+        survivor at px (None when there is none), plus px's first-merge scale
+        at the lowest level holding another survivor (inf when none was
+        scanned).
+
+        A candidate lies in px's surviving cluster at its first merge scale on
+        every level from px's birth upward. The first-merge scale bounds every
+        level's first-merge scale from above, so a later removal can only change
+        this verdict when its top-level merge distance to px stays below it.
+        """
+        cand = alive[:px].copy()
+        eps_first = math.inf
+        if not cand.any():
+            return None, eps_first
+        any_ = np.logical_or.reduce
+        minr = np.minimum.reduce
+        for j in range(int(self.birth_level[px]), self.num_levels):
+            m = int(self.level_sizes[j])
+            row = self.levels[j][px]
+            alive[px] = False
+            others = row[alive[:m]]
+            alive[px] = True
+            if not others.size:
+                continue
+            mstar = minr(others)
+            if math.isinf(eps_first):
+                eps_first = float(mstar)
+            cand &= row[:px] <= mstar
+            if not any_(cand):
+                return None, eps_first
+        return cand, eps_first
 
     # -- serialization ---------------------------------------------------------
 
@@ -164,20 +192,14 @@ class LeveledMergeForest:
 
 
 def build(
-    space: AugmentedMetricSpace, max_bytes: int = 512 * 1024 * 1024
+    space: AugmentedMetricSpace, max_bytes: int = FOREST_BUDGET_BYTES
 ) -> Tuple[GradeGrid, LeveledMergeForest]:
     """Construct the grade grid and merge forest of a space with densities."""
     forest = LeveledMergeForest(space, max_bytes=max_bytes)
     return forest.grid, forest
 
 
-def _build_level_ultrametrics(dist: np.ndarray, level_sizes: np.ndarray, max_bytes: int):
-    total = int(np.sum(level_sizes.astype(np.int64) ** 2)) * 8
-    if total > max_bytes:
-        raise ForestMemoryError(
-            f"per-level matrices need {total // (1024 * 1024)} MiB, "
-            f"budget is {max_bytes // (1024 * 1024)} MiB; raise max_bytes to proceed"
-        )
+def _build_level_ultrametrics(dist: np.ndarray, level_sizes: np.ndarray):
     n = int(level_sizes[-1])
     work = np.zeros((n, n))
     levels = []
@@ -290,21 +312,10 @@ class PeelView:
         """Whether ``root`` witnesses x as a rooted generator of this view."""
         fo = self.forest
         px, proot = int(fo.pos_of[x]), int(fo.pos_of[root])
-        if px == proot or not (self._alive[px] and self._alive[proot]):
+        if not (self._alive[px] and self._alive[proot]) or proot >= px:
             return False
-        if proot > px:
-            return False
-        j0 = fo.level_index(fo.f_by_pos[px])
-        for j in range(j0, fo.num_levels):
-            m = int(fo.level_sizes[j])
-            row = fo.levels[j][px, :m]
-            mask = self._alive[:m].copy()
-            mask[px] = False
-            if not mask.any():
-                continue
-            if row[proot] > np.min(row[mask]):
-                return False
-        return True
+        cand, _ = fo.root_candidates(self._alive, px)
+        return cand is not None and bool(cand[proot])
 
     def restrict(self, x: int, root: int) -> "PeelView":
         """New view with x removed and sent to root; validates rootedness."""
@@ -329,19 +340,3 @@ class PeelView:
 
 def fresh_view(forest: LeveledMergeForest) -> PeelView:
     return PeelView(forest)
-
-
-def cluster_at(view: PeelView, eps: float, sigma: float, x: int) -> FrozenSet[int]:
-    return view.cluster_at(eps, sigma, x)
-
-
-def first_merge_scale(view: PeelView, sigma: float, x: int):
-    return view.first_merge_scale(sigma, x)
-
-
-def ultrametric(forest: LeveledMergeForest, sigma: float, x: int, y: int) -> float:
-    return forest.ultrametric(sigma, x, y)
-
-
-def restrict(view: PeelView, x: int, root: int) -> PeelView:
-    return view.restrict(x, root)

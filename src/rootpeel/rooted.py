@@ -93,18 +93,23 @@ def _tie_rank(space: AugmentedMetricSpace) -> np.ndarray:
     return np.arange(n, dtype=np.intp)
 
 
-def _nn_brute(space: AugmentedMetricSpace, rank: np.ndarray) -> np.ndarray:
-    dm = space.distance_matrix()
-    order = np.argsort(rank)
-    d = dm[np.ix_(order, order)].copy()
-    np.fill_diagonal(d, np.inf)
-    nn_ranked = np.argmin(d, axis=1)
-    nn = np.empty(space.n, dtype=np.intp)
-    nn[order] = order[nn_ranked]
-    return nn
+def _nearest_other(dist: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Column of the nearest other point for each row of ``dist``.
+
+    The columns of ``dist`` list all points in tie-break order, and row k
+    belongs to the point in column ``own[k]``; distance ties go to the lowest
+    column. Rows are copied in chunks, so ``dist`` is never copied whole.
+    """
+    out = np.empty(len(own), dtype=np.intp)
+    step = max(1, 4_000_000 // dist.shape[1])
+    for k in range(0, len(own), step):
+        block = dist[k : k + step].copy()
+        block[np.arange(len(block)), own[k : k + step]] = np.inf
+        out[k : k + step] = np.argmin(block, axis=1)
+    return out
 
 
-def _nn_kdtree(space: AugmentedMetricSpace, rank: np.ndarray) -> np.ndarray:
+def _nn_kdtree(space: AugmentedMetricSpace, rank: np.ndarray, order: np.ndarray) -> np.ndarray:
     from scipy.spatial import cKDTree
 
     pts = space.points
@@ -125,14 +130,8 @@ def _nn_kdtree(space: AugmentedMetricSpace, rank: np.ndarray) -> np.ndarray:
     # rank-minimal neighbor may have been truncated away; recheck those rows
     suspect = np.flatnonzero(de[:, -1] <= dmin[:, 0])
     if suspect.size:
-        dm = space.distance_matrix()
-        order = np.argsort(rank)
-        inv = np.empty(n, dtype=np.intp)
-        inv[order] = np.arange(n)
-        for i in suspect:
-            row = dm[i][order].copy()
-            row[inv[i]] = np.inf
-            nn[i] = order[int(np.argmin(row))]
+        rows = space.distance_matrix()[np.ix_(suspect, order)]
+        nn[suspect] = order[_nearest_other(rows, rank[suspect])]
     return nn
 
 
@@ -141,10 +140,11 @@ def nn_graph(space: AugmentedMetricSpace) -> NNGraph:
     if space.n < 2:
         raise ValueError("nearest neighbors need at least two points")
     rank = _tie_rank(space)
+    order = np.argsort(rank)
     if space.points is not None:
-        nn = _nn_kdtree(space, rank)
+        nn = _nn_kdtree(space, rank, order)
     else:
-        nn = _nn_brute(space, rank)
+        nn = order[_nearest_other(space.distance_matrix()[:, order], rank)]
     mutual = sorted(
         (min(i, int(nn[i])), max(i, int(nn[i])))
         for i in range(space.n)
@@ -166,38 +166,6 @@ def neighborly_rooted(space: AugmentedMetricSpace) -> Set[int]:
 # -- rootedness ----------------------------------------------------------------
 
 
-def _first_root_position(
-    fo: LeveledMergeForest, alive: np.ndarray, px: int
-) -> Tuple[Optional[int], float]:
-    """Canonical-first surviving position rooting the survivor at px (or None),
-    plus its first-merge scale at the lowest level with another survivor.
-
-    That scale bounds every level's first-merge scale from above, so a later
-    removal can only change this verdict when its top-level merge distance to
-    px stays below it."""
-    cand = alive[:px].copy()
-    eps_first = math.inf
-    if not cand.any():
-        return None, eps_first
-    any_ = np.logical_or.reduce
-    minr = np.minimum.reduce
-    for j in range(int(fo.birth_level[px]), fo.num_levels):
-        m = int(fo.level_sizes[j])
-        row = fo.levels[j][px]
-        alive[px] = False
-        others = row[alive[:m]]
-        alive[px] = True
-        if not others.size:
-            continue
-        mstar = minr(others)
-        if math.isinf(eps_first):
-            eps_first = float(mstar)
-        cand &= row[:px] <= mstar
-        if not any_(cand):
-            return None, eps_first
-    return int(np.argmax(cand)), eps_first
-
-
 def is_rooted_generator(view: PeelView, x: int) -> Optional[int]:
     """First canonical candidate that roots x on this view, or None.
 
@@ -210,8 +178,8 @@ def is_rooted_generator(view: PeelView, x: int) -> Optional[int]:
     px = int(fo.pos_of[x])
     if not view._alive[px]:
         raise QueryError(f"point {x} was removed from this view")
-    proot, _ = _first_root_position(fo, view._alive, px)
-    return None if proot is None else int(fo.perm[proot])
+    cand, _ = fo.root_candidates(view._alive, px)
+    return None if cand is None else int(fo.perm[np.argmax(cand)])
 
 
 def is_rooted_subset(view: PeelView, subset: Sequence[int]) -> Optional[int]:
@@ -336,12 +304,6 @@ def barcode_csv(bars: Sequence[Tuple[float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _nn_positions(fo: LeveledMergeForest) -> np.ndarray:
-    d = fo.dist.copy()
-    np.fill_diagonal(d, np.inf)
-    return np.argmin(d, axis=1)
-
-
 def _general_rounds(fo: LeveledMergeForest, alive: np.ndarray, emit) -> None:
     """Repeat: peel the canonically first generator passing the general
     criterion, until none passes.
@@ -359,9 +321,9 @@ def _general_rounds(fo: LeveledMergeForest, alive: np.ndarray, emit) -> None:
         for px in np.flatnonzero(alive):
             if px == 0 or no_root_eps[px] >= 0:
                 continue
-            proot, eps_first = _first_root_position(fo, alive, int(px))
-            if proot is not None:
-                found = (int(px), proot)
+            cand, eps_first = fo.root_candidates(alive, int(px))
+            if cand is not None:
+                found = (int(px), int(np.argmax(cand)))
                 break
             no_root_eps[px] = eps_first if math.isfinite(eps_first) else np.inf
         if found is None:
@@ -394,21 +356,21 @@ class _SingleLevelScanner:
         self.ptr[x] = p
         return int(o[p]) if p < self.n else -1
 
-    def first_rooted(self, alive: np.ndarray):
-        for px in np.flatnonzero(alive):
-            if px == 0:
-                continue
-            z = self.first_achiever(int(px), alive)
-            if 0 <= z < px:
-                return int(px), z
-        return None, None
+    def peels(self, alive: np.ndarray):
+        """Repeatedly remove the first survivor whose first achiever precedes
+        it, until none does; yields each (position, achiever position)."""
+        while True:
+            for px in np.flatnonzero(alive[1:]) + 1:
+                z = self.first_achiever(int(px), alive)
+                if 0 <= z < px:
+                    alive[px] = False
+                    yield int(px), z
+                    break
+            else:
+                return
 
 
-def peel_all(
-    space: AugmentedMetricSpace,
-    forest: Optional[LeveledMergeForest] = None,
-    max_bytes: int = 512 * 1024 * 1024,
-) -> PeelTrace:
+def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] = None) -> PeelTrace:
     """Greedily peel interval summands until no surviving generator is rooted.
 
     Each round takes the canonically first peelable generator, preferring the
@@ -421,7 +383,7 @@ def peel_all(
     never removes anything) and at least 2, and never more than n.
     """
     if forest is None:
-        forest = LeveledMergeForest(space, max_bytes=max_bytes)
+        forest = LeveledMergeForest(space)
     fo = forest
     n = fo.n
     alive = np.ones(n, dtype=bool)
@@ -435,8 +397,8 @@ def peel_all(
         removed[gen] = root
 
     if n >= 2:
-        nn_pos = _nn_positions(fo)
         idx = np.arange(n)
+        nn_pos = _nearest_other(fo.dist, idx)
         while True:
             cand = alive & (nn_pos < idx) & alive[nn_pos]
             cand[0] = False
@@ -450,11 +412,7 @@ def peel_all(
             emit(px, proot, "neighborly", support)
 
         if fo.num_levels == 1:
-            scanner = _SingleLevelScanner(fo.levels[0])
-            while True:
-                px, proot = scanner.first_rooted(alive)
-                if px is None:
-                    break
+            for px, proot in _SingleLevelScanner(fo.levels[0]).peels(alive):
                 emit(px, proot, "general-rooted", _support_unchecked(fo, px, proot))
         else:
             _general_rounds(fo, alive, emit)
@@ -481,11 +439,40 @@ def replay(records: Sequence[PeelRecord], forest: LeveledMergeForest) -> PeelVie
     return view
 
 
-def trace_records_from_json(payload: str) -> List[dict]:
-    """Decode a serialized trace into plain record dicts (for replay tools)."""
+_REASONS = ("neighborly", "general-rooted", "bottom")
+
+
+def _is_point(v, n: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
+def _is_grade_pair(p) -> bool:
+    return isinstance(p, list) and len(p) == 2 and all(
+        v is None or isinstance(v, (int, float)) for v in p
+    )
+
+
+def trace_records_from_json(payload: str, n: int) -> List[dict]:
+    """Decode a serialized trace of an n-point space into plain record dicts
+    (for replay tools); raises ValueError when the document is malformed or
+    was computed on a different number of points."""
     data = json.loads(payload)
-    if not isinstance(data, dict) or "records" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("records"), list):
         raise ValueError("not a peel trace document")
+    if data.get("n") != n:
+        raise ValueError(f"trace is for n = {data.get('n')!r} points, the input has {n}")
+    for k, rec in enumerate(data["records"]):
+        if not isinstance(rec, dict):
+            raise ValueError(f"trace record {k} is not an object")
+        if not _is_point(rec.get("generator"), n):
+            raise ValueError(f"trace record {k}: generator must be a point index below {n}")
+        if rec.get("root") is not None and not _is_point(rec["root"], n):
+            raise ValueError(f"trace record {k}: root must be null or a point index below {n}")
+        if rec.get("reason") not in _REASONS:
+            raise ValueError(f"trace record {k}: reason must be one of {', '.join(_REASONS)}")
+        support = rec.get("support")
+        if not isinstance(support, list) or not all(_is_grade_pair(p) for p in support):
+            raise ValueError(f"trace record {k}: support must be a list of [sigma, theta] pairs")
     return data["records"]
 
 
@@ -502,6 +489,10 @@ def elder_barcode_1d(
     rooted survivor repeatedly reproduces the elder rule: each peel emits
     (birth, first merge grade with an older surviving cluster), and the oldest
     point of each component gets an infinite bar.
+
+    The merges become an ultrametric over positions in (birth, index) order,
+    peeled by the same one-level scanner that ``peel_all`` runs on a
+    single-density forest: O(n^2) memory, O(n^2 log n) time to sort its rows.
     """
     births = [float(b) for b in births]
     n = len(births)
@@ -529,7 +520,7 @@ def elder_barcode_1d(
         if scale < max(births[i], births[j]):
             raise ValueError(f"merge ({scale}, {i}, {j}) precedes a birth")
         last = scale
-        a, b = find(i), find(j)
+        a, b = find(pos_of[i]), find(pos_of[j])
         if a == b:
             continue
         ma, mb = members[a], members[b]
@@ -539,29 +530,8 @@ def elder_barcode_1d(
         members[a] = ma + mb
         del members[b]
 
-    alive = [True] * n
-    bars: List[Tuple[float, float]] = []
-    while True:
-        peeled = False
-        for p in range(1, n):
-            x = order[p]
-            if not alive[x]:
-                continue
-            row = u[x]
-            best_val, best_pos = math.inf, n
-            for z in range(n):
-                if z == x or not alive[z]:
-                    continue
-                key = (row[z], pos_of[z])
-                if key < (best_val, best_pos):
-                    best_val, best_pos = key
-            if best_pos < p:
-                bars.append((births[x], float(best_val)))
-                alive[x] = False
-                peeled = True
-                break
-        if not peeled:
-            break
+    alive = np.ones(n, dtype=bool)
+    bars = [(births[order[px]], float(u[px, z])) for px, z in _SingleLevelScanner(u).peels(alive)]
     bars.append((births[order[0]], math.inf))
     return sorted(bars)
 

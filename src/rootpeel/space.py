@@ -136,10 +136,6 @@ def canonical_order(space: AugmentedMetricSpace) -> np.ndarray:
     return space.canonical_order()
 
 
-def distance(space: AugmentedMetricSpace, i: int, j: int) -> float:
-    return space.distance(i, j)
-
-
 # -- density attachment ------------------------------------------------------
 
 

@@ -191,7 +191,7 @@ def test_criterion_7_monte_carlo_convergence():
     # peeled counts are certified lower bounds; check the reported properties
     # instead of the instance-dependent published counts
     for mode in ("kde", "random"):
-        row = ex.table1_replica(ex.SamplerConfig("mixture", 2), mode, n=100, runs=5, seed=5)
+        row = ex.run_trials(ex.SamplerConfig("mixture", 2), mode, n=100, trials=5, seed=5)
         for t in row.trials:
             assert 2 <= t.peeled_interval_count <= t.n
             cert = t.peeled_interval_count == t.n

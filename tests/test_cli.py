@@ -96,6 +96,26 @@ class TestOracleCheck:
         assert r.returncode == 2
         assert b"FAIL record 0" in r.stdout
 
+    @pytest.mark.parametrize("tamper", [
+        lambda doc: doc["records"][0].pop("support"),
+        lambda doc: doc["records"][0].update(generator=99),
+        lambda doc: doc["records"][0].update(generator="x"),
+        lambda doc: doc.update(records=5),
+        lambda doc: doc["records"][0].update(root=99),
+        lambda doc: doc.update(n=5),
+    ], ids=["missing-support", "generator-99", "generator-string", "records-int",
+            "root-99", "wrong-n"])
+    def test_malformed_trace_is_a_data_error(self, ex4, tmp_path, tamper):
+        out = tmp_path / "t.json"
+        run_cli(["peel", "--input", ex4, "--density-column", "f", "--output", str(out)])
+        doc = json.loads(out.read_text())
+        tamper(doc)
+        out.write_text(json.dumps(doc))
+        r = run_cli(["oracle-check", str(out), "--input", ex4, "--density-column", "f"])
+        assert r.returncode == 2
+        assert r.stderr.decode().startswith("error:")
+        assert b"Traceback" not in r.stderr
+
     def test_large_inputs_rejected(self, tmp_path):
         pts = tmp_path / "nine.csv"
         pts.write_text("\n".join(str(i) for i in range(9)))

@@ -129,13 +129,13 @@ class TestTrials:
 
 class TestTableReplica:
     def test_row_of_runs(self):
-        rep = ex.table1_replica(ex.SamplerConfig("mixture", 2), "kde", n=30, runs=5, seed=9, n_jobs=1)
+        rep = ex.run_trials(ex.SamplerConfig("mixture", 2), "kde", n=30, trials=5, seed=9, n_jobs=1)
         assert len(rep.trials) == 5
         for t in rep.trials:
             assert 2 <= t.peeled_interval_count <= t.n
 
     def test_certificate_fires_exactly_at_full_count(self):
-        rep = ex.table1_replica(ex.SamplerConfig("uniform", 1), "random", n=2, runs=3, seed=2, n_jobs=1)
+        rep = ex.run_trials(ex.SamplerConfig("uniform", 1), "random", n=2, trials=3, seed=2, n_jobs=1)
         # two points always decompose fully into two intervals
         for line in rep.to_csv().strip().split("\n")[1:]:
             assert line.endswith(",yes")

@@ -321,23 +321,14 @@ class TestSubsetIdempotents:
         mset = {int(m) for m in members}
         pw = int(fo.pos_of[witness])
         mats = {}
-        ns = len(module.sigma_values)
-        ne = len(module.eps_values)
-        for j in range(ns):
-            m_act = int(fo.level_sizes[j])
-            live = np.flatnonzero(view._alive[:m_act])
-            for i in range(ne):
-                d = module.dims[(i, j)]
-                reps = linalg._survivor_labels(view, j, float(module.eps_values[i]))
-                basis = np.unique(reps[live]) if live.size else np.empty(0, dtype=np.intp)
-                index = {int(b): k for k, b in enumerate(basis)}
-                mat = np.zeros((d, d), dtype=np.int64)
-                for col, rep in enumerate(basis):
-                    target = int(rep)
-                    if int(fo.perm[target]) in mset and pw < m_act:
-                        target = int(reps[pw])
-                    mat[index[target], col] = 1
-                mats[(i, j)] = mat
+        for (i, j), (labels, basis) in linalg._grade_bases(view).items():
+            d = module.dims[(i, j)]
+            mat = np.zeros((d, d), dtype=np.int64)
+            for col, rep in enumerate(basis):
+                if int(fo.perm[rep]) in mset and pw < int(fo.level_sizes[j]):
+                    rep = int(labels[pw])
+                mat[basis[rep], col] = 1
+            mats[(i, j)] = mat
         return linalg.ModuleMorphism(module, module, mats)
 
     def test_found_subsets_induce_valid_idempotents(self):

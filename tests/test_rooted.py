@@ -262,8 +262,8 @@ class TestPeelAll:
 
             alive = np.ones(fo.n, dtype=bool)
             recs = []
-            nn_pos = rooted._nn_positions(fo)
             idx = np.arange(fo.n)
+            nn_pos = rooted._nearest_other(fo.dist, idx)
             while True:
                 cand = alive & (nn_pos < idx) & alive[nn_pos]
                 cand[0] = False
@@ -293,7 +293,7 @@ class TestPeelAll:
 
     def test_json_round_trip_fields(self, line4):
         trace = rooted.peel_all(line4)
-        recs = rooted.trace_records_from_json(trace.to_json())
+        recs = rooted.trace_records_from_json(trace.to_json(), line4.n)
         assert recs[0]["generator"] == 3
         assert recs[0]["root"] == 2
         assert recs[0]["support"] == [[3.0, 2.0]]
@@ -321,12 +321,14 @@ class TestElderBarcode:
 
     def test_points_on_line_via_forest(self):
         rng = np.random.default_rng(95)
-        pts = np.sort(rng.random(50))[:, None]
-        sp = AugmentedMetricSpace(points=pts, density=np.zeros(50))
-        _, fo = pset.build(sp)
-        merges = fo.merge_events(0)
-        births = [0.0] * 50
-        assert rooted.elder_barcode_1d(births, merges) == elder_oracle(births, merges)
+        line = np.sort(rng.random(50))[:, None]
+        for pts in (line, rng.random((400, 2))):
+            n = len(pts)
+            sp = AugmentedMetricSpace(points=pts, density=np.zeros(n))
+            _, fo = pset.build(sp)
+            merges = fo.merge_events(0)
+            births = [0.0] * n
+            assert rooted.elder_barcode_1d(births, merges) == elder_oracle(births, merges)
 
     def test_decreasing_scales_rejected(self):
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -386,28 +388,28 @@ class TestConstantConqueror:
                     assert rooted.constant_conqueror(sp, x, fo) is not None
 
 
-def brute_rooted_generator(view, grid, x):
-    """Definitional check: scan every grid grade with cluster_at and demand the
-    witness wherever x's surviving cluster is not a singleton."""
+def brute_is_witness(view, grid, x, y):
+    """Definitional check of one witness: y precedes x canonically, and a scan
+    of every grid grade with cluster_at finds y wherever x's surviving cluster
+    is not a singleton."""
     fo = view.forest
     f = fo.space.density
     rank = {int(p): k for k, p in enumerate(fo.perm)}
-    candidates = [y for y in view.survivors() if rank[y] < rank[x]]
-    for y in candidates:
-        ok = True
-        for sigma in grid.sigma_values:
-            if f[x] > sigma:
-                continue
-            for eps in grid.eps_values:
-                cluster = view.cluster_at(float(eps), float(sigma), x)
-                if len(cluster) >= 2 and y not in cluster:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return y
-    return None
+    if rank[y] >= rank[x]:
+        return False
+    for sigma in grid.sigma_values:
+        if f[x] > sigma:
+            continue
+        for eps in grid.eps_values:
+            cluster = view.cluster_at(float(eps), float(sigma), x)
+            if len(cluster) >= 2 and y not in cluster:
+                return False
+    return True
+
+
+def brute_rooted_generator(view, grid, x):
+    """The canonically first surviving witness of x, or None."""
+    return next((y for y in view.survivors() if brute_is_witness(view, grid, x, y)), None)
 
 
 def brute_rooted_subset(view, grid, members):
@@ -455,6 +457,9 @@ class TestBruteForceCrossChecks:
                     got = rooted.is_rooted_generator(view, x)
                     want = brute_rooted_generator(view, grid, x)
                     assert got == want, (t, x, got, want)
+                    for y in view.survivors():
+                        want = brute_is_witness(view, grid, x, y)
+                        assert view.rooted_pair_ok(x, y) == want, (t, x, y, want)
                 # advance to a peeled view and check there as well
                 peelable = [
                     (x, rooted.is_rooted_generator(view, x))
@@ -491,8 +496,8 @@ def test_single_level_engine_matches_at_medium_scale():
 
         alive = np.ones(fo.n, dtype=bool)
         recs = []
-        nn_pos = rooted._nn_positions(fo)
         idx = np.arange(fo.n)
+        nn_pos = rooted._nearest_other(fo.dist, idx)
         while True:
             cand = alive & (nn_pos < idx) & alive[nn_pos]
             cand[0] = False
