@@ -294,9 +294,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     try:
         return _DISPATCH[args.command](args)
-    except (ParseError, DensityError, pset.QueryError, pset.ForestMemoryError,
-            linalg.BudgetError, linalg.ConsistencyError, experiment.ConvergenceError,
-            ValueError) as e:
+    except (ParseError, DensityError, pset.QueryError, linalg.BudgetError,
+            linalg.ConsistencyError, experiment.ConvergenceError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

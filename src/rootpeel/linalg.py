@@ -442,11 +442,9 @@ def _grade_bases(view: PeelView) -> Dict[Tuple[int, int], Tuple[np.ndarray, Dict
     fo = view.forest
     out: Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]] = {}
     for j in range(fo.num_levels):
-        m = int(fo.level_sizes[j])
-        alive = view._alive[:m]
-        live = np.flatnonzero(alive)
+        live = np.flatnonzero(view._alive[: int(fo.level_sizes[j])])
         for i, eps in enumerate(fo.grid.eps_values):
-            labels = np.argmax((fo.levels[j] <= eps) & alive[None, :], axis=1)
+            labels = fo.cluster_labels(j, eps, view._alive)
             out[(i, j)] = labels, {int(b): k for k, b in enumerate(np.unique(labels[live]))}
     return out
 

@@ -1,13 +1,22 @@
-"""Density-Rips persistent sets as per-level single-linkage hierarchies.
+"""Density-Rips persistent sets as one graded edge list.
 
 For an augmented metric space the persistent set assigns to each grade
 (scale eps, density sigma) the partition of the sub-level set
 ``{x : f(x) <= sigma}`` into connected components of the geometric graph at
-``eps``. We never materialize the grade grid. Instead, one ultrametric matrix
-per density level stores every merge scale: two points lie in the same
-component at (eps, sigma) exactly when their merge scale at sigma's level is
-at most eps. All partition queries reduce to row comparisons on these
-matrices, which keeps them vectorizable.
+``eps``. We never materialize the grade grid. Points are relabeled into
+canonical order (density ascending, index ascending on ties), so every
+density level's active set is a prefix. Each point, inserted in that order,
+adds the few edges by which it enters the minimum spanning tree of the points
+before it; the union of these edges, each graded by its later endpoint's
+level, holds a spanning tree of every prefix. By the cycle property the edges
+of grade at most sigma's level give the single-linkage clustering of that
+level at every scale, so this O(n) list determines the whole bifiltration.
+
+Queries read a level through its *chain*: the level's points in an order
+where every cluster is contiguous, plus the merge scale between neighbors.
+Two points merge at the largest gap between them, and the cluster of a point
+at eps is the run around it with gaps <= eps. Chains are derived from the
+edge list level by level on first use and kept.
 
 A ``PeelView`` layers a set of removed generators over the immutable forest.
 Removed points still provide connectivity (the underlying graphs never
@@ -21,26 +30,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .space import AugmentedMetricSpace
 
-# Levels whose point count grows by more than this in one step are built
-# directly by SLINK instead of one-point-at-a-time minimax updates.
-_DIRECT_BUILD_DELTA = 64
-
-# default memory budget for the per-level matrices of one forest
-FOREST_BUDGET_BYTES = 512 * 1024 * 1024
-
 
 class QueryError(ValueError):
     """Raised when a grade/point query violates its preconditions."""
-
-
-class ForestMemoryError(MemoryError):
-    """Raised when the per-level matrices would exceed the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -55,40 +53,283 @@ class GradeGrid:
         self.sigma_values.setflags(write=False)
 
 
-class LeveledMergeForest:
-    """Immutable merge structure of an augmented metric space, one level per density.
+# -- chains --------------------------------------------------------------------
+#
+# A chain of m points is (order, gaps): ``order`` lists the points so that
+# every single-linkage cluster is a contiguous run, ``gaps[k]`` is the merge
+# scale of order[k - 1] and order[k], and ``gaps[0]`` is inf. The merge scale
+# of the points at chain indices a < b is max(gaps[a + 1 : b + 1]).
 
-    Internally points are relabeled into canonical order (density ascending,
-    index ascending on ties), so the active set of every level is a prefix.
-    ``levels[j]`` is the ultrametric (single-linkage merge scale) matrix of the
-    prefix of size ``level_sizes[j]``.
+
+def _scales_from(gaps: np.ndarray, k: int) -> np.ndarray:
+    """Merge scales of the point at chain index k with every chain index."""
+    row = np.empty(len(gaps))
+    row[k] = 0.0
+    row[k + 1 :] = np.maximum.accumulate(gaps[k + 1 :])
+    row[:k] = np.maximum.accumulate(gaps[k:0:-1])[::-1]
+    return row
+
+
+def _attach(gaps: np.ndarray, at: Optional[np.ndarray], d: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Merge scales of a new point q with every chain index, given edges from
+    q to chain indices ``at`` (every chain index in turn when None) of
+    lengths ``d``; also the edges that lower some scale (q's edges in the
+    spanning tree), as indices into ``d``.
+
+    The shortest edge is always kept; after that, an edge only matters if it is
+    shorter than q's merge scale with its endpoint through the kept ones.
+    """
+    r = np.full(len(gaps), np.inf)
+    kept = []
+    while True:
+        gain = np.where(d < (r if at is None else r[at]), d, np.inf)
+        i = int(np.argmin(gain))
+        if math.isinf(gain[i]):
+            return r, kept
+        kept.append(i)
+        np.minimum(r, np.maximum(d[i], _scales_from(gaps, i if at is None else int(at[i]))), out=r)
+
+
+def _insert(order: np.ndarray, gaps: np.ndarray, q: int, r: np.ndarray):
+    """Chain of the old points plus q, from q's merge scales r with them.
+
+    Put q first and the old points after it by r, stably. Points within eps of
+    q form a prefix, and an old cluster that q does not reach has one r value
+    and stays contiguous. Neighbors with different r merge at the larger one
+    (it is also at most their old scale); neighbors with equal r merge at that
+    r, or below it if they were old neighbors with a smaller gap.
+    """
+    idx = np.argsort(r, kind="stable")
+    rs = r[idx]
+    tail = rs[1:]
+    same = np.where(idx[1:] == idx[:-1] + 1, np.minimum(gaps[idx[1:]], tail), tail)
+    new_gaps = np.empty(len(r) + 1)
+    new_gaps[0] = np.inf
+    new_gaps[1] = rs[0]
+    new_gaps[2:] = np.where(rs[:-1] < tail, tail, same)
+    return np.concatenate(([q], order[idx])), new_gaps
+
+
+def _graded_edges(dist: np.ndarray, perm: np.ndarray):
+    """Insert the points ``perm[0], perm[1], ...`` of a distance matrix one at
+    a time; chains and edges are over their positions in ``perm``.
+
+    Returns the edges each point adds to the spanning tree of the points
+    before it, as (earlier endpoint, later endpoint, length) arrays grouped by
+    the later endpoint, and the chain of all points. O(n) extra memory
+    besides the edges.
+    """
+    order = np.zeros(1, dtype=np.intp)
+    gaps = np.full(1, np.inf)
+    lo: List[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    hi: List[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    w: List[np.ndarray] = [np.zeros(0)]
+    for q in range(1, len(perm)):
+        d = dist[perm[q], perm[order]]
+        r, kept = _attach(gaps, None, d)
+        lo.append(order[kept])
+        hi.append(np.full(len(kept), q, dtype=np.intp))
+        w.append(d[kept])
+        order, gaps = _insert(order, gaps, q, r)
+    return np.concatenate(lo), np.concatenate(hi), np.concatenate(w), (order, gaps)
+
+
+def _packed(order: np.ndarray, gaps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A chain as stored: order, gaps and each position's chain index."""
+    index = np.empty(len(order), dtype=np.int32)
+    index[order] = np.arange(len(order))
+    return order.astype(np.int32), gaps, index
+
+
+def _nearest_marked(order: np.ndarray, alive: np.ndarray, k: int, step: int) -> int:
+    """Chain index of the first position marked in ``alive`` beyond chain
+    index k in direction ``step`` (+1 or -1), or -1; looks in windows of
+    doubling width, since survivors are usually close."""
+    width = 8
+    t = k + step
+    while 0 <= t < len(order):
+        if step > 0:
+            hit = alive[order[t : t + width]]
+            if hit.any():
+                return t + int(np.argmax(hit))
+        else:
+            lo = max(0, t - width + 1)
+            hit = alive[order[lo : t + 1]]
+            if hit.any():
+                return t - int(np.argmax(hit[::-1]))
+        t += step * width
+        width *= 2
+    return -1
+
+
+def _steps(lo: int, hi: int, f: Callable[[int], float]) -> Iterator[Tuple[int, float]]:
+    """(lo, f(lo)), then (j, f(j)) for each j in (lo, hi] where a nonincreasing
+    f changes, in increasing j; bisection evaluates f O(changes * log) times."""
+    seen = {lo: f(lo)}
+    yield lo, seen[lo]
+    if hi not in seen:
+        seen[hi] = f(hi)
+    todo = [(lo, hi)]  # spans whose inner changes are not yet reported, leftmost last
+    while todo:
+        a, b = todo.pop()
+        if seen[a] == seen[b]:
+            continue
+        if b == a + 1:
+            yield b, seen[b]
+            continue
+        mid = (a + b) // 2
+        seen[mid] = f(mid)
+        todo += [(mid, b), (a, mid)]
+
+
+class ChainLevels:
+    """Per-level chains over positions ``0..n-1`` and the queries they answer.
+
+    Level j holds the positions ``[0, level_sizes[j])``; position p is born at
+    level ``birth_level[p]``. Subclasses supply ``chain(j)``.
     """
 
-    def __init__(self, space: AugmentedMetricSpace, max_bytes: int = FOREST_BUDGET_BYTES):
+    def __init__(self, level_sizes: np.ndarray, birth_level: np.ndarray):
+        self.n = int(level_sizes[-1]) if len(level_sizes) else 0
+        self.level_sizes = level_sizes
+        self.num_levels = len(level_sizes)
+        self.birth_level = birth_level
+
+    def chain(self, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, gaps, index): level j's chain and each position's chain index."""
+        raise NotImplementedError
+
+    def merge_scale(self, j: int, px: int, py: int) -> float:
+        """Merge scale of positions px and py at level j."""
+        _, gaps, index = self.chain(j)
+        a, b = sorted((int(index[px]), int(index[py])))
+        return float(gaps[a + 1 : b + 1].max()) if a < b else 0.0
+
+    def cluster_run(self, j: int, px: int, eps: float) -> np.ndarray:
+        """Positions in px's cluster at scale eps and level j, in chain order."""
+        order, gaps, index = self.chain(j)
+        k = int(index[px])
+        lo = k - int(np.argmax(gaps[k::-1] > eps))
+        out = gaps[k + 1 :] > eps
+        hi = k + int(np.argmax(out)) if out.any() else len(order) - 1
+        return order[lo : hi + 1]
+
+    def first_merge_at(self, j: int, alive: np.ndarray, px: int) -> float:
+        """Smallest scale at which px's cluster at level j holds another
+        position marked in ``alive``; inf when none does."""
+        order, gaps, index = self.chain(j)
+        k = int(index[px])
+        eps = math.inf
+        left = _nearest_marked(order, alive, k, -1)
+        if left >= 0:
+            eps = float(gaps[left + 1 : k + 1].max())
+        right = _nearest_marked(order, alive, k, 1)
+        if right >= 0:
+            eps = min(eps, float(gaps[k + 1 : right + 1].max()))
+        return eps
+
+    def scale_row(self, j: int, px: int) -> np.ndarray:
+        """Merge scales of position px with every position active at level j."""
+        order, gaps, index = self.chain(j)
+        row = np.empty(len(order))
+        row[order] = _scales_from(gaps, int(index[px]))
+        return row
+
+    def cluster_labels(self, j: int, eps: float, alive: np.ndarray) -> np.ndarray:
+        """For each position active at level j, the first position marked in
+        ``alive`` in its cluster at scale eps (0 when the cluster has none)."""
+        order, gaps, _ = self.chain(j)
+        run = np.cumsum(gaps > eps) - 1
+        first = np.full(run[-1] + 1, self.n)
+        np.minimum.at(first, run, np.where(alive[order], order, self.n))
+        first[first == self.n] = 0
+        labels = np.empty(len(order), dtype=np.intp)
+        labels[order] = first[run]
+        return labels
+
+    def root_scan(self, alive: np.ndarray, px: int) -> Tuple[Optional[np.ndarray], float, List[int]]:
+        """Mask over positions ``[0, px)`` of the survivors that root the
+        survivor at px (None when there is none); px's first-merge scale at
+        the lowest level holding another survivor (inf when none was scanned);
+        and survivors whose removal must trigger a rescan: one that attains the
+        first-merge scale at each level the scan visited.
+
+        A candidate lies in px's surviving cluster at its first merge scale on
+        every level from px's birth upward. That scale cannot grow with the
+        level, and while it stays put the cluster only grows, so only the
+        birth level and the levels where it drops can exclude a candidate;
+        bisection finds them. While each of these levels keeps one survivor
+        at its scale, every level's scale stays as it was and the candidates
+        can only shrink, so an empty verdict stands until a watched survivor
+        goes.
+        """
+        cand = alive[:px].copy()
+        eps_first = math.inf
+        watch: List[int] = []
+        if not cand.any():
+            return None, eps_first, watch
+        levels = _steps(int(self.birth_level[px]), self.num_levels - 1,
+                        lambda j: self.first_merge_at(j, alive, px))
+        for j, eps in levels:
+            if math.isinf(eps):
+                continue
+            if math.isinf(eps_first):
+                eps_first = eps
+            members = self.cluster_run(j, px, eps)
+            members = members[alive[members]]
+            watch.append(int(members[members != px][0]))
+            inside = np.zeros(px, dtype=bool)
+            inside[members[members < px]] = True
+            cand &= inside
+            if not cand.any():
+                return None, eps_first, watch
+        return cand, eps_first, watch
+
+    def root_candidates(self, alive: np.ndarray, px: int) -> Tuple[Optional[np.ndarray], float]:
+        """The candidate mask and first-merge scale of ``root_scan``."""
+        cand, eps_first, _ = self.root_scan(alive, px)
+        return cand, eps_first
+
+
+class FixedChains(ChainLevels):
+    """Chain levels given outright, one (order, gaps) pair per level."""
+
+    def __init__(self, chains: List[Tuple[np.ndarray, np.ndarray]], birth_level: np.ndarray):
+        super().__init__(np.array([len(o) for o, _ in chains]), birth_level)
+        self._chains = [_packed(order, gaps) for order, gaps in chains]
+
+    def chain(self, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._chains[j]
+
+
+class LeveledMergeForest(ChainLevels):
+    """Immutable merge structure of an augmented metric space, one level per density.
+
+    ``edge_lo``, ``edge_hi`` and ``edge_w`` are the graded edge list (canonical
+    positions, earlier endpoint first, grouped by ``edge_hi``); an edge's
+    grade is ``birth_level[edge_hi]``. Level ``j`` holds the prefix of size
+    ``level_sizes[j]``.
+    """
+
+    def __init__(self, space: AugmentedMetricSpace):
         f = space.require_density()
         self.space = space
-        self.n = space.n
         self.perm = space.canonical_order()
-        self.pos_of = np.empty(self.n, dtype=np.intp)
-        self.pos_of[self.perm] = np.arange(self.n)
+        self.pos_of = np.empty(space.n, dtype=np.intp)
+        self.pos_of[self.perm] = np.arange(space.n)
         self.f_by_pos = f[self.perm]
 
         self.sigma_levels = np.unique(f)
-        self.level_sizes = np.searchsorted(self.f_by_pos, self.sigma_levels, side="right")
-        self.num_levels = len(self.sigma_levels)
-        self.birth_level = np.searchsorted(self.sigma_levels, self.f_by_pos)
+        super().__init__(
+            np.searchsorted(self.f_by_pos, self.sigma_levels, side="right"),
+            np.searchsorted(self.sigma_levels, self.f_by_pos),
+        )
 
-        total = int(np.sum(self.level_sizes.astype(np.int64) ** 2)) * 8
-        if total > max_bytes:
-            raise ForestMemoryError(
-                f"per-level matrices need {total // (1024 * 1024)} MiB, "
-                f"budget is {max_bytes // (1024 * 1024)} MiB; raise max_bytes to proceed"
-            )
-        dm = space.distance_matrix()
-        self.dist = dm[np.ix_(self.perm, self.perm)]
-        self.dist.setflags(write=False)
-
-        self.levels = _build_level_ultrametrics(self.dist, self.level_sizes)
+        self.edge_lo, self.edge_hi, self.edge_w, top = _graded_edges(space.distance_matrix(), self.perm)
+        self._edge_ptr = np.searchsorted(self.edge_hi, np.arange(self.n + 1))
+        # the build ends with the top level's chain; lower levels are derived
+        self._chains: List[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [None] * self.num_levels
+        self._chains[-1] = _packed(*top)
         self._grid: Optional[GradeGrid] = None
 
     # -- basic lookups -------------------------------------------------------
@@ -96,7 +337,7 @@ class LeveledMergeForest:
     @property
     def grid(self) -> GradeGrid:
         if self._grid is None:
-            self._grid = GradeGrid(np.unique(self.dist), self.sigma_levels.copy())
+            self._grid = GradeGrid(np.unique(self.space.distance_matrix()), self.sigma_levels.copy())
         return self._grid
 
     def level_index(self, sigma: float) -> int:
@@ -106,6 +347,25 @@ class LeveledMergeForest:
             raise QueryError(f"no point has density <= {sigma}")
         return j
 
+    def chain(self, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Level j's chain; on first use it is derived from the highest derived
+        level below j (or from point 0) and the edges of the grades between."""
+        if self._chains[j] is None:
+            below = next((i for i in range(j - 1, -1, -1) if self._chains[i] is not None), -1)
+            if below >= 0:
+                order, gaps, index = self._chains[below]
+            else:
+                order, gaps, index = _packed(np.zeros(1, dtype=np.intp), np.full(1, np.inf))
+            for level in range(below + 1, j + 1):
+                for q in range(len(order), int(self.level_sizes[level])):
+                    s, e = self._edge_ptr[q], self._edge_ptr[q + 1]
+                    r, _ = _attach(gaps, index[self.edge_lo[s:e]], self.edge_w[s:e])
+                    order, gaps = _insert(order, gaps, q, r)
+                    index = np.empty(q + 1, dtype=np.intp)
+                    index[order] = np.arange(q + 1)
+                self._chains[level] = _packed(order, gaps)
+        return self._chains[j]
+
     def ultrametric(self, sigma: float, x: int, y: int) -> float:
         """Merge scale of x and y in the single-linkage hierarchy at level sigma."""
         j = self.level_index(sigma)
@@ -114,51 +374,24 @@ class LeveledMergeForest:
         if px >= m or py >= m:
             absent = x if px >= m else y
             raise QueryError(f"point {absent} is absent at density level {sigma}")
-        return float(self.levels[j][px, py])
+        return self.merge_scale(j, int(px), int(py))
 
-    def root_candidates(self, alive: np.ndarray, px: int) -> Tuple[Optional[np.ndarray], float]:
-        """Mask over positions ``[0, px)`` of the survivors that root the
-        survivor at px (None when there is none), plus px's first-merge scale
-        at the lowest level holding another survivor (inf when none was
-        scanned).
-
-        A candidate lies in px's surviving cluster at its first merge scale on
-        every level from px's birth upward. The first-merge scale bounds every
-        level's first-merge scale from above, so a later removal can only change
-        this verdict when its top-level merge distance to px stays below it.
-        """
-        cand = alive[:px].copy()
-        eps_first = math.inf
-        if not cand.any():
-            return None, eps_first
-        any_ = np.logical_or.reduce
-        minr = np.minimum.reduce
-        for j in range(int(self.birth_level[px]), self.num_levels):
-            m = int(self.level_sizes[j])
-            row = self.levels[j][px]
-            alive[px] = False
-            others = row[alive[:m]]
-            alive[px] = True
-            if not others.size:
-                continue
-            mstar = minr(others)
-            if math.isinf(eps_first):
-                eps_first = float(mstar)
-            cand &= row[:px] <= mstar
-            if not any_(cand):
-                return None, eps_first
-        return cand, eps_first
+    def threshold_runs(self, px: int, f: Callable[[int], float]) -> Tuple[Tuple[float, float], ...]:
+        """(sigma, theta) runs of a threshold ``f(level)`` that cannot grow with
+        the level, from px's birth level up: one run per change."""
+        return tuple(
+            (float(self.sigma_levels[j]), theta)
+            for j, theta in _steps(int(self.birth_level[px]), self.num_levels - 1, f)
+        )
 
     # -- serialization ---------------------------------------------------------
 
     def merge_events(self, level: int) -> List[Tuple[float, int, int]]:
         """Sorted merge events (eps, a, b) of one level; a, b are the merging
-        clusters' smallest original indices."""
-        m = int(self.level_sizes[level])
-        u = self.levels[level]
-        iu, ju = np.triu_indices(m, k=1)
-        order = np.lexsort((ju, iu, u[iu, ju]))
-        parent = list(range(m))
+        clusters' canonically first points, and the events of one scale are
+        sorted by (a, b) in canonical order."""
+        order, gaps, _ = self.chain(level)
+        parent = list(range(len(order)))
 
         def find(a):
             while parent[a] != a:
@@ -166,14 +399,21 @@ class LeveledMergeForest:
                 a = parent[a]
             return a
 
+        by_scale = np.argsort(gaps[1:], kind="stable") + 1
         events = []
-        for k in order:
-            p, q = find(int(iu[k])), find(int(ju[k]))
-            if p == q:
-                continue
-            lo, hi = min(p, q), max(p, q)
-            events.append((float(u[iu[k], ju[k]]), int(self.perm[lo]), int(self.perm[hi])))
-            parent[hi] = lo
+        start = 0
+        while start < len(by_scale):
+            eps = gaps[by_scale[start]]
+            stop = start
+            while stop < len(by_scale) and gaps[by_scale[stop]] == eps:
+                stop += 1
+            pairs = [(find(int(order[k - 1])), find(int(order[k]))) for k in by_scale[start:stop]]
+            for p, q in pairs:
+                p, q = find(p), find(q)
+                parent[max(p, q)] = min(p, q)
+            joined = sorted((find(p), p) for p in {p for pair in pairs for p in pair} if find(p) != p)
+            events += [(float(eps), int(self.perm[a]), int(self.perm[b])) for a, b in joined]
+            start = stop
         return events
 
     def to_json(self) -> str:
@@ -191,56 +431,10 @@ class LeveledMergeForest:
         return json.dumps(payload)
 
 
-def build(
-    space: AugmentedMetricSpace, max_bytes: int = FOREST_BUDGET_BYTES
-) -> Tuple[GradeGrid, LeveledMergeForest]:
+def build(space: AugmentedMetricSpace) -> Tuple[GradeGrid, LeveledMergeForest]:
     """Construct the grade grid and merge forest of a space with densities."""
-    forest = LeveledMergeForest(space, max_bytes=max_bytes)
+    forest = LeveledMergeForest(space)
     return forest.grid, forest
-
-
-def _build_level_ultrametrics(dist: np.ndarray, level_sizes: np.ndarray):
-    n = int(level_sizes[-1])
-    work = np.zeros((n, n))
-    levels = []
-    cur = 0
-    for m in (int(s) for s in level_sizes):
-        if m - cur > _DIRECT_BUILD_DELTA and m >= 2:
-            work[:m, :m] = _slink_ultrametric(dist[:m, :m])
-        else:
-            for q in range(cur, m):
-                _add_point(work, dist, q)
-        cur = m
-        snap = work[:m, :m].copy()
-        snap.setflags(write=False)
-        levels.append(snap)
-    return tuple(levels)
-
-
-def _add_point(work: np.ndarray, dist: np.ndarray, q: int) -> None:
-    """Extend the minimax matrix of prefix q to include point q, in place."""
-    if q == 0:
-        work[0, 0] = 0.0
-        return
-    u = work[:q, :q]
-    drow = dist[q, :q]
-    # best access scale from q to each old point: one hop out of q, then the
-    # cheapest continuation inside the old prefix
-    row = np.min(np.maximum(drow[:, None], u), axis=0)
-    # routes through q may lower old pairs
-    np.minimum(u, np.maximum.outer(row, row), out=u)
-    work[q, :q] = row
-    work[:q, q] = row
-    work[q, q] = 0.0
-
-
-def _slink_ultrametric(sub: np.ndarray) -> np.ndarray:
-    from scipy.cluster.hierarchy import cophenet, linkage
-    from scipy.spatial.distance import squareform
-
-    cond = squareform(sub, checks=False)
-    z = linkage(cond, method="single")
-    return squareform(cophenet(z))
 
 
 # -- peel views ---------------------------------------------------------------
@@ -290,23 +484,20 @@ class PeelView:
         """Surviving points in the same component as x at grade (eps, sigma)."""
         if eps < 0:
             raise QueryError(f"negative scale: {eps}")
-        px, j, m = self._check_present(sigma, x)
-        row = self.forest.levels[j][px, :m]
-        mask = (row <= eps) & self._alive[:m]
-        return frozenset(int(v) for v in self.forest.perm[:m][mask])
+        px, j, _ = self._check_present(sigma, x)
+        fo = self.forest
+        members = fo.cluster_run(j, px, eps)
+        return frozenset(int(v) for v in fo.perm[members[self._alive[members]]])
 
     def first_merge_scale(self, sigma: float, x: int) -> Tuple[float, FrozenSet[int]]:
         """Smallest grid scale at which x's surviving cluster exceeds one point."""
-        px, j, m = self._check_present(sigma, x)
-        row = self.forest.levels[j][px, :m]
-        mask = self._alive[:m].copy()
-        mask[px] = False
-        if not mask.any():
+        px, j, _ = self._check_present(sigma, x)
+        fo = self.forest
+        eps = fo.first_merge_at(j, self._alive, px)
+        if math.isinf(eps):
             return math.inf, frozenset((int(x),))
-        eps = float(np.min(row[mask]))
-        mask[px] = True
-        members = mask & (row <= eps)
-        return eps, frozenset(int(v) for v in self.forest.perm[:m][members])
+        members = fo.cluster_run(j, px, eps)
+        return eps, frozenset(int(v) for v in fo.perm[members[self._alive[members]]])
 
     def rooted_pair_ok(self, x: int, root: int) -> bool:
         """Whether ``root`` witnesses x as a rooted generator of this view."""

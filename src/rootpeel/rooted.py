@@ -9,7 +9,8 @@ lower bound on the number of intervals in the full decomposition.
 The peel loop prefers the nearest-neighbor fast path: if x's global nearest
 neighbor precedes it and still survives, the neighbor roots x at every level,
 and the interval's scale threshold is simply their distance. The general
-criterion is evaluated level by level on the forest's ultrametric matrices.
+criterion is evaluated on the forest's per-level chains, only at the levels
+where a point's first-merge scale drops.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .pset import LeveledMergeForest, PeelView, QueryError, fresh_view
+from .pset import ChainLevels, FixedChains, LeveledMergeForest, PeelView, QueryError, fresh_view
 from .space import AugmentedMetricSpace
 
 
@@ -62,7 +63,18 @@ class IntervalSupport:
         return sigma >= self.birth_sigma and eps < self.theta_at(sigma)
 
     def pairs(self, sigma_values: Sequence[float]) -> List[Tuple[float, float]]:
-        return [(float(s), self.theta_at(float(s))) for s in sigma_values if s >= self.birth_sigma]
+        """(sigma, theta) for each of the ascending ``sigma_values`` from the
+        birth density up, in one pass over them and the runs."""
+        out = []
+        k = 0
+        for s in sigma_values:
+            s = float(s)
+            if s < self.birth_sigma:
+                continue
+            while k + 1 < len(self.breaks) and self.breaks[k + 1][0] <= s:
+                k += 1
+            out.append((s, self.breaks[k][1]))
+        return out
 
     def is_empty(self) -> bool:
         return all(t <= 0.0 for _, t in self.breaks)
@@ -93,17 +105,18 @@ def _tie_rank(space: AugmentedMetricSpace) -> np.ndarray:
     return np.arange(n, dtype=np.intp)
 
 
-def _nearest_other(dist: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Column of the nearest other point for each row of ``dist``.
+def _nearest_other(dist: np.ndarray, rows: np.ndarray, cols: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """For each point ``rows[k]``, the index into ``cols`` of its nearest
+    other point.
 
-    The columns of ``dist`` list all points in tie-break order, and row k
-    belongs to the point in column ``own[k]``; distance ties go to the lowest
-    column. Rows are copied in chunks, so ``dist`` is never copied whole.
+    ``cols`` lists all points in tie-break order and ``own[k]`` is the index
+    of ``rows[k]`` in it; distance ties go to the lowest index. Rows of
+    ``dist`` are gathered in chunks, so it is never copied whole.
     """
     out = np.empty(len(own), dtype=np.intp)
-    step = max(1, 4_000_000 // dist.shape[1])
+    step = max(1, 4_000_000 // len(cols))
     for k in range(0, len(own), step):
-        block = dist[k : k + step].copy()
+        block = dist[np.ix_(rows[k : k + step], cols)]
         block[np.arange(len(block)), own[k : k + step]] = np.inf
         out[k : k + step] = np.argmin(block, axis=1)
     return out
@@ -130,8 +143,7 @@ def _nn_kdtree(space: AugmentedMetricSpace, rank: np.ndarray, order: np.ndarray)
     # rank-minimal neighbor may have been truncated away; recheck those rows
     suspect = np.flatnonzero(de[:, -1] <= dmin[:, 0])
     if suspect.size:
-        rows = space.distance_matrix()[np.ix_(suspect, order)]
-        nn[suspect] = order[_nearest_other(rows, rank[suspect])]
+        nn[suspect] = order[_nearest_other(space.distance_matrix(), suspect, order, rank[suspect])]
     return nn
 
 
@@ -144,7 +156,7 @@ def nn_graph(space: AugmentedMetricSpace) -> NNGraph:
     if space.points is not None:
         nn = _nn_kdtree(space, rank, order)
     else:
-        nn = order[_nearest_other(space.distance_matrix()[:, order], rank)]
+        nn = order[_nearest_other(space.distance_matrix(), np.arange(space.n), order, rank)]
     mutual = sorted(
         (min(i, int(nn[i])), max(i, int(nn[i])))
         for i in range(space.n)
@@ -215,7 +227,7 @@ def is_rooted_subset(view: PeelView, subset: Sequence[int]) -> Optional[int]:
         for px in pos:
             if px >= m:
                 continue
-            row = fo.levels[j][px, :m]
+            row = fo.scale_row(j, int(px))
             bound = np.min(row[outside])
             cand &= row[:limit] <= bound
         if not cand.any():
@@ -236,16 +248,8 @@ def interval_support(view: PeelView, x: int, root: int) -> IntervalSupport:
 
 
 def _support_unchecked(fo: LeveledMergeForest, px: int, proot: int) -> IntervalSupport:
-    j0 = fo.level_index(fo.f_by_pos[px])
-    breaks: List[Tuple[float, float]] = []
-    prev = None
-    for j in range(j0, fo.num_levels):
-        theta = float(fo.levels[j][px, proot])
-        if theta != prev:
-            breaks.append((float(fo.sigma_levels[j]), theta))
-            prev = theta
-    birth = float(fo.sigma_levels[j0])
-    return IntervalSupport(birth, tuple(breaks), zero=(breaks[0][1] == 0.0))
+    breaks = fo.threshold_runs(px, lambda j: fo.merge_scale(j, px, proot))
+    return IntervalSupport(breaks[0][0], breaks, zero=(breaks[0][1] == 0.0))
 
 
 def _bottom_support(fo: LeveledMergeForest) -> IntervalSupport:
@@ -304,70 +308,34 @@ def barcode_csv(bars: Sequence[Tuple[float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _general_rounds(fo: LeveledMergeForest, alive: np.ndarray, emit) -> None:
-    """Repeat: peel the canonically first generator passing the general
-    criterion, until none passes.
+def _general_rounds(levels: ChainLevels, alive: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Repeat: peel the canonically first survivor passing the general
+    criterion, until none passes; marks it removed and yields
+    (position, root position).
 
-    Unrooted verdicts are cached between rounds. Removing z can only flip the
-    verdict of x when z's full-space merge scale with x is at most x's stored
-    first-merge scale (first-merge clusters grow exactly at levels where the
-    removed point achieved the minimum), so only those entries are rechecked.
+    Unrooted verdicts are cached between rounds. A removal can only flip the
+    verdict of x when the removed point attained x's first-merge scale at one
+    of the levels x's scan visited, so only those entries are rechecked.
     """
-    n = fo.n
-    utop = fo.levels[-1]
-    no_root_eps = np.full(n, -1.0)  # stored eps_first for still-valid verdicts
+    cached = np.zeros(levels.n, dtype=bool)
+    cached[0] = True
+    watchers: Dict[int, List[int]] = {}
     while True:
         found = None
-        for px in np.flatnonzero(alive):
-            if px == 0 or no_root_eps[px] >= 0:
-                continue
-            cand, eps_first = fo.root_candidates(alive, int(px))
+        for px in np.flatnonzero(alive & ~cached):
+            cand, _, watch = levels.root_scan(alive, int(px))
             if cand is not None:
                 found = (int(px), int(np.argmax(cand)))
                 break
-            no_root_eps[px] = eps_first if math.isfinite(eps_first) else np.inf
+            cached[px] = True
+            for z in watch:
+                watchers.setdefault(z, []).append(int(px))
         if found is None:
             return
         px, proot = found
-        emit(px, proot, "general-rooted", _support_unchecked(fo, px, proot))
         alive[px] = False
-        cached = np.flatnonzero(no_root_eps >= 0)
-        stale = cached[utop[cached, px] <= no_root_eps[cached]]
-        no_root_eps[stale] = -1.0
-
-
-class _SingleLevelScanner:
-    """Pointer-per-row scanner for one-level forests.
-
-    Row pointers walk each point's neighbors in (merge scale, position) order
-    and only ever advance past removed points, so repeated scans stay cheap.
-    """
-
-    def __init__(self, u: np.ndarray):
-        self.n = u.shape[0]
-        self.order = np.argsort(u, axis=1, kind="stable")
-        self.ptr = np.zeros(self.n, dtype=np.intp)
-
-    def first_achiever(self, x: int, alive: np.ndarray) -> int:
-        o = self.order[x]
-        p = int(self.ptr[x])
-        while p < self.n and (o[p] == x or not alive[o[p]]):
-            p += 1
-        self.ptr[x] = p
-        return int(o[p]) if p < self.n else -1
-
-    def peels(self, alive: np.ndarray):
-        """Repeatedly remove the first survivor whose first achiever precedes
-        it, until none does; yields each (position, achiever position)."""
-        while True:
-            for px in np.flatnonzero(alive[1:]) + 1:
-                z = self.first_achiever(int(px), alive)
-                if 0 <= z < px:
-                    alive[px] = False
-                    yield int(px), z
-                    break
-            else:
-                return
+        cached[watchers.pop(px, [])] = False
+        yield px, proot
 
 
 def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] = None) -> PeelTrace:
@@ -398,7 +366,8 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
 
     if n >= 2:
         idx = np.arange(n)
-        nn_pos = _nearest_other(fo.dist, idx)
+        dist = fo.space.distance_matrix()
+        nn_pos = _nearest_other(dist, fo.perm, fo.perm, idx)
         while True:
             cand = alive & (nn_pos < idx) & alive[nn_pos]
             cand[0] = False
@@ -406,16 +375,13 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
                 break
             px = int(np.argmax(cand))
             proot = int(nn_pos[px])
-            d = float(fo.dist[px, proot])
+            d = float(dist[fo.perm[px], fo.perm[proot]])
             birth = float(fo.f_by_pos[px])
             support = IntervalSupport(birth, ((birth, d),), zero=(d == 0.0))
             emit(px, proot, "neighborly", support)
 
-        if fo.num_levels == 1:
-            for px, proot in _SingleLevelScanner(fo.levels[0]).peels(alive):
-                emit(px, proot, "general-rooted", _support_unchecked(fo, px, proot))
-        else:
-            _general_rounds(fo, alive, emit)
+        for px, proot in _general_rounds(fo, alive):
+            emit(px, proot, "general-rooted", _support_unchecked(fo, px, proot))
 
     records.append(PeelRecord(int(fo.perm[0]), None, "bottom", _bottom_support(fo)))
     final = PeelView(fo, alive, removed)
@@ -443,7 +409,7 @@ _REASONS = ("neighborly", "general-rooted", "bottom")
 
 
 def _is_point(v, n: int) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
 
 
 def _is_grade_pair(p) -> bool:
@@ -490,9 +456,8 @@ def elder_barcode_1d(
     (birth, first merge grade with an older surviving cluster), and the oldest
     point of each component gets an infinite bar.
 
-    The merges become an ultrametric over positions in (birth, index) order,
-    peeled by the same one-level scanner that ``peel_all`` runs on a
-    single-density forest: O(n^2) memory, O(n^2 log n) time to sort its rows.
+    The merges become a chain over positions in (birth, index) order, peeled
+    by the same general rounds that ``peel_all`` runs: O(n) memory.
     """
     births = [float(b) for b in births]
     n = len(births)
@@ -501,10 +466,11 @@ def elder_barcode_1d(
     order = sorted(range(n), key=lambda i: (births[i], i))
     pos_of = {x: p for p, x in enumerate(order)}
 
-    u = np.full((n, n), np.inf)
-    np.fill_diagonal(u, 0.0)
+    # clusters as linked runs of positions; a merge appends one run to another
     parent = list(range(n))
-    members: Dict[int, List[int]] = {i: [i] for i in range(n)}
+    tail = list(range(n))
+    after = [-1] * n
+    gap_before = [math.inf] * n
 
     def find(a):
         while parent[a] != a:
@@ -515,6 +481,8 @@ def elder_barcode_1d(
     last = -math.inf
     for scale, i, j in merges:
         scale = float(scale)
+        if not (_is_point(i, n) and _is_point(j, n)):
+            raise ValueError(f"merge ({scale}, {i}, {j}) names a point outside 0..{n - 1}")
         if scale < last:
             raise ValueError("merge grades must be nondecreasing")
         if scale < max(births[i], births[j]):
@@ -523,15 +491,20 @@ def elder_barcode_1d(
         a, b = find(pos_of[i]), find(pos_of[j])
         if a == b:
             continue
-        ma, mb = members[a], members[b]
-        u[np.ix_(ma, mb)] = scale
-        u[np.ix_(mb, ma)] = scale
+        after[tail[a]] = b
+        gap_before[b] = scale
+        tail[a] = tail[b]
         parent[b] = a
-        members[a] = ma + mb
-        del members[b]
 
+    chain = []
+    for head in (p for p in range(n) if parent[p] == p):
+        while head >= 0:
+            chain.append(head)
+            head = after[head]
+    gaps = np.array([gap_before[p] for p in chain])  # a run's head has inf
+    levels = FixedChains([(np.array(chain), gaps)], np.zeros(n, dtype=np.intp))
     alive = np.ones(n, dtype=bool)
-    bars = [(births[order[px]], float(u[px, z])) for px, z in _SingleLevelScanner(u).peels(alive)]
+    bars = [(births[order[px]], levels.merge_scale(0, px, z)) for px, z in _general_rounds(levels, alive)]
     bars.append((births[order[0]], math.inf))
     return sorted(bars)
 
@@ -550,20 +523,11 @@ def staircode(
     f = space.require_density()
     if len(np.unique(f)) != space.n:
         raise ValueError("staircodes need an injective density function")
-    if forest is None:
-        forest = LeveledMergeForest(space)
-    fo = forest
-    px = int(fo.pos_of[x])
-    j0 = fo.level_index(fo.f_by_pos[px])
-    breaks: List[Tuple[float, float]] = []
-    prev = None
-    for j in range(j0, fo.num_levels):
-        row = fo.levels[j][px]
-        theta = float(np.min(row[:px])) if px > 0 else math.inf
-        if theta != prev:
-            breaks.append((float(fo.sigma_levels[j]), theta))
-            prev = theta
-    return IntervalSupport(float(fo.f_by_pos[px]), tuple(breaks), zero=(breaks[0][1] == 0.0))
+    fo = forest if forest is not None else LeveledMergeForest(space)
+    px = _position(fo, x)
+    before = np.arange(fo.n) < px
+    breaks = fo.threshold_runs(px, lambda j: fo.first_merge_at(j, before, px))
+    return IntervalSupport(breaks[0][0], breaks, zero=(breaks[0][1] == 0.0))
 
 
 def constant_conqueror(
@@ -572,16 +536,15 @@ def constant_conqueror(
     """A canonical predecessor of x that is a closest predecessor at every
     level simultaneously; the canonically minimal point conquers itself."""
     space.require_density()
-    if forest is None:
-        forest = LeveledMergeForest(space)
-    fo = forest
-    px = int(fo.pos_of[x])
+    fo = forest if forest is not None else LeveledMergeForest(space)
+    px = _position(fo, x)
     if px == 0:
         return int(x)
-    j0 = fo.level_index(fo.f_by_pos[px])
-    js = range(j0, fo.num_levels)
-    mins = [float(np.min(fo.levels[j][px, :px])) for j in js]
-    for py in range(px):
-        if all(float(fo.levels[j][px, py]) <= mn for j, mn in zip(js, mins)):
-            return int(fo.perm[py])
-    return None
+    cand, _ = fo.root_candidates(np.arange(fo.n) <= px, px)
+    return None if cand is None else int(fo.perm[np.argmax(cand)])
+
+
+def _position(fo: LeveledMergeForest, x: int) -> int:
+    if not _is_point(x, fo.n):
+        raise QueryError(f"point index out of range: {x}")
+    return int(fo.pos_of[x])

@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rootpeel
 from rootpeel.space import AugmentedMetricSpace
+
+
+def cli_env(**extra):
+    """Environment for CLI subprocesses that import the ``rootpeel`` under
+    test, also when it reached this process through pytest's ``pythonpath``."""
+    src = str(Path(rootpeel.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 @pytest.fixture

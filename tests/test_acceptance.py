@@ -6,14 +6,13 @@ the lines on passing runs).
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
-from conftest import elder_oracle, random_one_param, random_space
+from conftest import cli_env, elder_oracle, random_one_param, random_space
 from rootpeel import experiment as ex
 from rootpeel import linalg, pset, rooted
 from rootpeel.space import AugmentedMetricSpace
@@ -204,7 +203,7 @@ def test_criterion_7_monte_carlo_convergence():
 def test_criterion_8_cli_determinism(tmp_path):
     data = tmp_path / "line4.csv"
     data.write_text("x,f\n0,0\n7.5,1\n3,2\n5,3\n")
-    env = dict(os.environ, ROOTPEEL_THREADS="2")
+    env = cli_env(ROOTPEEL_THREADS="2")
     invocations = [
         ["peel", "--input", str(data), "--density-column", "f"],
         ["nn", "--input", str(data), "--density-column", "f", "--format", "csv"],

@@ -1,16 +1,16 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import cli_env
+
 CLI = [sys.executable, "-m", "rootpeel.cli"]
 
 
 def run_cli(args, cwd=None):
-    env = dict(os.environ, ROOTPEEL_THREADS="1")
-    return subprocess.run(CLI + args, capture_output=True, cwd=cwd, env=env)
+    return subprocess.run(CLI + args, capture_output=True, cwd=cwd, env=cli_env(ROOTPEEL_THREADS="1"))
 
 
 @pytest.fixture
@@ -170,6 +170,17 @@ class TestOtherCommands:
                      "--x", "1", "--format", "csv"])
         assert r.returncode == 0
         assert r.stdout.decode().splitlines()[1] == "1,1.0,7.5"
+
+    @pytest.mark.parametrize("points, x", [("0\n1\n", "7"), ("0\n1\n3\n", "-1")])
+    def test_staircode_point_out_of_range(self, tmp_path, points, x):
+        path = tmp_path / "points.csv"
+        path.write_text("x\n" + points)
+        r = run_cli(["staircode", "--input", str(path), "--density-mode", "random",
+                     f"--x={x}", "--format", "csv"])
+        assert r.returncode == 2
+        assert r.stderr.decode().startswith("error:")
+        assert "Traceback" not in r.stderr.decode()
+        assert r.stdout.decode() == ""
 
     def test_simulate_csv(self):
         r = run_cli(["simulate", "--d", "1", "--n", "16", "--trials", "2",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import bfs_components, random_space
+from dense_reference import dense_levels, position_distances
 from rootpeel import pset
 from rootpeel.space import AugmentedMetricSpace
 
@@ -46,38 +47,29 @@ class TestBuild:
         assert fo.num_levels == 1
         assert fo.level_sizes.tolist() == [3]
 
-    def test_memory_budget_enforced(self):
-        rng = np.random.default_rng(0)
-        sp = AugmentedMetricSpace(points=rng.random((40, 2)), density=rng.random(40))
-        with pytest.raises(pset.ForestMemoryError):
-            pset.build(sp, max_bytes=1000)
-
     def test_direct_and_incremental_builders_agree(self):
+        # one big level: every merge scale matches the dense minimax reference
         rng = np.random.default_rng(8)
         pts = rng.random((90, 2))
         sp = AugmentedMetricSpace(points=pts, density=np.zeros(90))
-        _, fo = pset.build(sp)  # single big level takes the direct path
-        u_direct = fo.levels[0]
-        u_inc = np.zeros((90, 90))
-        for q in range(90):
-            pset._add_point(u_inc, fo.dist, q)
-        assert np.array_equal(u_direct, u_inc)
+        _, fo = pset.build(sp)
+        (u,) = dense_levels(position_distances(fo), fo.level_sizes)
+        for px in range(90):
+            assert np.array_equal(fo.scale_row(0, px), u[px])
 
     def test_mixed_builder_paths_agree(self):
-        # small first level built incrementally, then a big jump that takes
-        # the direct path; both levels must match a pure incremental build
+        # a small first level, then a big jump; both levels must match the
+        # dense reference
         rng = np.random.default_rng(9)
         pts = rng.random((100, 2))
         dens = np.concatenate([np.zeros(10), np.ones(90)])
         sp = AugmentedMetricSpace(points=pts, density=dens)
         _, fo = pset.build(sp)
         assert fo.level_sizes.tolist() == [10, 100]
-        work = np.zeros((100, 100))
-        for q in range(100):
-            pset._add_point(work, fo.dist, q)
-            if q == 9:
-                assert np.array_equal(fo.levels[0], work[:10, :10])
-        assert np.array_equal(fo.levels[1], work)
+        levels = dense_levels(position_distances(fo), fo.level_sizes)
+        for j, m in enumerate(fo.level_sizes):
+            for px in range(m):
+                assert np.array_equal(fo.scale_row(j, px), levels[j][px])
 
 
 class TestUltrametric:
@@ -174,7 +166,8 @@ class TestMonotonicity:
             _, fo = pset.build(sp)
             for j in range(fo.num_levels - 1):
                 m = int(fo.level_sizes[j])
-                assert np.all(fo.levels[j + 1][:m, :m] <= fo.levels[j])
+                for px in range(m):
+                    assert np.all(fo.scale_row(j + 1, px)[:m] <= fo.scale_row(j, px))
 
 
 class TestFirstMergeScale:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import elder_oracle, random_one_param, random_space
+from dense_reference import DenseForest
 from rootpeel import pset, rooted
 from rootpeel.space import AugmentedMetricSpace
 
@@ -260,25 +261,8 @@ class TestPeelAll:
             assert fo.num_levels == 1
             got = [(r.generator, r.root) for r in rooted.peel_all(sp, forest=fo)]
 
-            alive = np.ones(fo.n, dtype=bool)
-            recs = []
-            idx = np.arange(fo.n)
-            nn_pos = rooted._nearest_other(fo.dist, idx)
-            while True:
-                cand = alive & (nn_pos < idx) & alive[nn_pos]
-                cand[0] = False
-                if not cand.any():
-                    break
-                px = int(np.argmax(cand))
-                recs.append((int(fo.perm[px]), int(fo.perm[nn_pos[px]])))
-                alive[px] = False
-            def emit(px, pr, _reason, _support):
-                recs.append((int(fo.perm[px]), int(fo.perm[pr])))
-                alive[px] = False
-
-            rooted._general_rounds(fo, alive, emit)
-            recs.append((int(fo.perm[0]), None))
-            assert got == recs
+            want = [(r.generator, r.root) for r in DenseForest(fo).peel()]
+            assert got == want
 
     def test_replay_and_tampered_trace(self, line4):
         _, fo = pset.build(line4)
@@ -337,6 +321,21 @@ class TestElderBarcode:
     def test_merge_before_birth_rejected(self):
         with pytest.raises(ValueError, match="precedes"):
             rooted.elder_barcode_1d([0, 5], [(1.0, 0, 1)])
+
+    @pytest.mark.parametrize("i, j", [(0, 5), (-1, 1), (2, 0)])
+    def test_merge_index_out_of_range_rejected(self, i, j):
+        with pytest.raises(ValueError, match="outside"):
+            rooted.elder_barcode_1d([0.0, 0.0], [(1.0, i, j)])
+
+
+class TestConquerorAndStaircodeIndices:
+    @pytest.mark.parametrize("x", [-1, 4, 99])
+    def test_out_of_range_point_rejected(self, line4, x):
+        _, fo = pset.build(line4)
+        with pytest.raises(pset.QueryError, match="out of range"):
+            rooted.staircode(line4, x, fo)
+        with pytest.raises(pset.QueryError, match="out of range"):
+            rooted.constant_conqueror(line4, x, fo)
 
 
 class TestStaircode:
@@ -485,8 +484,8 @@ class TestBruteForceCrossChecks:
 
 
 def test_single_level_engine_matches_at_medium_scale():
-    # the pointered scanner carries the large constant-density runs; check it
-    # against the level-sweep engine at a few hundred points as well
+    # large constant-density runs peel down to one point; check them against
+    # the dense reference engine at a few hundred points as well
     rng = np.random.default_rng(424242)
     for d in (1, 2):
         pts = rng.random((300, d))
@@ -494,23 +493,6 @@ def test_single_level_engine_matches_at_medium_scale():
         _, fo = pset.build(sp)
         got = [(r.generator, r.root) for r in rooted.peel_all(sp, forest=fo)]
 
-        alive = np.ones(fo.n, dtype=bool)
-        recs = []
-        idx = np.arange(fo.n)
-        nn_pos = rooted._nearest_other(fo.dist, idx)
-        while True:
-            cand = alive & (nn_pos < idx) & alive[nn_pos]
-            cand[0] = False
-            if not cand.any():
-                break
-            px = int(np.argmax(cand))
-            recs.append((int(fo.perm[px]), int(fo.perm[nn_pos[px]])))
-            alive[px] = False
-
-        def emit(px, pr, _reason, _support):
-            recs.append((int(fo.perm[px]), int(fo.perm[pr])))
-
-        rooted._general_rounds(fo, alive, emit)
-        recs.append((int(fo.perm[0]), None))
-        assert got == recs
+        want = [(r.generator, r.root) for r in DenseForest(fo).peel()]
+        assert got == want
         assert len(got) == 300  # a single level always peels down to one point
