@@ -122,8 +122,11 @@ def _load_space(args, need_density: bool, constant_default: bool = False) -> Aug
 def _emit(args, text: str) -> None:
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -215,54 +218,62 @@ def _cmd_oracle_check(args) -> int:
     records = rooted.trace_records_from_json(_read_text(args.trace), space.n)
     forest = pset.LeveledMergeForest(space)
     view = pset.fresh_view(forest)
+    module = None  # the view's linearization, made by the previous record's residual check
     sigmas = [float(s) for s in forest.sigma_levels]
-    failures = 0
+    bottom_seen = False
     for k, rec in enumerate(records):
-        ok, why = _check_record(view, rec, sigmas, args.dim_budget)
-        print(f"{'PASS' if ok else 'FAIL'} record {k}: generator {rec['generator']} ({rec['reason']})"
-              + ("" if ok else f" - {why}"))
-        if not ok:
-            failures += 1
-            break
-        if rec["reason"] != "bottom":
-            view = view._restrict_unchecked(rec["generator"], rec["root"])
-    return 0 if failures == 0 else 2
+        if rec["reason"] == "bottom":
+            why = _check_bottom(forest, rec, sigmas, bottom_seen)
+            bottom_seen = True
+        else:
+            why, view, module = _check_peel(view, module, rec, sigmas, args.dim_budget)
+        print(f"{'FAIL' if why else 'PASS'} record {k}: generator {rec['generator']} ({rec['reason']})"
+              + (f" - {why}" if why else ""))
+        if why:
+            return 2
+    return 0
 
 
-def _check_record(view, rec, sigmas, dim_budget):
+def _check_bottom(fo, rec, sigmas, bottom_seen) -> str:
+    if bottom_seen:
+        return "trace has more than one bottom record"
+    if rec["generator"] != int(fo.perm[0]):
+        return f"bottom generator should be {int(fo.perm[0])}"
+    if rec["support"] != [[s, None] for s in sigmas]:
+        return "bottom support must cover every grade"
+    return ""
+
+
+def _check_peel(view, module, rec, sigmas, dim_budget):
+    """Certify one peel in exact arithmetic: (failure reason, None, None), or
+    ("", the restricted view, its linearization)."""
     fo = view.forest
-    gen = rec["generator"]
-    if rec["reason"] == "bottom":
-        if gen != int(fo.perm[0]):
-            return False, f"bottom generator should be {int(fo.perm[0])}"
-        want = [[s, None] for s in sigmas]
-        if rec["support"] != want:
-            return False, "bottom support must cover every grade"
-        return True, ""
-    root = rec["root"]
+    gen, root = rec["generator"], rec.get("root")
     if root is None:
-        return False, "missing root"
+        return "missing root", None, None
     if not view.rooted_pair_ok(gen, root):
-        return False, "pair fails the rootedness criterion"
-    module = linalg.linearize(view, dim_budget=dim_budget)
-    phi = linalg.idempotent_from_peel(view, gen, root, module=module, dim_budget=dim_budget)
+        return "pair fails the rootedness criterion", None, None
+    if module is None:
+        module = linalg.linearize(view, dim_budget=dim_budget)
+    phi = linalg.idempotent_from_peel(view, gen, root, module=module, dim_budget=dim_budget,
+                                      check_rooted=False)
     da, db = linalg.split_dims(module, phi)
     support = {(s, t) for s, t in rec["support"]}
-    sup = rooted.interval_support(view, gen, root)
+    sup = rooted._support_unchecked(fo, int(fo.pos_of[gen]), int(fo.pos_of[root]))
     declared = {(s, None if math.isinf(t) else t) for s, t in sup.pairs(sigmas)}
     if support != declared:
-        return False, "recorded support differs from the recomputed one"
+        return "recorded support differs from the recomputed one", None, None
     eps = module.eps_values
     sig = module.sigma_values
     for (i, j), d in da.items():
         inside = sup.contains(eps[i], sig[j])
         if d != (1 if inside else 0):
-            return False, f"split dimension {d} at grade ({eps[i]}, {sig[j]}) contradicts the support"
+            return f"split dimension {d} at grade ({eps[i]}, {sig[j]}) contradicts the support", None, None
     after = view._restrict_unchecked(gen, root)
-    residual = linalg.grade_dims(after)
-    if any(db[k] != residual[k] for k in db):
-        return False, "residual factor dimensions differ from the restricted view"
-    return True, ""
+    residual = linalg.linearize(after, dim_budget=dim_budget)
+    if any(db[k] != residual.dims[k] for k in db):
+        return "residual factor dimensions differ from the restricted view", None, None
+    return "", after, residual
 
 
 def _cmd_b_constant(args) -> int:

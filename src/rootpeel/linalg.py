@@ -7,18 +7,26 @@ on request. The oracle exists to validate peels independently, so ranks and
 splits go through honest Gaussian elimination rather than exploiting the
 special shape of cluster maps.
 
-Matrices are numpy arrays: plain int64 for the 0/1 structure maps, dtype
-object holding ``Fraction`` (or ints mod p) once fractions can appear. Sizes
-are guarded by an explicit total-dimension budget; exceeding it is an error,
-not a silent fallback.
+Matrices are numpy arrays: plain int64 for the 0/1 structure maps and
+idempotents, dtype object holding field elements (``Fraction``, or ints mod p)
+once fractions can appear. One kernel serves every caller: ``compose``,
+``mats_equal`` and the elimination ``_rref`` behind rank, solve and
+nullspace; integral matrices over QQ take fraction-free rank. What differs
+between QQ and GF(p) (division, reduction mod p, products) is a method of the
+field class. ``GridModule.covering_maps`` is the one walk over the structure
+maps. ``linearize`` records its view and grade bases on the module, and the
+idempotents built on that module read them back. Sizes are guarded by an
+explicit total-dimension budget; exceeding it is an error, not a silent
+fallback.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,44 +44,58 @@ class ConsistencyError(ValueError):
 
 
 # -- exact fields ---------------------------------------------------------------
+# Elements are Python objects (``Fraction``, or ints in [0, p)); ``reduce``
+# brings a scalar or an integer/object array back to canonical form.
 
 
 class _QQ:
-    name = "QQ"
+    characteristic = 0
 
     def from_int(self, v):
         return Fraction(v)
 
-    def is_zero(self, v):
-        return v == 0
-
     def div(self, a, b):
-        return Fraction(a) / b
+        return a / Fraction(b)
 
-    def normalize(self, arr):
-        return arr
+    def reduce(self, a):
+        return a
+
+    def matmul(self, a, b):
+        # over a common denominator per factor the products are of ints,
+        # many times cheaper than products of Fractions
+        (ia, da), (ib, db) = _integral(a), _integral(b)
+        prod = ia @ ib
+        out = np.empty(prod.shape, dtype=object)
+        out.ravel()[:] = [Fraction(v, da * db) for v in prod.ravel().tolist()]
+        return out
+
+
+def _integral(m: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(ints, den) with m == ints / den, for an object array of rationals."""
+    flat = m.ravel().tolist()
+    den = math.lcm(*(v.denominator for v in flat))
+    ints = np.empty(m.shape, dtype=object)
+    ints.ravel()[:] = [v.numerator * (den // v.denominator) for v in flat]
+    return ints, den
 
 
 class _GFp:
     def __init__(self, p: int):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise ValueError(f"field characteristic must be prime, got {p}")
-        self.p = p
-        self.name = f"GF({p})"
+        self.p = self.characteristic = p
 
     def from_int(self, v):
         return int(v) % self.p
 
-    def is_zero(self, v):
-        return v % self.p == 0
-
     def div(self, a, b):
         return (a * pow(int(b), -1, self.p)) % self.p
 
-    def normalize(self, arr):
-        for idx in np.ndindex(arr.shape):
-            arr[idx] = arr[idx] % self.p
-        return arr
+    def reduce(self, a):
+        return a % self.p
+
+    def matmul(self, a, b):
+        return (a @ b) % self.p
 
 
 def _field_of(spec: FieldSpec):
@@ -88,87 +110,62 @@ def _field_of(spec: FieldSpec):
 
 def as_field_matrix(m: np.ndarray, fld) -> np.ndarray:
     if m.dtype == object:
-        return m
+        return fld.reduce(m)
     out = np.empty(m.shape, dtype=object)
-    for idx in np.ndindex(m.shape):
-        out[idx] = fld.from_int(int(m[idx]))
+    out.ravel()[:] = [fld.from_int(v) for v in m.ravel().tolist()]
     return out
 
 
 def mat_identity(n: int, fld) -> np.ndarray:
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = fld.from_int(1 if i == j else 0)
-    return out
+    return as_field_matrix(np.eye(n, dtype=np.int64), fld)
 
 
 def mat_zero(r: int, c: int, fld) -> np.ndarray:
-    out = np.empty((r, c), dtype=object)
-    z = fld.from_int(0)
-    for idx in np.ndindex(out.shape):
-        out[idx] = z
-    return out
+    return as_field_matrix(np.zeros((r, c), dtype=np.int64), fld)
 
 
 def compose(a: np.ndarray, b: np.ndarray, fld) -> np.ndarray:
     """Matrix product; stays in int64 when both factors are integral."""
     if a.dtype != object and b.dtype != object:
-        return a @ b
-    ao = as_field_matrix(a, fld)
-    bo = as_field_matrix(b, fld)
-    if ao.shape[0] == 0 or bo.shape[1] == 0 or ao.shape[1] == 0:
-        return mat_zero(ao.shape[0], bo.shape[1], fld)
-    return fld.normalize(np.dot(ao, bo))
+        return fld.reduce(a @ b)
+    return fld.matmul(as_field_matrix(a, fld), as_field_matrix(b, fld))
 
 
 def mats_equal(a: np.ndarray, b: np.ndarray, fld) -> bool:
-    if a.shape != b.shape:
-        return False
-    if a.dtype != object and b.dtype != object:
-        return bool(np.array_equal(a, b))
-    ao, bo = as_field_matrix(a, fld), as_field_matrix(b, fld)
-    return all(fld.is_zero(ao[idx] - bo[idx]) for idx in np.ndindex(ao.shape))
+    return a.shape == b.shape and np.count_nonzero(fld.reduce(a - b)) == 0
 
 
-def mat_is_zero(a: np.ndarray, fld) -> bool:
-    return all(fld.is_zero(as_field_matrix(a, fld)[idx]) for idx in np.ndindex(a.shape))
-
-
-def _rref(m: np.ndarray, fld) -> Tuple[List[List[object]], List[int]]:
-    """Reduced row echelon form (as lists) and pivot column indices."""
-    rows = [list(r) for r in as_field_matrix(m, fld)]
-    nr = len(rows)
-    nc = m.shape[1]
+def _rref(m: np.ndarray, fld) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form and pivot column indices."""
+    rows = as_field_matrix(m, fld).copy()
+    nr, nc = rows.shape
     pivots: List[int] = []
-    r = 0
     for c in range(nc):
-        pr = next((i for i in range(r, nr) if not fld.is_zero(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [fld.div(v, inv) for v in rows[r]]
-        for i in range(nr):
-            if i != r and not fld.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-                if isinstance(fld, _GFp):
-                    rows[i] = [v % fld.p for v in rows[i]]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nr:
             break
+        nonzero = np.flatnonzero(rows[r:, c])
+        if not len(nonzero):
+            continue
+        pr = r + int(nonzero[0])
+        rows[[r, pr]] = rows[[pr, r]]
+        rows[r] = fld.div(rows[r], rows[r, c])
+        col = rows[:, c].copy()
+        col[r] = 0
+        # only the pivot row's nonzero columns change, and the matrices are sparse
+        hit, cols = np.flatnonzero(col), np.flatnonzero(rows[r])
+        block = np.ix_(hit, cols)
+        rows[block] = fld.reduce(rows[block] - np.outer(col[hit], rows[r, cols]))
+        pivots.append(c)
     return rows, pivots
 
 
 def mat_rank(m: np.ndarray, fld=None) -> int:
-    """Exact rank; integral matrices go through fraction-free elimination."""
-    if m.dtype != object:
+    """Exact rank (over QQ by default); integral matrices over QQ go through
+    fraction-free elimination."""
+    if m.dtype != object and (fld is None or fld.characteristic == 0):
         return _rank_bareiss(m.tolist())
-    if fld is None:
-        fld = _QQ()
-    return len(_rref(m, fld)[1])
+    return len(_rref(m, fld or _QQ())[1])
 
 
 def _rank_bareiss(rows: List[List[int]]) -> int:
@@ -195,46 +192,43 @@ def _rank_bareiss(rows: List[List[int]]) -> int:
     return rank
 
 
-def mat_pivot_columns(m: np.ndarray, fld) -> List[int]:
-    return _rref(m, fld)[1]
-
-
 def mat_solve(a: np.ndarray, b: np.ndarray, fld) -> np.ndarray:
     """Solve a @ x = b where a has full column rank; raises if inconsistent."""
     if a.shape[0] != b.shape[0]:
         raise ValueError("incompatible shapes in solve")
-    ca, cb = a.shape[1], b.shape[1]
-    aug = np.concatenate([as_field_matrix(a, fld), as_field_matrix(b, fld)], axis=1)
-    rows, pivots = _rref(aug, fld)
+    ca = a.shape[1]
+    rows, pivots = _rref(np.concatenate([as_field_matrix(a, fld), as_field_matrix(b, fld)], axis=1), fld)
     if any(p >= ca for p in pivots):
         raise ConsistencyError("linear system is inconsistent")
     if len(pivots) < ca:
         raise ValueError("coefficient matrix does not have full column rank")
-    x = mat_zero(ca, cb, fld)
-    for r, c in enumerate(pivots):
-        for k in range(cb):
-            x[c, k] = rows[r][ca + k]
-    return x
+    # the pivots are exactly the columns of a, so the top rows hold x
+    return rows[:ca, ca:]
 
 
-def mat_nullspace(m: np.ndarray, fld) -> List[List[object]]:
+def mat_nullspace(m: np.ndarray, fld) -> np.ndarray:
+    """Basis of {v : m @ v = 0}, one vector per row."""
     rows, pivots = _rref(m, fld)
-    nc = m.shape[1]
-    free = [c for c in range(nc) if c not in pivots]
-    zero, one = fld.from_int(0), fld.from_int(1)
-    basis = []
-    for fc in free:
-        v = [zero] * nc
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = zero - rows[r][fc]
-            if isinstance(fld, _GFp):
-                v[pc] = v[pc] % fld.p
-        basis.append(v)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = mat_zero(len(free), m.shape[1], fld)
+    basis[np.arange(len(free)), free] = fld.from_int(1)
+    basis[:, pivots] = fld.reduce(-rows[: len(pivots)][:, free].T)
     return basis
 
 
 # -- grid modules -----------------------------------------------------------------
+
+
+def _covering_steps(ne: int, ns: int):
+    """(axis, source, target) of every covering map of an ne x ns grid: the
+    scale steps ("right_maps"), then the density steps ("up_maps"), each
+    with the sigma index outer and the eps index inner."""
+    for j in range(ns):
+        for i in range(ne - 1):
+            yield "right_maps", (i, j), (i + 1, j)
+    for j in range(ns - 1):
+        for i in range(ne):
+            yield "up_maps", (i, j), (i, j + 1)
 
 
 @dataclass
@@ -253,7 +247,8 @@ class GridModule:
     right_maps: Dict[Tuple[int, int], np.ndarray]
     up_maps: Dict[Tuple[int, int], np.ndarray]
     field: FieldSpec = "QQ"
-    basis_reps: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None
+    # set by linearize: the (peel view, grade bases) the module comes from
+    _linearized = None
 
     def __post_init__(self):
         self._fld = _field_of(self.field)
@@ -264,29 +259,33 @@ class GridModule:
             for i in range(len(self.eps_values)):
                 yield (i, j)
 
+    def covering_maps(self):
+        """(axis, source grade, target grade, matrix) for every covering map,
+        in the order of ``_covering_steps``."""
+        for axis, src, dst in _covering_steps(len(self.eps_values), len(self.sigma_values)):
+            yield axis, src, dst, getattr(self, axis)[src]
+
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def dim(self, i: int, j: int) -> int:
-        return self.dims[(i, j)]
-
-    def right(self, i: int, j: int) -> np.ndarray:
-        return self.right_maps[(i, j)]
-
-    def up(self, i: int, j: int) -> np.ndarray:
-        return self.up_maps[(i, j)]
+    @property
+    def basis_reps(self) -> Optional[Dict[Tuple[int, int], Tuple[int, ...]]]:
+        """Original index of each basis vector's cluster representative, per
+        grade; None unless the module was linearized from a peel view."""
+        if self._linearized is None:
+            return None
+        view, bases = self._linearized
+        perm = view.forest.perm
+        return {g: tuple(int(perm[p]) for p in basis) for g, (_, basis) in bases.items()}
 
     def _validate(self):
         ne, ns = len(self.eps_values), len(self.sigma_values)
         for (i, j), d in self.dims.items():
             if not (0 <= i < ne and 0 <= j < ns) or d < 0:
                 raise ValueError(f"bad dimension entry at {(i, j)}: {d}")
-        for (i, j), m in self.right_maps.items():
-            if m.shape != (self.dims[(i + 1, j)], self.dims[(i, j)]):
-                raise ValueError(f"right map at {(i, j)} has wrong shape")
-        for (i, j), m in self.up_maps.items():
-            if m.shape != (self.dims[(i, j + 1)], self.dims[(i, j)]):
-                raise ValueError(f"up map at {(i, j)} has wrong shape")
+        for _, src, dst, m in self.covering_maps():
+            if m.shape != (self.dims[dst], self.dims[src]):
+                raise ValueError(f"structure map {src} -> {dst} has wrong shape")
         for j in range(ns - 1):
             for i in range(ne - 1):
                 a = compose(self.up_maps[(i + 1, j)], self.right_maps[(i, j)], self._fld)
@@ -331,34 +330,23 @@ class GridModule:
     def from_json(payload: str) -> "GridModule":
         data = json.loads(payload)
         fld = _field_of(data["field"])
+        dims = {}
+        for k, v in data["dims"].items():
+            i, j = k.split(",")
+            dims[(int(i), int(j))] = int(v)
 
-        def key(s):
-            i, j = s.split(",")
-            return (int(i), int(j))
-
-        dims = {key(k): int(v) for k, v in data["dims"].items()}
-
-        def dec(k, m, shape):
-            out = np.empty(shape, dtype=object)
-            for i, row in enumerate(m):
-                for j, v in enumerate(row):
-                    out[i, j] = _dec_scalar(v, fld)
-            return out
-
-        right = {}
-        for k, m in data["right_maps"].items():
-            (i, j) = key(k)
-            right[(i, j)] = dec(k, m, (dims[(i + 1, j)], dims[(i, j)]))
-        up = {}
-        for k, m in data["up_maps"].items():
-            (i, j) = key(k)
-            up[(i, j)] = dec(k, m, (dims[(i, j + 1)], dims[(i, j)]))
+        maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
+        for axis, src, dst in _covering_steps(len(data["eps_values"]), len(data["sigma_values"])):
+            out = mat_zero(dims[dst], dims[src], fld)
+            for r, row in enumerate(data[axis][f"{src[0]},{src[1]}"]):
+                out[r] = [_dec_scalar(v, fld) for v in row]
+            maps[axis][src] = out
         return GridModule(
             eps_values=tuple(data["eps_values"]),
             sigma_values=tuple(data["sigma_values"]),
             dims=dims,
-            right_maps=right,
-            up_maps=up,
+            right_maps=maps["right_maps"],
+            up_maps=maps["up_maps"],
             field=data["field"],
         )
 
@@ -378,11 +366,8 @@ def _enc_scalar(v) -> str:
 
 
 def _dec_scalar(s: str, fld):
-    if "/" in s:
-        n, d = s.split("/")
-        f = Fraction(int(n), int(d))
-        return f if isinstance(fld, _QQ) else fld.div(fld.from_int(f.numerator), fld.from_int(f.denominator))
-    return fld.from_int(int(s))
+    num, _, den = s.partition("/")
+    return fld.div(fld.from_int(int(num)), fld.from_int(int(den or 1)))
 
 
 @dataclass
@@ -393,31 +378,17 @@ class ModuleMorphism:
     target: GridModule
     mats: Dict[Tuple[int, int], np.ndarray]
 
-    def mat(self, i: int, j: int) -> np.ndarray:
-        return self.mats[(i, j)]
-
     def check_natural(self) -> None:
         src, dst = self.source, self.target
         fld = _field_of(src.field)
-        ne, ns = len(src.eps_values), len(src.sigma_values)
-        for j in range(ns):
-            for i in range(ne - 1):
-                lhs = compose(self.mats[(i + 1, j)], src.right_maps[(i, j)], fld)
-                rhs = compose(dst.right_maps[(i, j)], self.mats[(i, j)], fld)
-                if not mats_equal(lhs, rhs, fld):
-                    raise ConsistencyError(
-                        f"naturality fails on the scale step into grade "
-                        f"({src.eps_values[i + 1]}, {src.sigma_values[j]})"
-                    )
-        for j in range(ns - 1):
-            for i in range(ne):
-                lhs = compose(self.mats[(i, j + 1)], src.up_maps[(i, j)], fld)
-                rhs = compose(dst.up_maps[(i, j)], self.mats[(i, j)], fld)
-                if not mats_equal(lhs, rhs, fld):
-                    raise ConsistencyError(
-                        f"naturality fails on the density step into grade "
-                        f"({src.eps_values[i]}, {src.sigma_values[j + 1]})"
-                    )
+        for axis, g, h, step in src.covering_maps():
+            lhs = compose(self.mats[h], step, fld)
+            rhs = compose(getattr(dst, axis)[g], self.mats[g], fld)
+            if not mats_equal(lhs, rhs, fld):
+                raise ConsistencyError(
+                    f"naturality fails on the {'scale' if axis == 'right_maps' else 'density'} "
+                    f"step into grade ({src.eps_values[h[0]]}, {src.sigma_values[h[1]]})"
+                )
 
     def check_idempotent(self) -> None:
         if self.source.dims != self.target.dims:
@@ -431,7 +402,10 @@ class ModuleMorphism:
 # -- linearization -----------------------------------------------------------------
 
 
-def _grade_bases(view: PeelView) -> Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]]:
+GradeBases = Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]]
+
+
+def _grade_bases(view: PeelView) -> GradeBases:
     """Survivor labels and basis at every grade (eps index, sigma index).
 
     The labels give each position active at the grade's level the position of
@@ -440,7 +414,7 @@ def _grade_bases(view: PeelView) -> Dict[Tuple[int, int], Tuple[np.ndarray, Dict
     surviving cluster.
     """
     fo = view.forest
-    out: Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]] = {}
+    out: GradeBases = {}
     for j in range(fo.num_levels):
         live = np.flatnonzero(view._alive[: int(fo.level_sizes[j])])
         for i, eps in enumerate(fo.grid.eps_values):
@@ -455,36 +429,48 @@ def grade_dims(view: PeelView) -> Dict[Tuple[int, int], int]:
 
 
 def linearize(view: PeelView, dim_budget: int = 64) -> GridModule:
-    """Free module on the surviving clusters of a peel view, over the full grid."""
-    fo = view.forest
-    grid = fo.grid
-    ne, ns = len(grid.eps_values), len(grid.sigma_values)
+    """Free module on the surviving clusters of a peel view, over the full grid.
 
+    The module records the view and its grade bases, which the idempotents
+    built on it read back.
+    """
+    grid = view.forest.grid
     bases = _grade_bases(view)
     dims = {g: len(basis) for g, (_, basis) in bases.items()}
     total = sum(dims.values())
     if total > dim_budget:
         raise BudgetError(f"module has total dimension {total}, over the budget {dim_budget}")
 
-    def functional(src_key, dst_key) -> np.ndarray:
-        dst_labels, dst_basis = bases[dst_key]
-        mat = np.zeros((dims[dst_key], dims[src_key]), dtype=np.int64)
-        for col, rep in enumerate(bases[src_key][1]):
+    maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
+    for axis, src, dst in _covering_steps(len(grid.eps_values), len(grid.sigma_values)):
+        dst_labels, dst_basis = bases[dst]
+        mat = np.zeros((dims[dst], dims[src]), dtype=np.int64)
+        for col, rep in enumerate(bases[src][1]):
             mat[dst_basis[int(dst_labels[rep])], col] = 1
-        return mat
-
-    right = {(i, j): functional((i, j), (i + 1, j)) for j in range(ns) for i in range(ne - 1)}
-    up = {(i, j): functional((i, j), (i, j + 1)) for j in range(ns - 1) for i in range(ne)}
-    basis_reps = {g: tuple(int(fo.perm[p]) for p in basis) for g, (_, basis) in bases.items()}
-    return GridModule(
+        maps[axis][src] = mat
+    module = GridModule(
         eps_values=tuple(float(e) for e in grid.eps_values),
         sigma_values=tuple(float(s) for s in grid.sigma_values),
         dims=dims,
-        right_maps=right,
-        up_maps=up,
+        right_maps=maps["right_maps"],
+        up_maps=maps["up_maps"],
         field="QQ",
-        basis_reps=basis_reps,
     )
+    module._linearized = (view, bases)
+    return module
+
+
+def _peel_module(view: PeelView, module: Optional[GridModule], dim_budget: int):
+    """``module`` (linearized from ``view`` when None) and its grade bases;
+    raises ConsistencyError when it was not linearized from this view."""
+    if module is None:
+        module = linearize(view, dim_budget=dim_budget)
+    source = module._linearized
+    if source is None or source[0].forest is not view.forest or not np.array_equal(
+        source[0]._alive, view._alive
+    ):
+        raise ConsistencyError("the module was not linearized from this peel view")
+    return module, source[1]
 
 
 def idempotent_from_peel(
@@ -500,19 +486,18 @@ def idempotent_from_peel(
     At each grade, the class whose canonically first surviving member is x
     maps to root's class; every other class stays put. With
     ``check_rooted=False`` the construction is attempted for arbitrary pairs,
-    and naturality fails precisely when the pair is not rooted.
+    and naturality fails precisely when the pair is not rooted. A given
+    ``module`` must be ``linearize(view)``'s.
     """
     if check_rooted and not view.rooted_pair_ok(x, root):
         raise ConsistencyError(f"({x}, {root}) is not a rooted pair on this view")
-    if module is None:
-        module = linearize(view, dim_budget=dim_budget)
+    module, bases = _peel_module(view, module, dim_budget)
     fo = view.forest
     px, proot = int(fo.pos_of[x]), int(fo.pos_of[root])
     mats: Dict[Tuple[int, int], np.ndarray] = {}
-    for (i, j), (labels, basis) in _grade_bases(view).items():
+    for (i, j), (labels, basis) in bases.items():
         m = int(fo.level_sizes[j])
-        d = module.dims[(i, j)]
-        mat = np.zeros((d, d), dtype=np.int64)
+        mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
         for col, rep in enumerate(basis):
             if rep == px and proot < m:
                 rep = int(labels[proot])
@@ -527,17 +512,13 @@ def idempotent_from_peel(
 def bottom_idempotent(view: PeelView, module: Optional[GridModule] = None,
                       dim_budget: int = 64) -> ModuleMorphism:
     """The idempotent collapsing every class onto the densest generator's class."""
-    fo = view.forest
-    bottom = int(fo.perm[0])
-    if not view.survives(bottom):
+    if not view.survives(int(view.forest.perm[0])):
         raise ConsistencyError("the densest generator was removed from this view")
-    if module is None:
-        module = linearize(view, dim_budget=dim_budget)
+    module, bases = _peel_module(view, module, dim_budget)
     mats: Dict[Tuple[int, int], np.ndarray] = {}
-    for g, (labels, basis) in _grade_bases(view).items():
-        d = module.dims[g]
-        mat = np.zeros((d, d), dtype=np.int64)
-        if d:
+    for g, (labels, basis) in bases.items():
+        mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
+        if basis:
             mat[basis[int(labels[0])], :] = 1
         mats[g] = mat
     phi = ModuleMorphism(module, module, mats)
@@ -557,14 +538,8 @@ def split_dims(
     da, db = {}, {}
     for g in module.grades():
         m = phi.mats[g]
-        if m.dtype != object:
-            comp = np.eye(m.shape[0], dtype=np.int64) - m
-            da[g] = mat_rank(comp)
-            db[g] = mat_rank(m)
-        else:
-            comp = mat_identity(m.shape[0], fld) - m
-            da[g] = mat_rank(comp, fld)
-            db[g] = mat_rank(m, fld)
+        da[g] = mat_rank(fld.reduce(np.eye(len(m), dtype=m.dtype) - m), fld)
+        db[g] = mat_rank(m, fld)
     return da, db
 
 
@@ -581,44 +556,29 @@ def split(module: GridModule, phi: ModuleMorphism) -> Tuple[GridModule, GridModu
 
     bases_a: Dict[Tuple[int, int], np.ndarray] = {}
     bases_b: Dict[Tuple[int, int], np.ndarray] = {}
-    dims_a: Dict[Tuple[int, int], int] = {}
-    dims_b: Dict[Tuple[int, int], int] = {}
     for g in module.grades():
         m = as_field_matrix(phi.mats[g], fld)
-        comp = mat_identity(m.shape[0], fld) - m
-        pa = mat_pivot_columns(comp, fld)
-        pb = mat_pivot_columns(m, fld)
-        bases_a[g] = comp[:, pa] if pa else comp[:, :0]
-        bases_b[g] = m[:, pb] if pb else m[:, :0]
-        dims_a[g], dims_b[g] = len(pa), len(pb)
-        if dims_a[g] + dims_b[g] != module.dims[g]:
+        comp = fld.reduce(mat_identity(len(m), fld) - m)
+        bases_a[g] = comp[:, _rref(comp, fld)[1]]
+        bases_b[g] = m[:, _rref(m, fld)[1]]
+        if bases_a[g].shape[1] + bases_b[g].shape[1] != module.dims[g]:
             raise ConsistencyError(f"factor dimensions do not add up at grade {g}")
 
-    def induced(bases, dims):
-        right, up = {}, {}
-        ne, ns = len(module.eps_values), len(module.sigma_values)
-
-        def step(src, dst, structure):
-            img = compose(structure, bases[src], fld)
+    def induced(bases) -> GridModule:
+        dims = {g: b.shape[1] for g, b in bases.items()}
+        maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
+        for axis, src, dst, step in module.covering_maps():
+            img = compose(step, bases[src], fld)
             if dims[dst] == 0:
-                if not mat_is_zero(img, fld):
+                if np.count_nonzero(img):
                     raise ConsistencyError(f"factor is not closed under the map {src} -> {dst}")
-                return np.zeros((0, dims[src]), dtype=np.int64)
-            return mat_solve(bases[dst], img, fld)
+                maps[axis][src] = np.zeros((0, dims[src]), dtype=np.int64)
+            else:
+                maps[axis][src] = mat_solve(bases[dst], img, fld)
+        return GridModule(module.eps_values, module.sigma_values, dims,
+                          maps["right_maps"], maps["up_maps"], module.field)
 
-        for j in range(ns):
-            for i in range(ne - 1):
-                right[(i, j)] = step((i, j), (i + 1, j), module.right_maps[(i, j)])
-        for j in range(ns - 1):
-            for i in range(ne):
-                up[(i, j)] = step((i, j), (i, j + 1), module.up_maps[(i, j)])
-        return right, up
-
-    ra, ua = induced(bases_a, dims_a)
-    rb, ub = induced(bases_b, dims_b)
-    fa = GridModule(module.eps_values, module.sigma_values, dims_a, ra, ua, module.field)
-    fb = GridModule(module.eps_values, module.sigma_values, dims_b, rb, ub, module.field)
-    return fa, fb
+    return induced(bases_a), induced(bases_b)
 
 
 # -- endomorphisms and indecomposability ----------------------------------------------
@@ -631,6 +591,7 @@ def endomorphism_space(module: GridModule, dim_budget: int = 64) -> List[ModuleM
         raise BudgetError(f"total dimension {total} over budget {dim_budget}")
     fld = _field_of(module.field)
 
+    # unknowns: the entries of each grade's d x d block, row-major, grade by grade
     offsets: Dict[Tuple[int, int], int] = {}
     off = 0
     for g in module.grades():
@@ -640,133 +601,63 @@ def endomorphism_space(module: GridModule, dim_budget: int = 64) -> List[ModuleM
     if nunk == 0:
         return []
 
-    def unk(g, r, c):
-        return offsets[g] + r * module.dims[g] + c
-
-    zero = fld.from_int(0)
-    rows: List[List[object]] = []
-
-    def add_edge_constraints(src, dst, step_raw):
+    # one equation per entry of step @ X_src - X_dst @ step along each covering
+    # map; the empty first block keeps the stack defined on a one-grade grid
+    blocks = [mat_zero(0, nunk, fld)]
+    for _, src, dst, step_raw in module.covering_maps():
         step = as_field_matrix(step_raw, fld)
         ds, dd = module.dims[src], module.dims[dst]
-        for r in range(dd):
-            for c in range(ds):
-                row = [zero] * nunk
-                for k in range(ds):
-                    v = step[r, k]
-                    if not fld.is_zero(v):
-                        u = unk(src, k, c)
-                        row[u] = row[u] + v
-                for k in range(dd):
-                    v = step[k, c]
-                    if not fld.is_zero(v):
-                        u = unk(dst, r, k)
-                        row[u] = row[u] - v
-                if any(not fld.is_zero(v) for v in row):
-                    rows.append(row)
-
-    ne, ns = len(module.eps_values), len(module.sigma_values)
-    for j in range(ns):
-        for i in range(ne - 1):
-            add_edge_constraints((i, j), (i + 1, j), module.right_maps[(i, j)])
-    for j in range(ns - 1):
-        for i in range(ne):
-            add_edge_constraints((i, j), (i, j + 1), module.up_maps[(i, j)])
-
-    if rows:
-        cmat = np.empty((len(rows), nunk), dtype=object)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                cmat[i, j] = v
-        basis_vecs = mat_nullspace(cmat, fld)
-    else:
-        one = fld.from_int(1)
-        basis_vecs = [
-            [one if k == t else zero for k in range(nunk)] for t in range(nunk)
-        ]
+        block = mat_zero(dd * ds, nunk, fld)
+        block[:, offsets[src]: offsets[src] + ds * ds] = np.kron(step, mat_identity(ds, fld))
+        block[:, offsets[dst]: offsets[dst] + dd * dd] = -np.kron(mat_identity(dd, fld), step.T)
+        block = fld.reduce(block)
+        blocks.append(block[np.count_nonzero(block, axis=1) > 0])
 
     out = []
-    for vec in basis_vecs:
+    for vec in mat_nullspace(np.concatenate(blocks), fld):
         mats = {}
         for g in module.grades():
             d = module.dims[g]
-            o = offsets[g]
-            m = np.empty((d, d), dtype=object)
-            for r in range(d):
-                for c in range(d):
-                    m[r, c] = vec[o + r * d + c]
-            mats[g] = m
+            mats[g] = vec[offsets[g]: offsets[g] + d * d].reshape(d, d)
         out.append(ModuleMorphism(module, module, mats))
     return out
 
 
-def _block_matrix(morphism: ModuleMorphism) -> List[List[Fraction]]:
+def _block_matrix(morphism: ModuleMorphism, fld) -> np.ndarray:
     """Faithful block-diagonal matrix of an endomorphism over all grades."""
     module = morphism.source
     total = module.total_dim()
-    big = [[Fraction(0)] * total for _ in range(total)]
+    big = mat_zero(total, total, fld)
     off = 0
     for g in module.grades():
         d = module.dims[g]
-        m = morphism.mats[g]
-        for r in range(d):
-            for c in range(d):
-                big[off + r][off + c] = Fraction(m[r, c])
+        big[off: off + d, off: off + d] = as_field_matrix(morphism.mats[g], fld)
         off += d
     return big
 
 
-def _mat_list_mul(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rowi = a[i]
-        oi = out[i]
-        for t in range(n):
-            v = rowi[t]
-            if v:
-                rowt = b[t]
-                for j in range(n):
-                    if rowt[j]:
-                        oi[j] += v * rowt[j]
-    return out
-
-
-def _min_poly(big: List[List[Fraction]]) -> List[Fraction]:
-    """Monic minimal polynomial (coefficients low-degree first), found as the
-    first linear dependence among flattened powers."""
+def _min_poly(big: np.ndarray) -> List[Fraction]:
+    """Monic minimal polynomial over QQ (coefficients low-degree first), found
+    as the first linear dependence among flattened powers."""
+    fld = _QQ()
     n = len(big)
-    cur = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    ech: List[Tuple[List[Fraction], List[Fraction]]] = []
-    k = 0
-    while True:
-        vec = [cur[i][j] for i in range(n) for j in range(n)]
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        for erow, ecoef in ech:
-            lead = next(idx for idx, v in enumerate(erow) if v != 0)
+    power = mat_identity(n, fld)
+    ech = []  # (lead index, echelon row, its coefficients in the powers)
+    for k in range(n + 2):
+        vec = power.reshape(-1)
+        coeffs = mat_zero(1, n + 2, fld)[0]
+        coeffs[k] = fld.from_int(1)
+        for lead, erow, ecoef in ech:
             if vec[lead] != 0:
                 f = vec[lead] / erow[lead]
-                vec = [a - f * b for a, b in zip(vec, erow)]
-                for t, c in enumerate(ecoef):
-                    coeffs[t] -= f * c
-        if all(v == 0 for v in vec):
-            return coeffs
-        ech.append((vec, coeffs))
-        cur = _mat_list_mul(cur, big)
-        k += 1
-        if k > n + 1:
-            raise RuntimeError("minimal polynomial search did not terminate")
-
-
-def _poly_eval_matrix(coeffs: Sequence[Fraction], big: List[List[Fraction]]):
-    n = len(big)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for c in reversed(list(coeffs)):
-        out = _mat_list_mul(out, big)
-        for i in range(n):
-            out[i][i] += Fraction(c)
-    return out
+                vec = vec - f * erow
+                coeffs = coeffs - f * ecoef
+        nonzero = np.flatnonzero(vec)
+        if not len(nonzero):
+            return list(coeffs[: k + 1])
+        ech.append((int(nonzero[0]), vec, coeffs))
+        power = compose(power, big, fld)
+    raise RuntimeError("minimal polynomial search did not terminate")
 
 
 def is_indecomposable(
@@ -795,7 +686,8 @@ def is_indecomposable(
     if m == 1:
         return True
 
-    bigs = [_block_matrix(b) for b in basis]
+    fld = _QQ()
+    bigs = [_block_matrix(b, fld) for b in basis]
     rng = np.random.default_rng(seed)
 
     import sympy
@@ -816,16 +708,14 @@ def is_indecomposable(
         rest = sympy.Poly(sympy.prod(f**e for f, e in factors[1:]), tsym)
         s, w, h = sympy.gcdex(p1, rest)
         # s*p1 + w*rest = 1, so e := (w*rest)(A) is 1 on ker p1(A), 0 elsewhere
-        e_coeffs = [
-            Fraction(sympy.Rational(c).p, sympy.Rational(c).q)
-            for c in (sympy.Poly(w, tsym) * rest).all_coeffs()[::-1]
-        ]
-        e = _poly_eval_matrix(e_coeffs, big)
-        ident = [[Fraction(1 if i == j else 0) for j in range(len(big))] for i in range(len(big))]
-        if e == ident or all(v == 0 for row in e for v in row):
+        ident = mat_identity(total, fld)
+        e = mat_zero(total, total, fld)
+        for c in (sympy.Poly(w, tsym) * rest).all_coeffs():  # Horner, top degree first
+            q = sympy.Rational(c)
+            e = compose(e, big, fld) + Fraction(int(q.p), int(q.q)) * ident
+        if mats_equal(e, ident, fld) or np.count_nonzero(e) == 0:
             return False
-        ee = _mat_list_mul(e, e)
-        if ee != e:
+        if not mats_equal(compose(e, e, fld), e, fld):
             raise RuntimeError("idempotent construction failed")
         return True
 
@@ -836,22 +726,16 @@ def is_indecomposable(
         coefs = rng.integers(-3, 4, size=m)
         if not np.any(coefs):
             continue
-        combo = [
-            [sum(Fraction(int(c)) * bigs[k][i][j] for k, c in enumerate(coefs)) for j in range(total)]
-            for i in range(total)
-        ]
-        if splits(combo):
+        if splits(sum(Fraction(int(c)) * big for c, big in zip(coefs, bigs))):
             return False
 
     # char 0 and a faithful representation: the radical is the kernel of the
     # trace form tr(ab) on the algebra
-    gram = np.empty((m, m), dtype=object)
+    gram = mat_zero(m, m, fld)
     for k in range(m):
         for l in range(m):
-            gram[k, l] = sum(
-                sum(bigs[k][i][t] * bigs[l][t][i] for t in range(total)) for i in range(total)
-            )
-    rad_dim = m - mat_rank(gram, _QQ())
+            gram[k, l] = np.sum(bigs[k] * bigs[l].T)
+    rad_dim = m - mat_rank(gram, fld)
     if m - rad_dim == 1:
         return True
     return None

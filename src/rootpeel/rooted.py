@@ -422,7 +422,10 @@ def trace_records_from_json(payload: str, n: int) -> List[dict]:
     """Decode a serialized trace of an n-point space into plain record dicts
     (for replay tools); raises ValueError when the document is malformed or
     was computed on a different number of points."""
-    data = json.loads(payload)
+    try:
+        data = json.loads(payload)
+    except RecursionError:
+        raise ValueError("trace document is nested too deeply") from None
     if not isinstance(data, dict) or not isinstance(data.get("records"), list):
         raise ValueError("not a peel trace document")
     if data.get("n") != n:

@@ -64,6 +64,13 @@ class TestPeel:
         assert r.returncode == 0
         assert b"peeled 2 of 4" in r.stdout
 
+    def test_unwritable_output_is_a_data_error(self, ex4, tmp_path):
+        out = tmp_path / "missing" / "t.json"
+        r = run_cli(["peel", "--input", ex4, "--density-column", "f", "--output", str(out)])
+        assert r.returncode == 2
+        assert r.stderr.decode().startswith(f"error: cannot write {out}:")
+        assert b"Traceback" not in r.stderr
+
     def test_matrix_input(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("#matrix 3\n0,1,4\n1,0,2\n4,2,0\n")
@@ -115,6 +122,39 @@ class TestOracleCheck:
         assert r.returncode == 2
         assert r.stderr.decode().startswith("error:")
         assert b"Traceback" not in r.stderr
+
+    def test_record_without_root_fails(self, ex4, tmp_path):
+        out = tmp_path / "t.json"
+        run_cli(["peel", "--input", ex4, "--density-column", "f", "--output", str(out)])
+        doc = json.loads(out.read_text())
+        del doc["records"][0]["root"]
+        out.write_text(json.dumps(doc))
+        r = run_cli(["oracle-check", str(out), "--input", ex4, "--density-column", "f"])
+        assert r.returncode == 2
+        assert r.stdout.decode().strip() == "FAIL record 0: generator 3 (neighborly) - missing root"
+        assert b"Traceback" not in r.stderr
+
+    def test_deeply_nested_trace_is_a_data_error(self, ex4, tmp_path):
+        out = tmp_path / "t.json"
+        out.write_text("[" * 10000 + "]" * 10000)
+        r = run_cli(["oracle-check", str(out), "--input", ex4, "--density-column", "f"])
+        assert r.returncode == 2
+        assert r.stderr.decode().startswith("error:")
+        assert b"Traceback" not in r.stderr
+
+    def test_second_bottom_record_fails(self, ex4, tmp_path):
+        out = tmp_path / "t.json"
+        run_cli(["peel", "--input", ex4, "--density-column", "f", "--output", str(out)])
+        doc = json.loads(out.read_text())
+        doc["records"].append(dict(doc["records"][-1]))
+        out.write_text(json.dumps(doc))
+        r = run_cli(["oracle-check", str(out), "--input", ex4, "--density-column", "f"])
+        assert r.returncode == 2
+        assert r.stdout.decode().strip().split("\n") == [
+            "PASS record 0: generator 3 (neighborly)",
+            "PASS record 1: generator 0 (bottom)",
+            "FAIL record 2: generator 0 (bottom) - trace has more than one bottom record",
+        ]
 
     def test_large_inputs_rejected(self, tmp_path):
         pts = tmp_path / "nine.csv"

@@ -130,6 +130,18 @@ class TestIdempotent:
         with pytest.raises(linalg.ConsistencyError, match="rooted"):
             linalg.idempotent_from_peel(view, 1, 0, module=m, dim_budget=BUDGET)
 
+    def test_module_of_another_view_rejected(self, full4):
+        view, _ = full4
+        others = [
+            linalg.linearize(view.restrict(3, 2), dim_budget=BUDGET),
+            chain_module([1, 1], [np.array([[1]])]),
+        ]
+        for other in others:
+            with pytest.raises(linalg.ConsistencyError, match="not linearized from this peel view"):
+                linalg.idempotent_from_peel(view, 3, 2, module=other, dim_budget=BUDGET)
+            with pytest.raises(linalg.ConsistencyError, match="not linearized from this peel view"):
+                linalg.bottom_idempotent(view, module=other, dim_budget=BUDGET)
+
     def test_forced_unrooted_pair_breaks_naturality(self, full4):
         view, m = full4
         with pytest.raises(linalg.ConsistencyError, match=r"naturality.*2\.5, 3\.0"):
@@ -176,6 +188,22 @@ class TestSplit:
         )
         with pytest.raises(linalg.ConsistencyError, match="idempotent"):
             linalg.split(m, bad)
+
+    def test_split_over_prime_field(self):
+        # idempotent mod 5 only: 6 * 6 = 36 = 6 mod 5
+        e = np.array([[6, 0], [0, 0]], dtype=np.int64)
+        m = linalg.GridModule(
+            eps_values=(0.0, 1.0),
+            sigma_values=(0.0,),
+            dims={(0, 0): 2, (1, 0): 2},
+            right_maps={(0, 0): np.eye(2, dtype=np.int64)},
+            up_maps={},
+            field=5,
+        )
+        phi = linalg.ModuleMorphism(m, m, {(0, 0): e, (1, 0): e})
+        fa, fb = linalg.split(m, phi)
+        assert fa.dims == fb.dims == {(0, 0): 1, (1, 0): 1}
+        assert linalg.split_dims(m, phi) == (fa.dims, fb.dims)
 
     def test_split_dims_equal_full_split(self, full4):
         view, m = full4
@@ -288,6 +316,17 @@ class TestExactKernel:
             ia = a.astype(np.int64)
             assert linalg.mat_rank(ia) == linalg.mat_rank(linalg.as_field_matrix(ia, fld), fld)
 
+    def test_prime_field_elimination(self):
+        a = np.array([[1, 2], [3, 1]], dtype=np.int64)
+        gf5 = linalg._field_of(5)
+        assert linalg.mat_rank(a) == 2
+        assert linalg.mat_rank(a, gf5) == 1
+        assert linalg.mat_rank(linalg.as_field_matrix(a, gf5), gf5) == 1
+        null = linalg.mat_nullspace(a, gf5)
+        assert null.shape == (1, 2)
+        assert linalg.mats_equal(linalg.compose(a, null.T, gf5), linalg.mat_zero(2, 1, gf5), gf5)
+        assert linalg.mat_nullspace(a, linalg._field_of("QQ")).shape == (0, 2)
+
     def test_solve_round_trip(self):
         fld = linalg._field_of("QQ")
         a = linalg.as_field_matrix(np.array([[1, 0], [1, 2], [0, 1]], dtype=np.int64), fld)
@@ -304,7 +343,7 @@ class TestExactKernel:
             linalg.mat_solve(a, b, fld)
 
     def test_min_poly_of_projection(self):
-        big = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
+        big = np.array([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]], dtype=object)
         coeffs = linalg._min_poly(big)
         # t^2 - t, low degree first
         assert coeffs == [Fraction(0), Fraction(-1), Fraction(1)]
