@@ -5,8 +5,13 @@ tests at n <= 200. ``levels[j]`` is the single-linkage merge-scale matrix of
 the canonical prefix of size ``level_sizes[j]``, built one point at a time by
 minimax updates. Every query scans every level, so it serves as an
 independent check of the level-skipping queries of ``rootpeel.pset``.
+
+``reference_trace_json`` is the trace writer the staircase writer of
+``PeelTrace.to_json`` replaced: one ``[sigma, theta]`` list per record and
+density level, encoded by ``json.dumps(indent=2)``.
 """
 
+import json
 import math
 
 import numpy as np
@@ -221,3 +226,24 @@ class DenseForest:
         birth = float(fo.sigma_levels[0])
         records.append(PeelRecord(int(fo.perm[0]), None, "bottom", IntervalSupport(birth, ((birth, math.inf),))))
         return records
+
+
+def reference_trace_json(trace):
+    """The peel trace as ``json.dumps(indent=2)`` writes it."""
+    fo = trace.final_view.forest
+    sigmas = [float(s) for s in fo.sigma_levels]
+    recs = []
+    for r in trace.records:
+        recs.append(
+            {
+                "generator": r.generator,
+                "root": r.root,
+                "reason": r.reason,
+                "zero_interval": r.zero_interval,
+                "support": [
+                    [s, None if math.isinf(t) else t]
+                    for s, t in r.support.pairs(sigmas)
+                ],
+            }
+        )
+    return json.dumps({"n": trace.n, "records": recs}, indent=2)

@@ -1,9 +1,11 @@
-"""Golden differential test: peel traces, an elder barcode and the exact
-oracle's modules, idempotents, splits and ``oracle-check`` output pinned by hash.
+"""Golden differential test: peel traces, an elder barcode, staircodes and the
+exact oracle's modules, idempotents, splits and ``oracle-check`` output pinned
+by hash.
 
 The hashes were taken from the code before its duplicate code paths were
 merged, so any rewrite must reproduce those outputs byte for byte.
-KDE inputs are left out: their float sums make the hashes fragile.
+The peel traces leave KDE inputs out, as their float sums make the hashes
+fragile; the staircode pin needs an injective density and takes KDE's.
 """
 
 import hashlib
@@ -222,3 +224,24 @@ def test_oracle_check_stdout_matches_golden_hash(tmp_path, capsys):
                          "--density-column", "f"]) == 0
         out.append(capsys.readouterr().out)
     assert _sha("".join(out)) == ORACLE_CLI_SHA
+
+
+# -- staircodes ------------------------------------------------------------------
+# ``staircode --format json`` on a KDE input (an injective density), for all
+# points and for one ``--x`` query; pinned before its JSON writer was shared
+# with the peel trace's.
+
+STAIRCODE_SHA = "07e076b165bdc0fd723b21bddfb386eb38043fe5738105e6bd265468fbc4f2d7"
+
+
+def test_staircode_json_matches_golden_hash(tmp_path, capsys):
+    rng = np.random.default_rng(200)
+    pts = rng.random((3, 2))[rng.integers(0, 3, 200)] + rng.normal(0.0, 0.05, (200, 2))
+    src = tmp_path / "points.csv"
+    src.write_text("x0,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in pts.tolist()))
+    out = []
+    for extra in ([], ["--x", "17"]):
+        assert cli.main(["staircode", "--input", str(src), "--density-mode", "kde",
+                         "--format", "json", *extra]) == 0
+        out.append(capsys.readouterr().out)
+    assert _sha("".join(out)) == STAIRCODE_SHA
