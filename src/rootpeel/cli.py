@@ -176,21 +176,17 @@ def _cmd_staircode(args) -> int:
     space = _load_space(args, need_density=True)
     forest = pset.LeveledMergeForest(space)
     targets = [args.x] if args.x is not None else list(range(space.n))
-    sigmas = [float(s) for s in forest.sigma_levels]
-    codes = {}
-    for x in targets:
-        sc = rooted.staircode(space, x, forest)
-        codes[x] = sc.pairs(sigmas)
+    codes = {x: rooted.staircode(space, x, forest) for x in targets}
     if args.format == "json":
-        payload = [
-            {"point": x, "thresholds": [[s, None if math.isinf(t) else t] for s, t in prs]}
-            for x, prs in codes.items()
-        ]
-        _emit(args, json.dumps(payload, indent=2))
+        thresholds = rooted.staircase_json(forest.sigma_levels, 2)
+        items = [f'  {{\n    "point": {x},\n    "thresholds": {thresholds(sc)}\n  }}'
+                 for x, sc in codes.items()]
+        _emit(args, rooted.json_list(items, 0))
     else:
+        sigmas = [float(s) for s in forest.sigma_levels]
         lines = ["point,sigma,theta"]
-        for x, prs in codes.items():
-            for s, t in prs:
+        for x, sc in codes.items():
+            for s, t in sc.pairs(sigmas):
                 lines.append(f"{x},{s!r},{'inf' if math.isinf(t) else repr(t)}")
         _emit(args, "\n".join(lines) + "\n")
     return 0

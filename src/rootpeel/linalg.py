@@ -231,6 +231,13 @@ def _covering_steps(ne: int, ns: int):
             yield "up_maps", (i, j), (i, j + 1)
 
 
+def _require_dims(dims, ne: int, ns: int) -> None:
+    for j in range(ns):
+        for i in range(ne):
+            if (i, j) not in dims:
+                raise ValueError(f"missing dimension at grade {(i, j)}")
+
+
 @dataclass
 class GridModule:
     """Functor from the grade grid to vector spaces, over an exact field.
@@ -261,9 +268,9 @@ class GridModule:
 
     def covering_maps(self):
         """(axis, source grade, target grade, matrix) for every covering map,
-        in the order of ``_covering_steps``."""
+        in the order of ``_covering_steps``; the matrix is None where missing."""
         for axis, src, dst in _covering_steps(len(self.eps_values), len(self.sigma_values)):
-            yield axis, src, dst, getattr(self, axis)[src]
+            yield axis, src, dst, getattr(self, axis).get(src)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -283,7 +290,10 @@ class GridModule:
         for (i, j), d in self.dims.items():
             if not (0 <= i < ne and 0 <= j < ns) or d < 0:
                 raise ValueError(f"bad dimension entry at {(i, j)}: {d}")
-        for _, src, dst, m in self.covering_maps():
+        _require_dims(self.dims, ne, ns)
+        for axis, src, dst, m in self.covering_maps():
+            if m is None:
+                raise ValueError(f"missing {axis} entry at grade {src}")
             if m.shape != (self.dims[dst], self.dims[src]):
                 raise ValueError(f"structure map {src} -> {dst} has wrong shape")
         for j in range(ns - 1):
@@ -335,10 +345,15 @@ class GridModule:
             i, j = k.split(",")
             dims[(int(i), int(j))] = int(v)
 
+        ne, ns = len(data["eps_values"]), len(data["sigma_values"])
+        _require_dims(dims, ne, ns)
         maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
-        for axis, src, dst in _covering_steps(len(data["eps_values"]), len(data["sigma_values"])):
+        for axis, src, dst in _covering_steps(ne, ns):
+            rows = data[axis].get(f"{src[0]},{src[1]}")
+            if rows is None:
+                continue  # the constructor names the missing map
             out = mat_zero(dims[dst], dims[src], fld)
-            for r, row in enumerate(data[axis][f"{src[0]},{src[1]}"]):
+            for r, row in enumerate(rows):
                 out[r] = [_dec_scalar(v, fld) for v in row]
             maps[axis][src] = out
         return GridModule(

@@ -19,7 +19,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -282,23 +282,49 @@ class PeelTrace:
         return iter(self.records)
 
     def to_json(self) -> str:
-        fo = self.final_view.forest
-        sigmas = [float(s) for s in fo.sigma_levels]
-        recs = []
-        for r in self.records:
-            recs.append(
-                {
-                    "generator": r.generator,
-                    "root": r.root,
-                    "reason": r.reason,
-                    "zero_interval": r.zero_interval,
-                    "support": [
-                        [s, None if math.isinf(t) else t]
-                        for s, t in r.support.pairs(sigmas)
-                    ],
-                }
-            )
-        return json.dumps({"n": self.n, "records": recs}, indent=2)
+        """The trace as ``json.dumps(indent=2)`` writes ``{"n", "records"}``:
+        per record its generator, root, reason, zero flag and support pairs."""
+        support = staircase_json(self.final_view.forest.sigma_levels, 3)
+        recs = [
+            f'    {{\n      "generator": {r.generator},\n'
+            f'      "root": {"null" if r.root is None else r.root},\n'
+            f'      "reason": "{r.reason}",\n'
+            f'      "zero_interval": {"true" if r.zero_interval else "false"},\n'
+            f'      "support": {support(r.support)}\n    }}'
+            for r in self.records
+        ]
+        return f'{{\n  "n": {self.n},\n  "records": {json_list(recs, 1)}\n}}'
+
+
+def json_list(items: Sequence[str], depth: int) -> str:
+    """A list of already indented JSON items as ``json.dumps(indent=2)`` lays
+    it out at nesting ``depth``."""
+    return "[\n" + ",\n".join(items) + "\n" + "  " * depth + "]" if items else "[]"
+
+
+def staircase_json(sigma_levels: Sequence[float], depth: int) -> Callable[[IntervalSupport], str]:
+    """Renderer of a support's ``pairs(sigma_levels)`` as the JSON list of
+    ``[sigma, theta]`` pairs at nesting ``depth``, an infinite theta as null.
+
+    The text of each level up to its theta is made once; a run of the
+    support is then one ``str.join`` of its levels' heads with the run's
+    theta as the separator, so the work per support grows with its runs.
+    """
+    sigmas = [float(s) for s in sigma_levels]
+    pad = "  " * (depth + 1)
+    heads = [f"{pad}[\n{pad}  {s!r},\n{pad}  " for s in sigmas]
+
+    def render(support: IntervalSupport) -> str:
+        starts = [bisect.bisect_left(sigmas, s) for s, _ in support.breaks] + [len(sigmas)]
+        runs = []
+        for (_, theta), lo, hi in zip(support.breaks, starts, starts[1:]):
+            if lo < hi:
+                tail = ("null" if math.isinf(theta) else repr(float(theta))) + f"\n{pad}]"
+                runs.append((tail + ",\n").join(heads[lo:hi]) + tail)
+        return json_list(runs, depth)
+
+    return render
+
 
 def barcode_csv(bars: Sequence[Tuple[float, float]]) -> str:
     """Render one-parameter bars as birth,death rows; infinite deaths print as inf."""

@@ -87,16 +87,22 @@ class AugmentedMetricSpace:
 
         Uses the elementwise difference formula, not the Gram expansion, so
         coincident points give exactly zero and any other code path computing
-        the same pair distance gets the bit-identical double.
+        the same pair distance gets the bit-identical double. Each block of
+        rows is computed against the columns from its first row on and
+        mirrored: ``(a - b)**2 == (b - a)**2`` exactly, so the lower triangle
+        is the one the full formula gives.
         """
         if self._dist is None:
             p = self.points
             n, d = p.shape
             out = np.empty((n, n))
-            step = max(1, 4_000_000 // max(1, n * d))
+            step = max(1, 1_000_000 // max(1, n * d))
             for i0 in range(0, n, step):
-                diff = p[i0 : i0 + step, None, :] - p[None, :, :]
-                out[i0 : i0 + step] = np.sqrt(np.sum(diff * diff, axis=2))
+                rows = slice(i0, i0 + step)
+                diff = p[rows, None, :] - p[None, i0:, :]
+                block = np.sqrt(np.sum(diff * diff, axis=2))
+                out[rows, i0:] = block
+                out[i0:, rows] = block.T
             out.setflags(write=False)
             self._dist = out
         return self._dist

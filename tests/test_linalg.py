@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,24 @@ class TestGridModule:
                     (1, 0): np.array([[1]], dtype=np.int64),
                 },
             )
+
+    def test_missing_covering_map_rejected(self):
+        one = np.array([[1]], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"missing right_maps entry at grade \(0, 1\)"):
+            linalg.GridModule(
+                eps_values=(0.0, 1.0),
+                sigma_values=(0.0, 1.0),
+                dims={(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+                right_maps={(0, 0): one},
+                up_maps={(0, 0): one, (1, 0): one},
+            )
+
+    def test_json_without_a_dimension_rejected(self, residual4):
+        resid, _ = residual4
+        doc = json.loads(resid.to_json())
+        del doc["dims"]["1,0"]
+        with pytest.raises(ValueError, match=r"missing dimension at grade \(1, 0\)"):
+            linalg.GridModule.from_json(json.dumps(doc))
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):

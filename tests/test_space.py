@@ -83,6 +83,17 @@ class TestDistances:
         sp = AugmentedMetricSpace(points=p)
         assert sp.distance(0, 1) == 0.0
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 20])
+    def test_half_matrix_equals_full_formula_bitwise(self, d):
+        # n is large enough for the rows to be computed in several blocks
+        n = int(math.sqrt(2_500_000 / d)) + 1
+        rng = np.random.default_rng(d)
+        p = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        p[rng.integers(0, n, n // 5)] = p[rng.integers(0, n, n // 5)]
+        diff = p[:, None, :] - p[None, :, :]
+        full = np.sqrt(np.sum(diff * diff, axis=2))
+        assert np.array_equal(AugmentedMetricSpace(points=p).distance_matrix(), full)
+
     @given(
         st.lists(
             st.tuples(*[st.floats(-50, 50) for _ in range(2)]), min_size=1, max_size=12
