@@ -80,11 +80,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("oracle-check", help="replay a peel trace through the exact oracle")
     sp.add_argument("trace", help="trace JSON produced by peel")
     sp.add_argument("--input", required=True, help="the same input the trace was computed from")
-    sp.add_argument("--density-column", help="density column name or index in the input")
-    sp.add_argument("--density-mode", choices=("kde", "random", "explicit"))
-    sp.add_argument("--densities", help="comma-separated values for explicit mode")
-    sp.add_argument("--kde-bandwidth", type=float)
-    sp.add_argument("--seed", type=int, default=0)
+    add_density(sp)
     sp.add_argument("--dim-budget", type=int, default=4096)
 
     sp = sub.add_parser("b-constant", help="limit constants b(d) and c(d)")
@@ -105,15 +101,11 @@ def _load_space(args, need_density: bool, constant_default: bool = False) -> Aug
     if space.has_density():
         return space
     mode = getattr(args, "density_mode", None)
-    if mode == "kde":
-        return attach_density(space, "kde", bandwidth=getattr(args, "kde_bandwidth", None))
-    if mode == "random":
-        return attach_density(space, "random", seed=getattr(args, "seed", 0))
-    if mode == "explicit":
-        raw = getattr(args, "densities", None)
-        if not raw:
-            raise DensityError("explicit density mode needs --densities v0,v1,...")
-        return attach_density(space, "explicit", values=[float(v) for v in raw.split(",")])
+    if mode == "explicit" and not args.densities:
+        raise DensityError("explicit density mode needs --densities v0,v1,...")
+    if mode:
+        values = [float(v) for v in args.densities.split(",")] if mode == "explicit" else None
+        return attach_density(space, mode, bandwidth=args.kde_bandwidth, seed=args.seed, values=values)
     if constant_default or not need_density:
         return space.with_density(np.zeros(space.n))
     raise DensityError("no density given; use --density-column or --density-mode")

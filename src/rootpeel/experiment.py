@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .rooted import nn_graph, peel_all
+from .rooted import peel_all
 from .space import AugmentedMetricSpace, attach_density
 
 _BETA_EPS = 1e-15
@@ -102,6 +102,8 @@ def b_constant(d: int) -> float:
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError("dimension must be a positive integer")
+    if d > 10_000:
+        return 0.5  # the caps' share is below 0.75**5000, which underflows
     cap2 = regularized_incomplete_beta((d + 1) / 2.0, 0.5, 0.75)
     return 1.0 / (2.0 - cap2)
 
@@ -171,24 +173,15 @@ class TrialResult:
         return self.peeled_interval_count / self.n
 
 
-def _density_for(space: AugmentedMetricSpace, mode: str, rng, bandwidth) -> AugmentedMetricSpace:
-    if mode == "kde":
-        return attach_density(space, "kde", bandwidth=bandwidth)
-    if mode == "random":
-        return attach_density(space, "random", seed=rng)
-    if mode == "explicit":
-        # the sampling model's analog of a known flat density
-        return space.with_density(np.zeros(space.n))
-    raise ValueError(f"unknown density mode: {mode!r}")
-
-
 def _run_one_trial(args) -> TrialResult:
     (trial, config, density_mode, n, seed_seq, bandwidth) = args
     rng = np.random.default_rng(seed_seq)
     pts = _sample_with_rng(config, n, rng)
-    space = _density_for(AugmentedMetricSpace(points=pts), density_mode, rng, bandwidth)
+    # explicit mode is the sampling model's analog of a known flat density
+    flat = np.zeros(n) if density_mode == "explicit" else None
+    space = attach_density(AugmentedMetricSpace(points=pts), density_mode,
+                           bandwidth=bandwidth, seed=rng, values=flat)
     t0 = time.perf_counter()
-    pairs = len(nn_graph(space).mutual_pairs) if n >= 2 else 0
     trace = peel_all(space)
     elapsed = time.perf_counter() - t0
     return TrialResult(
@@ -197,7 +190,7 @@ def _run_one_trial(args) -> TrialResult:
         dim=config.dim,
         sampler=config.kind,
         density_mode=density_mode,
-        mutual_pair_count=pairs,
+        mutual_pair_count=len(trace.nn.mutual_pairs) if trace.nn is not None else 0,
         peeled_interval_count=len(trace),
         elapsed_s=elapsed,
     )

@@ -122,46 +122,44 @@ def _nearest_other(dist: np.ndarray, rows: np.ndarray, cols: np.ndarray, own: np
     return out
 
 
-def _nn_kdtree(space: AugmentedMetricSpace, rank: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _nn_kdtree(space: AugmentedMetricSpace, rank: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Neighbor map from k kd-tree candidates per row, and the rows to recheck."""
     from scipy.spatial import cKDTree
 
     pts = space.points
     n = space.n
-    tree = cKDTree(pts)
     k = min(8, n)
-    _, iq = tree.query(pts, k=k)
+    _, iq = cKDTree(pts).query(pts, k=k)
     iq = iq.reshape(n, k)
     # re-evaluate candidates with our own metric so that grid equality and
     # rank tie-breaking agree exactly with the brute-force path
     diff = pts[iq] - pts[:, None, :]
     de = np.sqrt(np.sum(diff * diff, axis=2))
-    de[iq == np.arange(n)[:, None]] = np.inf
+    itself = iq == np.arange(n)[:, None]
+    de[itself] = np.inf
     dmin = de.min(axis=1, keepdims=True)
     ranks = np.where(de == dmin, rank[iq], n)
     nn = iq[np.arange(n), np.argmin(ranks, axis=1)].astype(np.intp)
-    # if the farthest returned candidate still ties the minimum, the true
-    # rank-minimal neighbor may have been truncated away; recheck those rows
-    suspect = np.flatnonzero(de[:, -1] <= dmin[:, 0])
-    if suspect.size:
-        nn[suspect] = order[_nearest_other(space.distance_matrix(), suspect, order, rank[suspect])]
-    return nn
+    # when every candidate other than the point itself ties the minimum, a
+    # tied neighbor of lower rank may lie beyond the k returned
+    return nn, np.flatnonzero(np.all((de == dmin) | itself, axis=1))
 
 
 def nn_graph(space: AugmentedMetricSpace) -> NNGraph:
-    """Nearest-neighbor graph; kd-tree accelerated for coordinate input."""
+    """Nearest-neighbor graph, distance ties going to the lower tie rank: a
+    brute argmin over the distance matrix when the space holds it (matrix
+    input, or a forest was built on it), else a kd-tree on the coordinates."""
     if space.n < 2:
         raise ValueError("nearest neighbors need at least two points")
     rank = _tie_rank(space)
     order = np.argsort(rank)
-    if space.points is not None:
-        nn = _nn_kdtree(space, rank, order)
+    if space.points is not None and space._dist is None:
+        nn, rows = _nn_kdtree(space, rank)
     else:
-        nn = order[_nearest_other(space.distance_matrix(), np.arange(space.n), order, rank)]
-    mutual = sorted(
-        (min(i, int(nn[i])), max(i, int(nn[i])))
-        for i in range(space.n)
-        if int(nn[int(nn[i])]) == i and i < int(nn[i])
-    )
+        nn, rows = np.empty(space.n, dtype=np.intp), np.arange(space.n)
+    if rows.size:
+        nn[rows] = order[_nearest_other(space.distance_matrix(), rows, order, rank[rows])]
+    mutual = [(i, int(j)) for i, j in enumerate(nn) if i < j and nn[j] == i]
     return NNGraph(nn=nn, mutual_pairs=mutual)
 
 
@@ -271,9 +269,13 @@ class PeelRecord:
 
 @dataclass
 class PeelTrace:
+    """The peel records in order, the view they leave, and the space's
+    nearest-neighbor graph (None for one point; not serialized)."""
+
     records: List[PeelRecord]
     final_view: PeelView
     n: int
+    nn: Optional[NNGraph] = None
 
     def __len__(self):
         return len(self.records)
@@ -390,10 +392,11 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
         alive[px] = False
         removed[gen] = root
 
-    if n >= 2:
+    graph = nn_graph(fo.space) if n >= 2 else None
+    if graph is not None:
         idx = np.arange(n)
         dist = fo.space.distance_matrix()
-        nn_pos = _nearest_other(dist, fo.perm, fo.perm, idx)
+        nn_pos = fo.pos_of[graph.nn[fo.perm]]
         while True:
             cand = alive & (nn_pos < idx) & alive[nn_pos]
             cand[0] = False
@@ -411,7 +414,7 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
 
     records.append(PeelRecord(int(fo.perm[0]), None, "bottom", _bottom_support(fo)))
     final = PeelView(fo, alive, removed)
-    return PeelTrace(records=records, final_view=final, n=n)
+    return PeelTrace(records=records, final_view=final, n=n, nn=graph)
 
 
 def replay(records: Sequence[PeelRecord], forest: LeveledMergeForest) -> PeelView:

@@ -42,6 +42,10 @@ class AugmentedMetricSpace:
                 raise ValueError("points must be a nonempty (n, d) array")
             if not np.all(np.isfinite(pts)):
                 raise ValueError("points must be finite")
+            with np.errstate(over="ignore"):
+                span = np.sum(np.square(pts.max(axis=0) - pts.min(axis=0)))
+            if not np.isfinite(span):
+                raise ValueError("points lie too far apart: their distances overflow")
             pts.setflags(write=False)
             self.points: Optional[np.ndarray] = pts
             self._dist: Optional[np.ndarray] = None
@@ -159,24 +163,29 @@ def scott_bandwidths(points: np.ndarray) -> np.ndarray:
 
 
 def gaussian_kde_values(points: np.ndarray, bandwidth=None) -> np.ndarray:
-    """Gaussian product-kernel density estimate evaluated at the sample points."""
+    """Gaussian product-kernel density estimate evaluated at the sample points.
+    Terms that overflow take their limits; an estimate that does is an error."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     n, d = pts.shape
-    if bandwidth is None:
-        h = scott_bandwidths(pts)
-    else:
-        h = np.broadcast_to(np.asarray(bandwidth, dtype=np.float64), (d,)).copy()
-        if np.any(h <= 0):
-            raise ValueError("bandwidth must be positive")
-    norm = n * np.prod(h) * (2.0 * math.pi) ** (d / 2.0)
-    out = np.empty(n)
-    step = max(1, 4_000_000 // max(1, n * d))
-    for i0 in range(0, n, step):
-        z = (pts[i0 : i0 + step, None, :] - pts[None, :, :]) / h
-        out[i0 : i0 + step] = np.sum(np.exp(-0.5 * np.sum(z * z, axis=2)), axis=1)
-    return out / norm
+    with np.errstate(over="ignore", divide="ignore"):
+        if bandwidth is None:
+            h = scott_bandwidths(pts)
+        else:
+            h = np.broadcast_to(np.asarray(bandwidth, dtype=np.float64), (d,)).copy()
+            if np.any(h <= 0):
+                raise ValueError("bandwidth must be positive")
+        norm = n * np.prod(h) * np.float64(2.0 * math.pi) ** (d / 2.0)
+        out = np.empty(n)
+        step = max(1, 4_000_000 // max(1, n * d))
+        for i0 in range(0, n, step):
+            z = (pts[i0 : i0 + step, None, :] - pts[None, :, :]) / h
+            out[i0 : i0 + step] = np.sum(np.exp(-0.5 * np.sum(z * z, axis=2)), axis=1)
+        est = out / norm
+    if not np.all(np.isfinite(est)):
+        raise DensityError("the density estimate overflows; use a larger bandwidth")
+    return est
 
 
 def attach_density(
@@ -184,14 +193,15 @@ def attach_density(
     mode: str,
     *,
     bandwidth=None,
-    seed: Optional[int] = None,
+    seed: Union[int, np.random.Generator, None] = None,
     values: Optional[Sequence[float]] = None,
 ) -> AugmentedMetricSpace:
     """Return a copy of ``space`` with densities filled in.
 
     mode "kde": negated Gaussian kernel density estimate, so denser points get
     lower values. Needs coordinates. mode "random": i.i.d. uniform [0, 1)
-    draws from a seeded generator. mode "explicit": caller-supplied values.
+    draws from ``np.random.default_rng(seed)``, so a Generator passed as
+    ``seed`` is drawn from directly. mode "explicit": caller-supplied values.
     """
     if mode == "kde":
         if space.points is None:

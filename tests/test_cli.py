@@ -240,6 +240,21 @@ class TestOtherCommands:
         assert run_cli([]).returncode == 1
 
 
+class TestImports:
+    def test_peel_and_simulate_import_no_scipy(self, ex4):
+        # scipy serves only the kd-tree of nn on coordinates with no matrix
+        code = (
+            "import sys\n"
+            "from rootpeel import cli\n"
+            f"assert cli.main(['peel', '--input', {ex4!r}, '--density-column', 'f']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'peel imported scipy'\n"
+            "assert cli.main(['simulate', '--n', '40', '--trials', '2', '--jobs', '1']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'simulate imported scipy'\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
+        assert r.returncode == 0, r.stderr.decode()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",

@@ -128,16 +128,31 @@ class TestNNGraph:
         assert rooted.nn_graph(sp).mutual_pairs == [(0, 1), (2, 3)]
 
     def test_kdtree_and_matrix_paths_agree(self):
+        def duplicate_heavy(rng, t):
+            # grid-rounded coordinates, 8 or more coincident points in every
+            # other space, tied densities or none at all
+            n, d = int(rng.integers(10, 120)), int(rng.integers(1, 4))
+            pts = np.round(rng.random((n, d)) * 3) / 3
+            if t % 2 == 0:
+                pts[rng.choice(n, int(rng.integers(8, min(n, 20) + 1)), replace=False)] = pts[0]
+            dens = np.round(3 * rng.random(n)) if t % 3 else None
+            return AugmentedMetricSpace(points=pts, density=dens)
+
         rng = np.random.default_rng(33)
-        for t in range(60):
-            sp = random_space(rng, n=int(rng.integers(2, 30)), duplicates=(t % 2 == 0))
-            by_tree = rooted.nn_graph(sp)
-            matrix_only = AugmentedMetricSpace(
-                dist=sp.distance_matrix().copy(), density=sp.density.copy()
-            )
-            by_matrix = rooted.nn_graph(matrix_only)
+        spaces = [random_space(rng, n=int(rng.integers(2, 30)), duplicates=(t % 2 == 0))
+                  for t in range(60)]
+        spaces += [duplicate_heavy(rng, t) for t in range(60)]
+        for sp in spaces:
+            # fresh copies: the kd-tree runs only on coordinates with no matrix yet
+            by_tree = rooted.nn_graph(AugmentedMetricSpace(points=sp.points, density=sp.density))
+            by_matrix = rooted.nn_graph(AugmentedMetricSpace(dist=sp.distance_matrix(),
+                                                             density=sp.density))
             assert by_tree.nn.tolist() == by_matrix.nn.tolist()
             assert by_tree.mutual_pairs == by_matrix.mutual_pairs
+            if sp.has_density():
+                trace = rooted.peel_all(sp)
+                assert trace.nn.nn.tolist() == by_tree.nn.tolist()
+                assert trace.nn.mutual_pairs == by_tree.mutual_pairs
 
     def test_one_mutual_pair_per_weak_component(self):
         rng = np.random.default_rng(41)
