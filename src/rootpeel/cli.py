@@ -32,11 +32,11 @@ def build_parser() -> _Parser:
     p = _Parser(prog="rootpeel", description="Peel interval summands off density-Rips clusterings.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_io(sp, output=True):
+    def add_io(sp, fmt: Optional[str] = "json"):
         sp.add_argument("--input", required=True, help="point rows or '#matrix n' distance input")
-        if output:
-            sp.add_argument("--output", help="write to this path instead of stdout")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--output", help="write to this path instead of stdout")
+        if fmt:
+            sp.add_argument("--format", choices=("json", "csv"), default=fmt)
 
     def add_density(sp):
         sp.add_argument("--density-column", help="density column name or index in the input")
@@ -46,7 +46,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("peel", help="peel interval summands and print the trace")
-    add_io(sp)
+    add_io(sp, fmt=None)
     add_density(sp)
 
     sp = sub.add_parser("nn", help="nearest-neighbor map and mutual pairs")
@@ -54,9 +54,8 @@ def build_parser() -> _Parser:
     add_density(sp)
 
     sp = sub.add_parser("barcode", help="single-linkage elder barcode of the input points")
-    add_io(sp)
+    add_io(sp, fmt="csv")
     sp.add_argument("--density-column", help="density column to strip from the coordinates")
-    sp.set_defaults(format="csv")
 
     sp = sub.add_parser("staircode", help="per-density scale thresholds where a point is oldest")
     add_io(sp)
@@ -96,7 +95,7 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _load_space(args, need_density: bool, constant_default: bool = False) -> AugmentedMetricSpace:
+def _load_space(args, need_density: bool) -> AugmentedMetricSpace:
     space = load_points(_read_text(args.input), density_column=getattr(args, "density_column", None))
     if space.has_density():
         return space
@@ -106,7 +105,7 @@ def _load_space(args, need_density: bool, constant_default: bool = False) -> Aug
     if mode:
         values = [float(v) for v in args.densities.split(",")] if mode == "explicit" else None
         return attach_density(space, mode, bandwidth=args.kde_bandwidth, seed=args.seed, values=values)
-    if constant_default or not need_density:
+    if not need_density:
         return space.with_density(np.zeros(space.n))
     raise DensityError("no density given; use --density-column or --density-mode")
 
@@ -152,7 +151,7 @@ def _cmd_nn(args) -> int:
 
 
 def _cmd_barcode(args) -> int:
-    space = _load_space(args, need_density=False, constant_default=True)
+    space = _load_space(args, need_density=False)
     space = space.with_density(np.zeros(space.n))
     forest = pset.LeveledMergeForest(space)
     merges = forest.merge_events(0)

@@ -508,7 +508,7 @@ def idempotent_from_peel(
         raise ConsistencyError(f"({x}, {root}) is not a rooted pair on this view")
     module, bases = _peel_module(view, module, dim_budget)
     fo = view.forest
-    px, proot = int(fo.pos_of[x]), int(fo.pos_of[root])
+    px, proot = fo.position(x), fo.position(root)
     mats: Dict[Tuple[int, int], np.ndarray] = {}
     for (i, j), (labels, basis) in bases.items():
         m = int(fo.level_sizes[j])

@@ -1,22 +1,19 @@
-"""Density-Rips persistent sets as one graded edge list.
+"""Density-Rips persistent sets as one single-linkage chain per density level.
 
 For an augmented metric space the persistent set assigns to each grade
 (scale eps, density sigma) the partition of the sub-level set
 ``{x : f(x) <= sigma}`` into connected components of the geometric graph at
 ``eps``. We never materialize the grade grid. Points are relabeled into
 canonical order (density ascending, index ascending on ties), so every
-density level's active set is a prefix. Each point, inserted in that order,
-adds the few edges by which it enters the minimum spanning tree of the points
-before it; the union of these edges, each graded by its later endpoint's
-level, holds a spanning tree of every prefix. By the cycle property the edges
-of grade at most sigma's level give the single-linkage clustering of that
-level at every scale, so this O(n) list determines the whole bifiltration.
+density level's active set is a prefix, and the single-linkage hierarchy of
+each level determines the whole bifiltration.
 
 Queries read a level through its *chain*: the level's points in an order
 where every cluster is contiguous, plus the merge scale between neighbors.
 Two points merge at the largest gap between them, and the cluster of a point
-at eps is the run around it with gaps <= eps. Chains are derived from the
-edge list level by level on first use and kept.
+at eps is the run around it with gaps <= eps. The build inserts the points
+one at a time in canonical order, each with its distance row, and keeps the
+chain of every level as the insertion passes the level's last point.
 
 A ``PeelView`` layers a set of removed generators over the immutable forest.
 Removed points still provide connectivity (the underlying graphs never
@@ -30,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +36,11 @@ from .space import AugmentedMetricSpace
 
 class QueryError(ValueError):
     """Raised when a grade/point query violates its preconditions."""
+
+
+def is_point(v, n: int) -> bool:
+    """Whether v is a point index of an n-point space: an int in [0, n)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
 
 
 @dataclass(frozen=True)
@@ -70,24 +72,21 @@ def _scales_from(gaps: np.ndarray, k: int) -> np.ndarray:
     return row
 
 
-def _attach(gaps: np.ndarray, at: Optional[np.ndarray], d: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Merge scales of a new point q with every chain index, given edges from
-    q to chain indices ``at`` (every chain index in turn when None) of
-    lengths ``d``; also the edges that lower some scale (q's edges in the
-    spanning tree), as indices into ``d``.
+def _attach(gaps: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Merge scales of a new point q with every chain index, given q's
+    distances ``d`` to the chain indices.
 
-    The shortest edge is always kept; after that, an edge only matters if it is
-    shorter than q's merge scale with its endpoint through the kept ones.
+    The shortest distance always counts; after that, a distance only matters
+    if it is shorter than q's merge scale with its endpoint through the ones
+    that counted.
     """
     r = np.full(len(gaps), np.inf)
-    kept = []
     while True:
-        gain = np.where(d < (r if at is None else r[at]), d, np.inf)
+        gain = np.where(d < r, d, np.inf)
         i = int(np.argmin(gain))
         if math.isinf(gain[i]):
-            return r, kept
-        kept.append(i)
-        np.minimum(r, np.maximum(d[i], _scales_from(gaps, i if at is None else int(at[i]))), out=r)
+            return r
+        np.minimum(r, np.maximum(d[i], _scales_from(gaps, i)), out=r)
 
 
 def _insert(order: np.ndarray, gaps: np.ndarray, q: int, r: np.ndarray):
@@ -110,28 +109,18 @@ def _insert(order: np.ndarray, gaps: np.ndarray, q: int, r: np.ndarray):
     return np.concatenate(([q], order[idx])), new_gaps
 
 
-def _graded_edges(dist: np.ndarray, perm: np.ndarray):
+def _level_chains(
+    dist: np.ndarray, perm: np.ndarray, level_sizes: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Insert the points ``perm[0], perm[1], ...`` of a distance matrix one at
-    a time; chains and edges are over their positions in ``perm``.
-
-    Returns the edges each point adds to the spanning tree of the points
-    before it, as (earlier endpoint, later endpoint, length) arrays grouped by
-    the later endpoint, and the chain of all points. O(n) extra memory
-    besides the edges.
-    """
+    a time, chains over their positions in ``perm``; yields the chain of each
+    level, the first ``level_sizes[j]`` points, as the insertion passes it."""
     order = np.zeros(1, dtype=np.intp)
     gaps = np.full(1, np.inf)
-    lo: List[np.ndarray] = [np.zeros(0, dtype=np.intp)]
-    hi: List[np.ndarray] = [np.zeros(0, dtype=np.intp)]
-    w: List[np.ndarray] = [np.zeros(0)]
-    for q in range(1, len(perm)):
-        d = dist[perm[q], perm[order]]
-        r, kept = _attach(gaps, None, d)
-        lo.append(order[kept])
-        hi.append(np.full(len(kept), q, dtype=np.intp))
-        w.append(d[kept])
-        order, gaps = _insert(order, gaps, q, r)
-    return np.concatenate(lo), np.concatenate(hi), np.concatenate(w), (order, gaps)
+    for size in level_sizes:
+        for q in range(len(order), int(size)):
+            order, gaps = _insert(order, gaps, q, _attach(gaps, dist[perm[q], perm[order]]))
+        yield order, gaps
 
 
 def _packed(order: np.ndarray, gaps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,19 +174,21 @@ def _steps(lo: int, hi: int, f: Callable[[int], float]) -> Iterator[Tuple[int, f
 class ChainLevels:
     """Per-level chains over positions ``0..n-1`` and the queries they answer.
 
-    Level j holds the positions ``[0, level_sizes[j])``; position p is born at
-    level ``birth_level[p]``. Subclasses supply ``chain(j)``.
+    ``chains`` gives each level's (order, gaps), level j holding the
+    positions ``[0, level_sizes[j])``; position p is born at level
+    ``birth_level[p]``.
     """
 
-    def __init__(self, level_sizes: np.ndarray, birth_level: np.ndarray):
-        self.n = int(level_sizes[-1]) if len(level_sizes) else 0
-        self.level_sizes = level_sizes
-        self.num_levels = len(level_sizes)
+    def __init__(self, chains: Iterable[Tuple[np.ndarray, np.ndarray]], birth_level: np.ndarray):
+        self._chains = [_packed(order, gaps) for order, gaps in chains]
+        self.level_sizes = np.array([len(order) for order, _, _ in self._chains], dtype=np.intp)
+        self.num_levels = len(self._chains)
+        self.n = int(self.level_sizes[-1]) if self.num_levels else 0
         self.birth_level = birth_level
 
     def chain(self, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, gaps, index): level j's chain and each position's chain index."""
-        raise NotImplementedError
+        return self._chains[j]
 
     def merge_scale(self, j: int, px: int, py: int) -> float:
         """Merge scale of positions px and py at level j."""
@@ -291,25 +282,10 @@ class ChainLevels:
         return cand, eps_first
 
 
-class FixedChains(ChainLevels):
-    """Chain levels given outright, one (order, gaps) pair per level."""
-
-    def __init__(self, chains: List[Tuple[np.ndarray, np.ndarray]], birth_level: np.ndarray):
-        super().__init__(np.array([len(o) for o, _ in chains]), birth_level)
-        self._chains = [_packed(order, gaps) for order, gaps in chains]
-
-    def chain(self, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._chains[j]
-
-
 class LeveledMergeForest(ChainLevels):
-    """Immutable merge structure of an augmented metric space, one level per density.
-
-    ``edge_lo``, ``edge_hi`` and ``edge_w`` are the graded edge list (canonical
-    positions, earlier endpoint first, grouped by ``edge_hi``); an edge's
-    grade is ``birth_level[edge_hi]``. Level ``j`` holds the prefix of size
-    ``level_sizes[j]``.
-    """
+    """Immutable merge structure of an augmented metric space, one level per
+    density: level ``j`` holds the canonical prefix of size ``level_sizes[j]``
+    and its chain."""
 
     def __init__(self, space: AugmentedMetricSpace):
         f = space.require_density()
@@ -320,16 +296,11 @@ class LeveledMergeForest(ChainLevels):
         self.f_by_pos = f[self.perm]
 
         self.sigma_levels = np.unique(f)
+        level_sizes = np.searchsorted(self.f_by_pos, self.sigma_levels, side="right")
         super().__init__(
-            np.searchsorted(self.f_by_pos, self.sigma_levels, side="right"),
+            _level_chains(space.distance_matrix(), self.perm, level_sizes),
             np.searchsorted(self.sigma_levels, self.f_by_pos),
         )
-
-        self.edge_lo, self.edge_hi, self.edge_w, top = _graded_edges(space.distance_matrix(), self.perm)
-        self._edge_ptr = np.searchsorted(self.edge_hi, np.arange(self.n + 1))
-        # the build ends with the top level's chain; lower levels are derived
-        self._chains: List[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [None] * self.num_levels
-        self._chains[-1] = _packed(*top)
         self._grid: Optional[GradeGrid] = None
 
     # -- basic lookups -------------------------------------------------------
@@ -347,34 +318,21 @@ class LeveledMergeForest(ChainLevels):
             raise QueryError(f"no point has density <= {sigma}")
         return j
 
-    def chain(self, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Level j's chain; on first use it is derived from the highest derived
-        level below j (or from point 0) and the edges of the grades between."""
-        if self._chains[j] is None:
-            below = next((i for i in range(j - 1, -1, -1) if self._chains[i] is not None), -1)
-            if below >= 0:
-                order, gaps, index = self._chains[below]
-            else:
-                order, gaps, index = _packed(np.zeros(1, dtype=np.intp), np.full(1, np.inf))
-            for level in range(below + 1, j + 1):
-                for q in range(len(order), int(self.level_sizes[level])):
-                    s, e = self._edge_ptr[q], self._edge_ptr[q + 1]
-                    r, _ = _attach(gaps, index[self.edge_lo[s:e]], self.edge_w[s:e])
-                    order, gaps = _insert(order, gaps, q, r)
-                    index = np.empty(q + 1, dtype=np.intp)
-                    index[order] = np.arange(q + 1)
-                self._chains[level] = _packed(order, gaps)
-        return self._chains[j]
+    def position(self, x: int) -> int:
+        """Canonical position of point x; QueryError unless x is an int in [0, n)."""
+        if not is_point(x, self.n):
+            raise QueryError(f"point index out of range: {x}")
+        return int(self.pos_of[x])
 
     def ultrametric(self, sigma: float, x: int, y: int) -> float:
         """Merge scale of x and y in the single-linkage hierarchy at level sigma."""
+        px, py = self.position(x), self.position(y)
         j = self.level_index(sigma)
         m = self.level_sizes[j]
-        px, py = self.pos_of[x], self.pos_of[y]
         if px >= m or py >= m:
             absent = x if px >= m else y
             raise QueryError(f"point {absent} is absent at density level {sigma}")
-        return self.merge_scale(j, int(px), int(py))
+        return self.merge_scale(j, px, py)
 
     def threshold_runs(self, px: int, f: Callable[[int], float]) -> Tuple[Tuple[float, float], ...]:
         """(sigma, theta) runs of a threshold ``f(level)`` that cannot grow with
@@ -459,7 +417,7 @@ class PeelView:
         return dict(self.removed)
 
     def survives(self, x: int) -> bool:
-        return bool(self._alive[self.forest.pos_of[x]])
+        return bool(self._alive[self.forest.position(x)])
 
     def survivors(self) -> List[int]:
         """Surviving original indices, in canonical order."""
@@ -470,9 +428,7 @@ class PeelView:
 
     def _check_present(self, sigma: float, x: int) -> Tuple[int, int, int]:
         fo = self.forest
-        if not (0 <= x < fo.n):
-            raise QueryError(f"point index out of range: {x}")
-        px = int(fo.pos_of[x])
+        px = fo.position(x)
         if not self._alive[px]:
             raise QueryError(f"point {x} was removed from this view")
         if fo.f_by_pos[px] > sigma:
@@ -502,7 +458,7 @@ class PeelView:
     def rooted_pair_ok(self, x: int, root: int) -> bool:
         """Whether ``root`` witnesses x as a rooted generator of this view."""
         fo = self.forest
-        px, proot = int(fo.pos_of[x]), int(fo.pos_of[root])
+        px, proot = fo.position(x), fo.position(root)
         if not (self._alive[px] and self._alive[proot]) or proot >= px:
             return False
         cand, _ = fo.root_candidates(self._alive, px)
@@ -520,7 +476,7 @@ class PeelView:
         if not self.survives(root):
             raise QueryError(f"root {root} does not survive")
         alive = self._alive.copy()
-        alive[self.forest.pos_of[x]] = False
+        alive[self.forest.position(x)] = False
         removed = dict(self.removed)
         removed[int(x)] = int(root)
         return PeelView(self.forest, alive, removed)

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .pset import ChainLevels, FixedChains, LeveledMergeForest, PeelView, QueryError, fresh_view
+from .pset import ChainLevels, LeveledMergeForest, PeelView, QueryError, fresh_view, is_point
 from .space import AugmentedMetricSpace
 
 
@@ -38,7 +38,6 @@ class IntervalSupport:
 
     birth_sigma: float
     breaks: Tuple[Tuple[float, float], ...]
-    zero: bool = False
 
     def __post_init__(self):
         if not self.breaks:
@@ -51,6 +50,11 @@ class IntervalSupport:
             raise ValueError("run starts must be strictly increasing")
         if any(a < b for a, b in zip(thetas, thetas[1:])):
             raise ValueError("thresholds must be nonincreasing in sigma")
+
+    @property
+    def zero(self) -> bool:
+        """Whether the support is empty: the points merge at birth (duplicates)."""
+        return self.breaks[0][1] == 0.0
 
     def theta_at(self, sigma: float) -> float:
         """Exclusive eps-threshold at this density; 0 below the birth density."""
@@ -75,9 +79,6 @@ class IntervalSupport:
                 k += 1
             out.append((s, self.breaks[k][1]))
         return out
-
-    def is_empty(self) -> bool:
-        return all(t <= 0.0 for _, t in self.breaks)
 
 
 # -- nearest neighbors ---------------------------------------------------------
@@ -114,7 +115,7 @@ def _nearest_other(dist: np.ndarray, rows: np.ndarray, cols: np.ndarray, own: np
     ``dist`` are gathered in chunks, so it is never copied whole.
     """
     out = np.empty(len(own), dtype=np.intp)
-    step = max(1, 4_000_000 // len(cols))
+    step = max(1, 1_000_000 // len(cols))
     for k in range(0, len(own), step):
         block = dist[np.ix_(rows[k : k + step], cols)]
         block[np.arange(len(block)), own[k : k + step]] = np.inf
@@ -183,9 +184,7 @@ def is_rooted_generator(view: PeelView, x: int) -> Optional[int]:
     its first merge scale on every level from x's birth upward.
     """
     fo = view.forest
-    if not (0 <= x < fo.n):
-        raise QueryError(f"point index out of range: {x}")
-    px = int(fo.pos_of[x])
+    px = fo.position(x)
     if not view._alive[px]:
         raise QueryError(f"point {x} was removed from this view")
     cand, _ = fo.root_candidates(view._alive, px)
@@ -200,11 +199,10 @@ def is_rooted_subset(view: PeelView, subset: Sequence[int]) -> Optional[int]:
     no survivors beyond the subset.
     """
     fo = view.forest
-    members = sorted(set(int(a) for a in subset))
-    if not members:
+    pos = np.array(sorted({fo.position(a) for a in subset}), dtype=np.intp)
+    if pos.size == 0:
         raise QueryError("rooted-subset check needs a nonempty subset")
     alive = view._alive
-    pos = np.array([fo.pos_of[a] for a in members], dtype=np.intp)
     if not alive[pos].all():
         raise QueryError("all subset members must survive")
     in_a = np.zeros(fo.n, dtype=bool)
@@ -247,7 +245,7 @@ def interval_support(view: PeelView, x: int, root: int) -> IntervalSupport:
 
 def _support_unchecked(fo: LeveledMergeForest, px: int, proot: int) -> IntervalSupport:
     breaks = fo.threshold_runs(px, lambda j: fo.merge_scale(j, px, proot))
-    return IntervalSupport(breaks[0][0], breaks, zero=(breaks[0][1] == 0.0))
+    return IntervalSupport(breaks[0][0], breaks)
 
 
 def _bottom_support(fo: LeveledMergeForest) -> IntervalSupport:
@@ -264,7 +262,10 @@ class PeelRecord:
     root: Optional[int]
     reason: str  # "neighborly" | "general-rooted" | "bottom"
     support: IntervalSupport
-    zero_interval: bool = False
+
+    @property
+    def zero_interval(self) -> bool:
+        return self.support.zero
 
 
 @dataclass
@@ -388,7 +389,7 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
 
     def emit(px: int, proot: int, reason: str, support: IntervalSupport):
         gen, root = int(fo.perm[px]), int(fo.perm[proot])
-        records.append(PeelRecord(gen, root, reason, support, support.zero))
+        records.append(PeelRecord(gen, root, reason, support))
         alive[px] = False
         removed[gen] = root
 
@@ -406,7 +407,7 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
             proot = int(nn_pos[px])
             d = float(dist[fo.perm[px], fo.perm[proot]])
             birth = float(fo.f_by_pos[px])
-            support = IntervalSupport(birth, ((birth, d),), zero=(d == 0.0))
+            support = IntervalSupport(birth, ((birth, d),))
             emit(px, proot, "neighborly", support)
 
         for px, proot in _general_rounds(fo, alive):
@@ -437,10 +438,6 @@ def replay(records: Sequence[PeelRecord], forest: LeveledMergeForest) -> PeelVie
 _REASONS = ("neighborly", "general-rooted", "bottom")
 
 
-def _is_point(v, n: int) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
-
-
 def _is_grade_pair(p) -> bool:
     return isinstance(p, list) and len(p) == 2 and all(
         v is None or isinstance(v, (int, float)) for v in p
@@ -462,9 +459,9 @@ def trace_records_from_json(payload: str, n: int) -> List[dict]:
     for k, rec in enumerate(data["records"]):
         if not isinstance(rec, dict):
             raise ValueError(f"trace record {k} is not an object")
-        if not _is_point(rec.get("generator"), n):
+        if not is_point(rec.get("generator"), n):
             raise ValueError(f"trace record {k}: generator must be a point index below {n}")
-        if rec.get("root") is not None and not _is_point(rec["root"], n):
+        if rec.get("root") is not None and not is_point(rec["root"], n):
             raise ValueError(f"trace record {k}: root must be null or a point index below {n}")
         if rec.get("reason") not in _REASONS:
             raise ValueError(f"trace record {k}: reason must be one of {', '.join(_REASONS)}")
@@ -513,7 +510,7 @@ def elder_barcode_1d(
     last = -math.inf
     for scale, i, j in merges:
         scale = float(scale)
-        if not (_is_point(i, n) and _is_point(j, n)):
+        if not (is_point(i, n) and is_point(j, n)):
             raise ValueError(f"merge ({scale}, {i}, {j}) names a point outside 0..{n - 1}")
         if scale < last:
             raise ValueError("merge grades must be nondecreasing")
@@ -534,7 +531,7 @@ def elder_barcode_1d(
             chain.append(head)
             head = after[head]
     gaps = np.array([gap_before[p] for p in chain])  # a run's head has inf
-    levels = FixedChains([(np.array(chain), gaps)], np.zeros(n, dtype=np.intp))
+    levels = ChainLevels([(np.array(chain), gaps)], np.zeros(n, dtype=np.intp))
     alive = np.ones(n, dtype=bool)
     bars = [(births[order[px]], levels.merge_scale(0, px, z)) for px, z in _general_rounds(levels, alive)]
     bars.append((births[order[0]], math.inf))
@@ -556,10 +553,10 @@ def staircode(
     if len(np.unique(f)) != space.n:
         raise ValueError("staircodes need an injective density function")
     fo = forest if forest is not None else LeveledMergeForest(space)
-    px = _position(fo, x)
+    px = fo.position(x)
     before = np.arange(fo.n) < px
     breaks = fo.threshold_runs(px, lambda j: fo.first_merge_at(j, before, px))
-    return IntervalSupport(breaks[0][0], breaks, zero=(breaks[0][1] == 0.0))
+    return IntervalSupport(breaks[0][0], breaks)
 
 
 def constant_conqueror(
@@ -569,14 +566,8 @@ def constant_conqueror(
     level simultaneously; the canonically minimal point conquers itself."""
     space.require_density()
     fo = forest if forest is not None else LeveledMergeForest(space)
-    px = _position(fo, x)
+    px = fo.position(x)
     if px == 0:
         return int(x)
     cand, _ = fo.root_candidates(np.arange(fo.n) <= px, px)
     return None if cand is None else int(fo.perm[np.argmax(cand)])
-
-
-def _position(fo: LeveledMergeForest, x: int) -> int:
-    if not _is_point(x, fo.n):
-        raise QueryError(f"point index out of range: {x}")
-    return int(fo.pos_of[x])

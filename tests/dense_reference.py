@@ -95,7 +95,7 @@ class DenseForest:
             if theta != prev:
                 breaks.append((float(fo.sigma_levels[j]), theta))
                 prev = theta
-        return IntervalSupport(float(fo.sigma_levels[j0]), tuple(breaks), zero=(breaks[0][1] == 0.0))
+        return IntervalSupport(float(fo.sigma_levels[j0]), tuple(breaks))
 
     def merge_events(self, level):
         fo = self.fo
@@ -133,7 +133,7 @@ class DenseForest:
             if theta != prev:
                 breaks.append((float(fo.sigma_levels[j]), theta))
                 prev = theta
-        return IntervalSupport(float(fo.f_by_pos[px]), tuple(breaks), zero=(breaks[0][1] == 0.0))
+        return IntervalSupport(float(fo.f_by_pos[px]), tuple(breaks))
 
     def constant_conqueror(self, x):
         fo = self.fo
@@ -183,7 +183,7 @@ class DenseForest:
         records = []
 
         def emit(px, proot, reason, support):
-            records.append(PeelRecord(int(fo.perm[px]), int(fo.perm[proot]), reason, support, support.zero))
+            records.append(PeelRecord(int(fo.perm[px]), int(fo.perm[proot]), reason, support))
             alive[px] = False
 
         if n >= 2:
@@ -199,7 +199,7 @@ class DenseForest:
                 proot = int(nn_pos[px])
                 d = float(dist[px, proot])
                 birth = float(fo.f_by_pos[px])
-                emit(px, proot, "neighborly", IntervalSupport(birth, ((birth, d),), zero=(d == 0.0)))
+                emit(px, proot, "neighborly", IntervalSupport(birth, ((birth, d),)))
 
             utop = self.levels[-1]
             no_root_eps = np.full(n, -1.0)

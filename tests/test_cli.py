@@ -56,6 +56,12 @@ class TestPeel:
         assert r.returncode == 1
         assert r.stderr.decode().startswith("error:")
 
+    def test_format_is_a_usage_error(self, ex4):
+        # the trace is always JSON; an ignored --format would pass for csv
+        r = run_cli(["peel", "--input", ex4, "--density-column", "f", "--format", "csv"])
+        assert r.returncode == 1
+        assert r.stderr.decode().startswith("error:")
+
     def test_explicit_densities(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("0\n7.5\n3\n5\n")

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import bfs_components, random_space
 from dense_reference import dense_levels, position_distances
-from rootpeel import pset
+from rootpeel import pset, rooted
 from rootpeel.space import AugmentedMetricSpace
 
 
@@ -251,6 +251,22 @@ class TestRestrict:
                             if expect is None:
                                 expect = got
                             assert got == expect
+
+
+
+@pytest.mark.parametrize("call", [
+    lambda fo, v: v.survives(-1),
+    lambda fo, v: fo.ultrametric(3.0, -1, 0),
+    lambda fo, v: rooted.is_rooted_subset(v, [-1]),
+    lambda fo, v: v.restrict(fo.n, 0),
+    lambda fo, v: fo.ultrametric(3.0, fo.n, 0),
+    lambda fo, v: rooted.is_rooted_subset(v, [fo.n]),
+], ids=["survives(-1)", "ultrametric(-1)", "is_rooted_subset(-1)",
+        "restrict(n)", "ultrametric(n)", "is_rooted_subset(n)"])
+def test_point_index_out_of_range_is_a_query_error(forest4, call):
+    _, fo = forest4
+    with pytest.raises(pset.QueryError, match="out of range"):
+        call(fo, pset.fresh_view(fo))
 
 
 class TestSerialization:

@@ -197,7 +197,7 @@ class TestIntervalSupport:
         _, fo = pset.build(sp)
         v = pset.fresh_view(fo)
         sup = rooted.interval_support(v, 1, 0)
-        assert sup.zero and sup.is_empty()
+        assert sup.zero and all(t == 0.0 for _, t in sup.breaks)
         trace = rooted.peel_all(sp, forest=fo)
         assert trace.records[0].zero_interval
         assert trace.records[0].reason == "neighborly"

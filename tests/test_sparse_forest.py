@@ -123,15 +123,6 @@ def test_graded_edge_list_matches_dense_engine(block):
                 assert rooted.is_rooted_subset(view, subset) == ref.is_rooted_subset(view._alive, subset)
 
 
-def test_edge_list_is_sparse():
-    rng = np.random.default_rng(5)
-    for d in (1, 2, 5):
-        sp = AugmentedMetricSpace(points=rng.random((300, d)), density=rng.random(300))
-        fo = pset.LeveledMergeForest(sp)
-        assert sp.n - 1 <= len(fo.edge_w) <= 3 * sp.n
-        assert np.all(fo.edge_lo < fo.edge_hi)
-
-
 def test_kde_mixture_at_n1000_fits_in_memory():
     # one level per point: the dense engine needed n^3 / 3 * 8 bytes (2.5 GiB)
     seq = np.random.SeedSequence(1000)
