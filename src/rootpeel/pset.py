@@ -31,16 +31,11 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from .space import AugmentedMetricSpace
+from .space import AugmentedMetricSpace, is_point
 
 
 class QueryError(ValueError):
     """Raised when a grade/point query violates its preconditions."""
-
-
-def is_point(v, n: int) -> bool:
-    """Whether v is a point index of an n-point space: an int in [0, n)."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
 
 
 @dataclass(frozen=True)
@@ -238,23 +233,26 @@ class ChainLevels:
         labels[order] = first[run]
         return labels
 
-    def root_scan(self, alive: np.ndarray, px: int) -> Tuple[Optional[np.ndarray], float, List[int]]:
-        """Mask over positions ``[0, px)`` of the survivors that root the
-        survivor at px (None when there is none); px's first-merge scale at
-        the lowest level holding another survivor (inf when none was scanned);
-        and survivors whose removal must trigger a rescan: one that attains the
+    def root_scan(self, alive: np.ndarray, px: int,
+                  limit: Optional[int] = None) -> Tuple[Optional[np.ndarray], float, List[int]]:
+        """Mask over positions ``[0, limit)`` (``limit`` defaults to px) of
+        the positions marked in ``alive`` that root px (None when there is
+        none); px's first-merge scale with a marked position at the lowest
+        level holding one (inf when none was scanned); and marked positions
+        whose unmarking must trigger a rescan: one that attains the
         first-merge scale at each level the scan visited.
 
-        A candidate lies in px's surviving cluster at its first merge scale on
-        every level from px's birth upward. That scale cannot grow with the
-        level, and while it stays put the cluster only grows, so only the
-        birth level and the levels where it drops can exclude a candidate;
-        bisection finds them. While each of these levels keeps one survivor
-        at its scale, every level's scale stays as it was and the candidates
-        can only shrink, so an empty verdict stands until a watched survivor
-        goes.
+        A candidate lies in px's marked cluster at its first merge scale on
+        every level from px's birth upward. For a fixed mask that scale cannot
+        grow with the level, and while it stays put the cluster only grows,
+        so only the birth level and the levels where it drops can exclude a
+        candidate; bisection finds them. While each of these levels keeps one
+        marked position at its scale, every level's scale stays as it was and
+        the candidates can only shrink, so an empty verdict stands until a
+        watched position goes. px itself may be marked or not.
         """
-        cand = alive[:px].copy()
+        limit = px if limit is None else limit
+        cand = alive[:limit].copy()
         eps_first = math.inf
         watch: List[int] = []
         if not cand.any():
@@ -269,8 +267,8 @@ class ChainLevels:
             members = self.cluster_run(j, px, eps)
             members = members[alive[members]]
             watch.append(int(members[members != px][0]))
-            inside = np.zeros(px, dtype=bool)
-            inside[members[members < px]] = True
+            inside = np.zeros(limit, dtype=bool)
+            inside[members[members < limit]] = True
             cand &= inside
             if not cand.any():
                 return None, eps_first, watch

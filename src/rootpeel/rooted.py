@@ -23,8 +23,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .pset import ChainLevels, LeveledMergeForest, PeelView, QueryError, fresh_view, is_point
-from .space import AugmentedMetricSpace
+from .pset import ChainLevels, LeveledMergeForest, PeelView, QueryError, fresh_view
+from .space import AugmentedMetricSpace, is_point
 
 
 # -- interval supports ---------------------------------------------------------
@@ -106,18 +106,20 @@ def _tie_rank(space: AugmentedMetricSpace) -> np.ndarray:
     return np.arange(n, dtype=np.intp)
 
 
-def _nearest_other(dist: np.ndarray, rows: np.ndarray, cols: np.ndarray, own: np.ndarray) -> np.ndarray:
+def _nearest_other(
+    space: AugmentedMetricSpace, rows: np.ndarray, cols: np.ndarray, own: np.ndarray
+) -> np.ndarray:
     """For each point ``rows[k]``, the index into ``cols`` of its nearest
     other point.
 
     ``cols`` lists all points in tie-break order and ``own[k]`` is the index
-    of ``rows[k]`` in it; distance ties go to the lowest index. Rows of
-    ``dist`` are gathered in chunks, so it is never copied whole.
+    of ``rows[k]`` in it; distance ties go to the lowest index. The distance
+    rows are gathered in chunks, so no n x n array is made.
     """
     out = np.empty(len(own), dtype=np.intp)
-    step = max(1, 1_000_000 // len(cols))
+    step = max(1, 1_000_000 // (len(cols) * (space.dim or 1)))
     for k in range(0, len(own), step):
-        block = dist[np.ix_(rows[k : k + step], cols)]
+        block = space.distances(rows[k : k + step], cols)
         block[np.arange(len(block)), own[k : k + step]] = np.inf
         out[k : k + step] = np.argmin(block, axis=1)
     return out
@@ -149,7 +151,8 @@ def _nn_kdtree(space: AugmentedMetricSpace, rank: np.ndarray) -> Tuple[np.ndarra
 def nn_graph(space: AugmentedMetricSpace) -> NNGraph:
     """Nearest-neighbor graph, distance ties going to the lower tie rank: a
     brute argmin over the distance matrix when the space holds it (matrix
-    input, or a forest was built on it), else a kd-tree on the coordinates."""
+    input, or a forest was built on it), else a kd-tree on the coordinates,
+    and the brute argmin over coordinate rows where it leaves a tie open."""
     if space.n < 2:
         raise ValueError("nearest neighbors need at least two points")
     rank = _tie_rank(space)
@@ -159,7 +162,7 @@ def nn_graph(space: AugmentedMetricSpace) -> NNGraph:
     else:
         nn, rows = np.empty(space.n, dtype=np.intp), np.arange(space.n)
     if rows.size:
-        nn[rows] = order[_nearest_other(space.distance_matrix(), rows, order, rank[rows])]
+        nn[rows] = order[_nearest_other(space, rows, order, rank[rows])]
     mutual = [(i, int(j)) for i, j in enumerate(nn) if i < j and nn[j] == i]
     return NNGraph(nn=nn, mutual_pairs=mutual)
 
@@ -196,39 +199,26 @@ def is_rooted_subset(view: PeelView, subset: Sequence[int]) -> Optional[int]:
 
     The witness y survives outside the subset, is at least as dense as all of
     it, and at every grade each member's cluster either reaches y or contains
-    no survivors beyond the subset.
+    no survivors beyond the subset. So y is, for every member, a candidate of
+    ``root_scan`` with the survivors outside the subset marked and the
+    candidates limited to the positions at least as dense as the subset; the
+    witness is the canonically first candidate common to all members.
     """
     fo = view.forest
-    pos = np.array(sorted({fo.position(a) for a in subset}), dtype=np.intp)
-    if pos.size == 0:
+    pos = sorted({fo.position(a) for a in subset})
+    if not pos:
         raise QueryError("rooted-subset check needs a nonempty subset")
-    alive = view._alive
-    if not alive[pos].all():
+    if not view._alive[pos].all():
         raise QueryError("all subset members must survive")
-    in_a = np.zeros(fo.n, dtype=bool)
-    in_a[pos] = True
-
-    f_min = float(np.min(fo.f_by_pos[pos]))
-    limit = int(np.searchsorted(fo.f_by_pos, f_min, side="right"))
-    cand = alive[:limit] & ~in_a[:limit]
-    if not cand.any():
-        return None
-
-    j0 = fo.level_index(f_min)
-    for j in range(j0, fo.num_levels):
-        m = int(fo.level_sizes[j])
-        outside = alive[:m] & ~in_a[:m]
-        if not outside.any():
-            continue
-        for px in pos:
-            if px >= m:
-                continue
-            row = fo.scale_row(j, int(px))
-            bound = np.min(row[outside])
-            cand &= row[:limit] <= bound
-        if not cand.any():
+    others = view._alive.copy()
+    others[pos] = False
+    limit = int(np.searchsorted(fo.f_by_pos, fo.f_by_pos[pos[0]], side="right"))
+    common = others[:limit]
+    for px in pos:
+        cand, _, _ = fo.root_scan(others, px, limit)
+        if cand is None or not (common := common & cand).any():
             return None
-    return int(fo.perm[int(np.argmax(cand))])
+    return int(fo.perm[int(np.argmax(common))])
 
 
 def interval_support(view: PeelView, x: int, root: int) -> IntervalSupport:
@@ -395,20 +385,16 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
 
     graph = nn_graph(fo.space) if n >= 2 else None
     if graph is not None:
-        idx = np.arange(n)
         dist = fo.space.distance_matrix()
         nn_pos = fo.pos_of[graph.nn[fo.perm]]
-        while True:
-            cand = alive & (nn_pos < idx) & alive[nn_pos]
-            cand[0] = False
-            if not cand.any():
-                break
-            px = int(np.argmax(cand))
+        # a peel here only makes later points unpeelable, so one ascending
+        # pass meets the canonically first candidate of every round
+        for px in np.flatnonzero(nn_pos < np.arange(n)).tolist():
             proot = int(nn_pos[px])
-            d = float(dist[fo.perm[px], fo.perm[proot]])
-            birth = float(fo.f_by_pos[px])
-            support = IntervalSupport(birth, ((birth, d),))
-            emit(px, proot, "neighborly", support)
+            if alive[proot]:
+                d = float(dist[fo.perm[px], fo.perm[proot]])
+                birth = float(fo.f_by_pos[px])
+                emit(px, proot, "neighborly", IntervalSupport(birth, ((birth, d),)))
 
         for px, proot in _general_rounds(fo, alive):
             emit(px, proot, "general-rooted", _support_unchecked(fo, px, proot))

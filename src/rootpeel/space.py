@@ -22,6 +22,11 @@ class DensityError(ValueError):
     """Raised when an operation needs densities that are absent or invalid."""
 
 
+def is_point(v, n: int) -> bool:
+    """Whether v is a point index of an n-point space: an int in [0, n)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
+
+
 class AugmentedMetricSpace:
     """A finite metric space together with an optional density function.
 
@@ -97,22 +102,30 @@ class AugmentedMetricSpace:
         is the one the full formula gives.
         """
         if self._dist is None:
-            p = self.points
-            n, d = p.shape
+            n, d = self.points.shape
             out = np.empty((n, n))
             step = max(1, 1_000_000 // max(1, n * d))
             for i0 in range(0, n, step):
                 rows = slice(i0, i0 + step)
-                diff = p[rows, None, :] - p[None, i0:, :]
-                block = np.sqrt(np.sum(diff * diff, axis=2))
+                block = self.distances(rows, slice(i0, None))
                 out[rows, i0:] = block
                 out[i0:, rows] = block.T
             out.setflags(write=False)
             self._dist = out
         return self._dist
 
+    def distances(self, rows, cols) -> np.ndarray:
+        """Distances from the points ``rows`` to the points ``cols``: read from
+        the matrix when the space holds it (index arrays), else computed from
+        the coordinates (index arrays or slices) by the formula that fills the
+        matrix, so both give the same doubles and no matrix is built."""
+        if self._dist is not None:
+            return self._dist[np.ix_(rows, cols)]
+        diff = self.points[rows, None, :] - self.points[None, cols, :]
+        return np.sqrt(np.sum(diff * diff, axis=2))
+
     def distance(self, i: int, j: int) -> float:
-        if not (0 <= i < self.n and 0 <= j < self.n):
+        if not (is_point(i, self.n) and is_point(j, self.n)):
             raise IndexError(f"point index out of range: ({i}, {j})")
         return float(self.distance_matrix()[i, j])
 

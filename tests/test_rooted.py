@@ -154,6 +154,19 @@ class TestNNGraph:
                 assert trace.nn.nn.tolist() == by_tree.nn.tolist()
                 assert trace.nn.mutual_pairs == by_tree.mutual_pairs
 
+    def test_kdtree_rechecks_rows_without_building_the_matrix(self):
+        # 6^4 lattice: an inner point has 8 neighbors at distance 1, so the
+        # kd-tree leaves 768 of the 1,296 rows to the brute recheck
+        axis = np.arange(6.0)
+        pts = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), -1).reshape(-1, 4)
+        sp = AugmentedMetricSpace(points=pts)
+        g = rooted.nn_graph(sp)
+        assert sp._dist is None
+        matrix = AugmentedMetricSpace(points=pts).distance_matrix()
+        by_matrix = rooted.nn_graph(AugmentedMetricSpace(dist=matrix))
+        assert g.nn.tolist() == by_matrix.nn.tolist()
+        assert g.mutual_pairs == by_matrix.mutual_pairs
+
     def test_one_mutual_pair_per_weak_component(self):
         rng = np.random.default_rng(41)
         for _ in range(40):

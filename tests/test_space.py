@@ -78,6 +78,11 @@ class TestDistances:
         with pytest.raises(IndexError):
             line4.distance(0, 4)
 
+    @pytest.mark.parametrize("i, j", [(True, 2), (2, False), (1.0, 2)])
+    def test_non_int_index_is_out_of_range(self, line4, i, j):
+        with pytest.raises(IndexError, match="point index out of range"):
+            line4.distance(i, j)
+
     def test_duplicates_are_exactly_zero(self):
         p = np.array([[0.3234, 0.77], [0.3234, 0.77]])
         sp = AugmentedMetricSpace(points=p)

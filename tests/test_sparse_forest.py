@@ -1,4 +1,4 @@
-"""Differential test: the graded edge list against the dense reference engine.
+"""Differential test: the per-level chains against the dense reference engine.
 
 Every query of ``LeveledMergeForest`` and the full peel must agree exactly
 with ``dense_reference.DenseForest``, which keeps one merge-scale matrix per
@@ -99,7 +99,7 @@ def check_peel(sp, fo, ref, rng):
 
 
 @pytest.mark.parametrize("block", range(8))
-def test_graded_edge_list_matches_dense_engine(block):
+def test_level_chains_match_dense_engine(block):
     # 8 blocks of 27 seeds: 216 spaces in all, 36 of each kind
     for seed in range(block * 27, (block + 1) * 27):
         kind, sp = seeded_space(seed)
@@ -115,7 +115,9 @@ def test_graded_edge_list_matches_dense_engine(block):
         if fo.num_levels == sp.n:
             for x in range(sp.n):
                 assert rooted.staircode(sp, x, fo) == ref.staircode(x), (kind, seed, x)
-        for view in (pset.fresh_view(fo), trace.final_view):
+        # the mid-trace view comes last, so the other two draw the same subsets
+        middle = rooted.replay(trace.records[: len(trace.records) // 2], fo)
+        for view in (pset.fresh_view(fo), trace.final_view, middle):
             survivors = view.survivors()
             for _ in range(4):
                 size = int(rng.integers(1, len(survivors) + 1))
