@@ -12,8 +12,8 @@ Queries read a level through its *chain*: the level's points in an order
 where every cluster is contiguous, plus the merge scale between neighbors.
 Two points merge at the largest gap between them, and the cluster of a point
 at eps is the run around it with gaps <= eps. The build inserts the points
-one at a time in canonical order, each with its distance row, and keeps the
-chain of every level as the insertion passes the level's last point.
+one at a time in canonical order, each with its distances to those before
+it, and keeps the chain of every level as the insertion passes its last point.
 
 A ``PeelView`` layers a set of removed generators over the immutable forest.
 Removed points still provide connectivity (the underlying graphs never
@@ -105,16 +105,17 @@ def _insert(order: np.ndarray, gaps: np.ndarray, q: int, r: np.ndarray):
 
 
 def _level_chains(
-    dist: np.ndarray, perm: np.ndarray, level_sizes: np.ndarray
+    rows: Iterator[np.ndarray], level_sizes: np.ndarray
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Insert the points ``perm[0], perm[1], ...`` of a distance matrix one at
-    a time, chains over their positions in ``perm``; yields the chain of each
+    """Insert points 0, 1, ... one at a time, each with its row of distances
+    to the points before it, drawn from ``rows``; yields the chain of each
     level, the first ``level_sizes[j]`` points, as the insertion passes it."""
+    next(rows)  # point 0 has no points before it
     order = np.zeros(1, dtype=np.intp)
     gaps = np.full(1, np.inf)
     for size in level_sizes:
         for q in range(len(order), int(size)):
-            order, gaps = _insert(order, gaps, q, _attach(gaps, dist[perm[q], perm[order]]))
+            order, gaps = _insert(order, gaps, q, _attach(gaps, next(rows)[order]))
         yield order, gaps
 
 
@@ -283,7 +284,9 @@ class ChainLevels:
 class LeveledMergeForest(ChainLevels):
     """Immutable merge structure of an augmented metric space, one level per
     density: level ``j`` holds the canonical prefix of size ``level_sizes[j]``
-    and its chain."""
+    and its chain. The build's ``space.nearest_sweep`` makes no distance
+    matrix and leaves each position's nearest other position ``nn_pos``
+    (distance ties to the lower position) and its distance ``nn_dist``."""
 
     def __init__(self, space: AugmentedMetricSpace):
         f = space.require_density()
@@ -295,8 +298,10 @@ class LeveledMergeForest(ChainLevels):
 
         self.sigma_levels = np.unique(f)
         level_sizes = np.searchsorted(self.f_by_pos, self.sigma_levels, side="right")
+        self.nn_pos = np.zeros(space.n, dtype=np.intp)
+        self.nn_dist = np.full(space.n, np.inf)
         super().__init__(
-            _level_chains(space.distance_matrix(), self.perm, level_sizes),
+            _level_chains(space.nearest_sweep(self.perm, self.nn_pos, self.nn_dist), level_sizes),
             np.searchsorted(self.sigma_levels, self.f_by_pos),
         )
         self._grid: Optional[GradeGrid] = None
@@ -305,6 +310,7 @@ class LeveledMergeForest(ChainLevels):
 
     @property
     def grid(self) -> GradeGrid:
+        """The oracle's grade grid; it caches the space's distance matrix."""
         if self._grid is None:
             self._grid = GradeGrid(np.unique(self.space.distance_matrix()), self.sigma_levels.copy())
         return self._grid
@@ -388,7 +394,7 @@ class LeveledMergeForest(ChainLevels):
 
 
 def build(space: AugmentedMetricSpace) -> Tuple[GradeGrid, LeveledMergeForest]:
-    """Construct the grade grid and merge forest of a space with densities."""
+    """The grade grid, which caches the distance matrix, and the merge forest."""
     forest = LeveledMergeForest(space)
     return forest.grid, forest
 

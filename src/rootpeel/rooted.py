@@ -106,18 +106,22 @@ def _tie_rank(space: AugmentedMetricSpace) -> np.ndarray:
     return np.arange(n, dtype=np.intp)
 
 
+def _graph(nn: np.ndarray) -> NNGraph:
+    return NNGraph(nn=nn, mutual_pairs=[(i, int(j)) for i, j in enumerate(nn) if i < j and nn[j] == i])
+
+
 def _nearest_other(
     space: AugmentedMetricSpace, rows: np.ndarray, cols: np.ndarray, own: np.ndarray
 ) -> np.ndarray:
-    """For each point ``rows[k]``, the index into ``cols`` of its nearest
-    other point.
+    """For each kd-tree recheck row ``rows[k]``, the index into ``cols`` of
+    its nearest other point.
 
     ``cols`` lists all points in tie-break order and ``own[k]`` is the index
     of ``rows[k]`` in it; distance ties go to the lowest index. The distance
     rows are gathered in chunks, so no n x n array is made.
     """
     out = np.empty(len(own), dtype=np.intp)
-    step = max(1, 1_000_000 // (len(cols) * (space.dim or 1)))
+    step = max(1, 1_000_000 // (len(cols) * space.dim))
     for k in range(0, len(own), step):
         block = space.distances(rows[k : k + step], cols)
         block[np.arange(len(block)), own[k : k + step]] = np.inf
@@ -149,22 +153,23 @@ def _nn_kdtree(space: AugmentedMetricSpace, rank: np.ndarray) -> Tuple[np.ndarra
 
 
 def nn_graph(space: AugmentedMetricSpace) -> NNGraph:
-    """Nearest-neighbor graph, distance ties going to the lower tie rank: a
-    brute argmin over the distance matrix when the space holds it (matrix
-    input, or a forest was built on it), else a kd-tree on the coordinates,
-    and the brute argmin over coordinate rows where it leaves a tie open."""
+    """Nearest-neighbor graph, distance ties going to the lower tie rank: the
+    build's ``nearest_sweep`` when the space holds its matrix (``#matrix``
+    input, or ``distance_matrix`` was called), else a kd-tree on coordinates
+    and a brute argmin over the rows where it leaves a tie open."""
     if space.n < 2:
         raise ValueError("nearest neighbors need at least two points")
     rank = _tie_rank(space)
     order = np.argsort(rank)
-    if space.points is not None and space._dist is None:
-        nn, rows = _nn_kdtree(space, rank)
-    else:
-        nn, rows = np.empty(space.n, dtype=np.intp), np.arange(space.n)
+    if space._dist is not None:
+        nn_pos = np.zeros(space.n, dtype=np.intp)
+        for _ in space.nearest_sweep(order, nn_pos, np.full(space.n, np.inf)):
+            pass
+        return _graph(order[nn_pos][rank])
+    nn, rows = _nn_kdtree(space, rank)
     if rows.size:
         nn[rows] = order[_nearest_other(space, rows, order, rank[rows])]
-    mutual = [(i, int(j)) for i, j in enumerate(nn) if i < j and nn[j] == i]
-    return NNGraph(nn=nn, mutual_pairs=mutual)
+    return _graph(nn)
 
 
 def neighborly_rooted(space: AugmentedMetricSpace) -> Set[int]:
@@ -261,7 +266,8 @@ class PeelRecord:
 @dataclass
 class PeelTrace:
     """The peel records in order, the view they leave, and the space's
-    nearest-neighbor graph (None for one point; not serialized)."""
+    nearest-neighbor graph from the forest's build (None for one point; not
+    serialized)."""
 
     records: List[PeelRecord]
     final_view: PeelView
@@ -361,7 +367,8 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
     """Greedily peel interval summands until no surviving generator is rooted.
 
     Each round takes the canonically first peelable generator, preferring the
-    nearest-neighbor fast path over the general level scan. The density-minimal
+    nearest-neighbor fast path (neighbors and distances from the forest's
+    build: no distance matrix) over the general level scan. The density-minimal
     generator is never removed; it is reported last as a whole-module interval.
 
     For n >= 2 the trace always holds at least mutual-pair count + 1 records
@@ -383,18 +390,15 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
         alive[px] = False
         removed[gen] = root
 
-    graph = nn_graph(fo.space) if n >= 2 else None
+    graph = _graph(fo.perm[fo.nn_pos[fo.pos_of]]) if n >= 2 else None
     if graph is not None:
-        dist = fo.space.distance_matrix()
-        nn_pos = fo.pos_of[graph.nn[fo.perm]]
         # a peel here only makes later points unpeelable, so one ascending
         # pass meets the canonically first candidate of every round
-        for px in np.flatnonzero(nn_pos < np.arange(n)).tolist():
-            proot = int(nn_pos[px])
+        for px in np.flatnonzero(fo.nn_pos < np.arange(n)).tolist():
+            proot = int(fo.nn_pos[px])
             if alive[proot]:
-                d = float(dist[fo.perm[px], fo.perm[proot]])
                 birth = float(fo.f_by_pos[px])
-                emit(px, proot, "neighborly", IntervalSupport(birth, ((birth, d),)))
+                emit(px, proot, "neighborly", IntervalSupport(birth, ((birth, float(fo.nn_dist[px])),)))
 
         for px, proot in _general_rounds(fo, alive):
             emit(px, proot, "general-rooted", _support_unchecked(fo, px, proot))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -121,13 +121,29 @@ class AugmentedMetricSpace:
         matrix, so both give the same doubles and no matrix is built."""
         if self._dist is not None:
             return self._dist[np.ix_(rows, cols)]
-        diff = self.points[rows, None, :] - self.points[None, cols, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+        return _norms(self.points[rows, None, :] - self.points[None, cols, :])
+
+    def nearest_sweep(self, order: np.ndarray, nn: np.ndarray, nn_dist: np.ndarray) -> Iterator[np.ndarray]:
+        """For k = 0, 1, ..., the distances from ``order[k]`` to ``order[:k]``,
+        the matrix's doubles, computed by ``distances``' formula if no matrix is
+        held. ``nn[k]``, ``nn_dist[k]``: the sweep index of order[k]'s nearest
+        point so far and its distance. k takes its row's argmin (ties to the
+        lowest index); an earlier point moves to k only if k is strictly closer."""
+        pts = self.points[order] if self._dist is None else None
+        for k in range(len(order)):
+            row = self._dist[order[k], order[:k]] if pts is None else _norms(pts[:k] - pts[k])
+            if k:
+                nn[k] = np.argmin(row)
+                nn_dist[k] = row[nn[k]]
+                closer = np.flatnonzero(row < nn_dist[:k])
+                nn[closer] = k
+                nn_dist[closer] = row[closer]
+            yield row
 
     def distance(self, i: int, j: int) -> float:
         if not (is_point(i, self.n) and is_point(j, self.n)):
             raise IndexError(f"point index out of range: ({i}, {j})")
-        return float(self.distance_matrix()[i, j])
+        return float(self.distances([i], [j])[0, 0])
 
     # -- densities and order -----------------------------------------------
 
@@ -157,6 +173,10 @@ class AugmentedMetricSpace:
 
 def canonical_order(space: AugmentedMetricSpace) -> np.ndarray:
     return space.canonical_order()
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(diff * diff, axis=-1))  # (a - b)**2 == (b - a)**2 exactly
 
 
 # -- density attachment ------------------------------------------------------

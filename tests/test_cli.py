@@ -248,7 +248,8 @@ class TestOtherCommands:
 
 class TestImports:
     def test_peel_and_simulate_import_no_scipy(self, ex4):
-        # scipy serves only the kd-tree of nn on coordinates with no matrix
+        # scipy serves only the kd-tree of nn on coordinates with no matrix;
+        # the peel takes its neighbors from the forest's build, never from it
         code = (
             "import sys\n"
             "from rootpeel import cli\n"

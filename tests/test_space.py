@@ -88,6 +88,15 @@ class TestDistances:
         sp = AugmentedMetricSpace(points=p)
         assert sp.distance(0, 1) == 0.0
 
+    def test_one_distance_builds_no_matrix(self):
+        # the matrix of 3,000 points is 69 MiB
+        rng = np.random.default_rng(3000)
+        sp = AugmentedMetricSpace(points=rng.random((3000, 2)))
+        got = [sp.distance(0, 1), sp.distance(1, 0)]
+        assert sp._dist is None
+        dm = sp.distance_matrix()
+        assert np.array(got).tobytes() == np.array([dm[0, 1], dm[1, 0]]).tobytes()
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 20])
     def test_half_matrix_equals_full_formula_bitwise(self, d):
         # n is large enough for the rows to be computed in several blocks

@@ -125,12 +125,65 @@ def test_level_chains_match_dense_engine(block):
                 assert rooted.is_rooted_subset(view, subset) == ref.is_rooted_subset(view._alive, subset)
 
 
+def lattice_space(seed):
+    """Points of {0, 1, 2}^d, d up to 13, many of them coincident, with tied
+    densities: duplicate distances and ties in every row."""
+    rng = np.random.default_rng(seed)
+    d = (1, 2, 3, 5, 8, 9, 13)[seed % 7]
+    n = int(rng.integers(2, 81))
+    pts = rng.integers(0, 3, (n, d)).astype(float)
+    k = int(rng.integers(0, n // 2 + 1))
+    pts[rng.integers(0, n, k)] = pts[rng.integers(0, n, k)]
+    return AugmentedMetricSpace(points=pts, density=rng.integers(0, 4, n).astype(float))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_build_sweep_matches_the_matrix(block):
+    # the 216 spaces of the dense-engine test, 54 per block, and 35 lattices
+    spaces = [seeded_space(seed)[1] for seed in range(block * 54, (block + 1) * 54)]
+    spaces += [lattice_space(seed) for seed in range(block * 35, (block + 1) * 35)]
+    for sp in spaces:
+        n = sp.n
+        dm = (sp if sp.points is None else AugmentedMetricSpace(points=sp.points)).distance_matrix()
+        fo = pset.LeveledMergeForest(sp)
+        trace = rooted.peel_all(sp, forest=fo)
+        if sp.points is not None:
+            assert sp._dist is None
+        perm = fo.perm
+        rows = sp.nearest_sweep(perm, np.zeros(n, dtype=np.intp), np.full(n, np.inf))
+        for k, row in enumerate(rows):
+            assert row.tobytes() == dm[perm[k], perm[:k]].tobytes(), k
+        # the map nn_graph gives on the #matrix copy, and a plain argmin over
+        # positions (ties to the lower position)
+        by_matrix = rooted.nn_graph(AugmentedMetricSpace(dist=dm, density=sp.density))
+        assert trace.nn.nn.tolist() == by_matrix.nn.tolist()
+        assert trace.nn.mutual_pairs == by_matrix.mutual_pairs
+        square = dm[np.ix_(perm, perm)]
+        np.fill_diagonal(square, np.inf)
+        assert fo.nn_pos.tolist() == np.argmin(square, axis=1).tolist()
+        assert fo.nn_dist.tobytes() == square[np.arange(n), fo.nn_pos].tobytes()
+
+
+def test_flat_peel_at_n3000_makes_no_distance_matrix():
+    # the matrix of 3,000 points is 69 MiB
+    rng = np.random.default_rng(3000)
+    sp = AugmentedMetricSpace(points=rng.random((3000, 2)), density=np.zeros(3000))
+    tracemalloc.start()
+    try:
+        trace = rooted.peel_all(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp._dist is None
+    assert peak < 16 * 2**20
+    assert len(trace.nn.mutual_pairs) + 1 <= len(trace) <= sp.n
+
+
 def test_kde_mixture_at_n1000_fits_in_memory():
     # one level per point: the dense engine needed n^3 / 3 * 8 bytes (2.5 GiB)
     seq = np.random.SeedSequence(1000)
     points = sample(SamplerConfig("mixture", 2, peaks=5, spread=0.05), 1000, seq)
     sp = attach_density(AugmentedMetricSpace(points=points), "kde")
-    sp.distance_matrix()
     tracemalloc.start()
     try:
         fo = pset.LeveledMergeForest(sp)
@@ -145,8 +198,9 @@ def test_kde_mixture_at_n1000_fits_in_memory():
 
 
 def test_peel_leaves_no_reference_cycle_on_the_forest():
-    # a forest that lives on until the cyclic collector runs holds its n^2
-    # distance matrix; pool workers running trial after trial pile them up
+    # a forest that lives on until the cyclic collector runs holds a chain
+    # per level, n^2 entries with a level per point; pool workers running
+    # trial after trial pile them up
     rng = np.random.default_rng(12)
     sp = AugmentedMetricSpace(points=rng.random((60, 2)), density=rng.integers(0, 6, 60).astype(float))
     gc.disable()
