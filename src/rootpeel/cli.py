@@ -221,6 +221,9 @@ def _cmd_oracle_check(args) -> int:
     return 0
 
 
+_ZERO_FLAG_DIFFERS = "recorded zero flag differs from the recomputed support"
+
+
 def _check_bottom(fo, rec, sigmas, bottom_seen) -> str:
     if bottom_seen:
         return "trace has more than one bottom record"
@@ -228,6 +231,8 @@ def _check_bottom(fo, rec, sigmas, bottom_seen) -> str:
         return f"bottom generator should be {int(fo.perm[0])}"
     if rec["support"] != [[s, None] for s in sigmas]:
         return "bottom support must cover every grade"
+    if rec.get("zero_interval") is not False:
+        return _ZERO_FLAG_DIFFERS
     return ""
 
 
@@ -250,6 +255,8 @@ def _check_peel(view, module, rec, sigmas, dim_budget):
     declared = {(s, None if math.isinf(t) else t) for s, t in sup.pairs(sigmas)}
     if support != declared:
         return "recorded support differs from the recomputed one", None, None
+    if rec.get("zero_interval") is not sup.zero:
+        return _ZERO_FLAG_DIFFERS, None, None
     eps = module.eps_values
     sig = module.sigma_values
     for (i, j), d in da.items():

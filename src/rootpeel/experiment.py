@@ -135,19 +135,16 @@ class SamplerConfig:
             raise ValueError("mixture needs at least one peak and positive spread")
 
 
-def _sample_with_rng(config: SamplerConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample(config: SamplerConfig, n: int, seed) -> np.ndarray:
+    """Seed-deterministic point sample; ``seed`` may be a Generator, drawn from."""
     if n < 1:
         raise ValueError("need at least one point")
+    rng = np.random.default_rng(seed)
     if config.kind == "uniform":
         return rng.random((n, config.dim))
     centers = rng.random((config.peaks, config.dim))
     which = rng.integers(0, config.peaks, size=n)
     return centers[which] + rng.normal(0.0, config.spread, size=(n, config.dim))
-
-
-def sample(config: SamplerConfig, n: int, seed) -> np.ndarray:
-    """Seed-deterministic point sample."""
-    return _sample_with_rng(config, n, np.random.default_rng(seed))
 
 
 # -- trials ---------------------------------------------------------------------
@@ -176,7 +173,7 @@ class TrialResult:
 def _run_one_trial(args) -> TrialResult:
     (trial, config, density_mode, n, seed_seq, bandwidth) = args
     rng = np.random.default_rng(seed_seq)
-    pts = _sample_with_rng(config, n, rng)
+    pts = sample(config, n, rng)
     # explicit mode is the sampling model's analog of a known flat density
     flat = np.zeros(n) if density_mode == "explicit" else None
     space = attach_density(AugmentedMetricSpace(points=pts), density_mode,

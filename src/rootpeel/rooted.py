@@ -110,66 +110,19 @@ def _graph(nn: np.ndarray) -> NNGraph:
     return NNGraph(nn=nn, mutual_pairs=[(i, int(j)) for i, j in enumerate(nn) if i < j and nn[j] == i])
 
 
-def _nearest_other(
-    space: AugmentedMetricSpace, rows: np.ndarray, cols: np.ndarray, own: np.ndarray
-) -> np.ndarray:
-    """For each kd-tree recheck row ``rows[k]``, the index into ``cols`` of
-    its nearest other point.
-
-    ``cols`` lists all points in tie-break order and ``own[k]`` is the index
-    of ``rows[k]`` in it; distance ties go to the lowest index. The distance
-    rows are gathered in chunks, so no n x n array is made.
-    """
-    out = np.empty(len(own), dtype=np.intp)
-    step = max(1, 1_000_000 // (len(cols) * space.dim))
-    for k in range(0, len(own), step):
-        block = space.distances(rows[k : k + step], cols)
-        block[np.arange(len(block)), own[k : k + step]] = np.inf
-        out[k : k + step] = np.argmin(block, axis=1)
-    return out
-
-
-def _nn_kdtree(space: AugmentedMetricSpace, rank: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Neighbor map from k kd-tree candidates per row, and the rows to recheck."""
-    from scipy.spatial import cKDTree
-
-    pts = space.points
-    n = space.n
-    k = min(8, n)
-    _, iq = cKDTree(pts).query(pts, k=k)
-    iq = iq.reshape(n, k)
-    # re-evaluate candidates with our own metric so that grid equality and
-    # rank tie-breaking agree exactly with the brute-force path
-    diff = pts[iq] - pts[:, None, :]
-    de = np.sqrt(np.sum(diff * diff, axis=2))
-    itself = iq == np.arange(n)[:, None]
-    de[itself] = np.inf
-    dmin = de.min(axis=1, keepdims=True)
-    ranks = np.where(de == dmin, rank[iq], n)
-    nn = iq[np.arange(n), np.argmin(ranks, axis=1)].astype(np.intp)
-    # when every candidate other than the point itself ties the minimum, a
-    # tied neighbor of lower rank may lie beyond the k returned
-    return nn, np.flatnonzero(np.all((de == dmin) | itself, axis=1))
-
-
 def nn_graph(space: AugmentedMetricSpace) -> NNGraph:
-    """Nearest-neighbor graph, distance ties going to the lower tie rank: the
-    build's ``nearest_sweep`` when the space holds its matrix (``#matrix``
-    input, or ``distance_matrix`` was called), else a kd-tree on coordinates
-    and a brute argmin over the rows where it leaves a tie open."""
+    """Nearest-neighbor graph, distance ties going to the lower tie rank, from
+    the forest build's ``nearest_sweep`` in tie-rank order: matrix entries for
+    ``#matrix`` input, else rows computed from the coordinates, so no matrix is
+    built. O(n^2) time and O(n) memory."""
     if space.n < 2:
         raise ValueError("nearest neighbors need at least two points")
     rank = _tie_rank(space)
     order = np.argsort(rank)
-    if space._dist is not None:
-        nn_pos = np.zeros(space.n, dtype=np.intp)
-        for _ in space.nearest_sweep(order, nn_pos, np.full(space.n, np.inf)):
-            pass
-        return _graph(order[nn_pos][rank])
-    nn, rows = _nn_kdtree(space, rank)
-    if rows.size:
-        nn[rows] = order[_nearest_other(space, rows, order, rank[rows])]
-    return _graph(nn)
+    nn_pos = np.zeros(space.n, dtype=np.intp)
+    for _ in space.nearest_sweep(order, nn_pos, np.full(space.n, np.inf)):
+        pass
+    return _graph(order[nn_pos][rank])
 
 
 def neighborly_rooted(space: AugmentedMetricSpace) -> Set[int]:

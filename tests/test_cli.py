@@ -162,6 +162,24 @@ class TestOracleCheck:
             "FAIL record 2: generator 0 (bottom) - trace has more than one bottom record",
         ]
 
+    @pytest.mark.parametrize("k, flag, passed", [
+        (0, True, []),
+        (1, "maybe", ["PASS record 0: generator 3 (neighborly)"]),
+    ], ids=["true-on-nonempty-support", "maybe-on-bottom"])
+    def test_tampered_zero_flag_fails(self, ex4, tmp_path, k, flag, passed):
+        out = tmp_path / "t.json"
+        run_cli(["peel", "--input", ex4, "--density-column", "f", "--output", str(out)])
+        doc = json.loads(out.read_text())
+        doc["records"][k]["zero_interval"] = flag
+        out.write_text(json.dumps(doc))
+        r = run_cli(["oracle-check", str(out), "--input", ex4, "--density-column", "f"])
+        assert r.returncode == 2
+        rec = doc["records"][k]
+        assert r.stdout.decode().strip().split("\n") == passed + [
+            f"FAIL record {k}: generator {rec['generator']} ({rec['reason']})"
+            " - recorded zero flag differs from the recomputed support"]
+        assert b"Traceback" not in r.stderr
+
     def test_large_inputs_rejected(self, tmp_path):
         pts = tmp_path / "nine.csv"
         pts.write_text("\n".join(str(i) for i in range(9)))
@@ -247,16 +265,25 @@ class TestOtherCommands:
 
 
 class TestImports:
-    def test_peel_and_simulate_import_no_scipy(self, ex4):
-        # scipy serves only the kd-tree of nn on coordinates with no matrix;
-        # the peel takes its neighbors from the forest's build, never from it
+    def test_peel_and_simulate_import_no_scipy(self, ex4, tmp_path):
+        # nothing in the package imports scipy: the peel takes its neighbors
+        # from the forest's build, nn from the same sweep
+        trace = str(tmp_path / "t.json")
+        data = f"'--input', {ex4!r}, '--density-column', 'f'"
         code = (
             "import sys\n"
             "from rootpeel import cli\n"
-            f"assert cli.main(['peel', '--input', {ex4!r}, '--density-column', 'f']) == 0\n"
+            f"assert cli.main(['peel', {data}]) == 0\n"
             "assert 'scipy' not in sys.modules, 'peel imported scipy'\n"
             "assert cli.main(['simulate', '--n', '40', '--trials', '2', '--jobs', '1']) == 0\n"
             "assert 'scipy' not in sys.modules, 'simulate imported scipy'\n"
+            f"assert cli.main(['nn', {data}, '--format', 'json']) == 0\n"
+            f"assert cli.main(['staircode', {data}, '--x', '1']) == 0\n"
+            f"assert cli.main(['barcode', {data}]) == 0\n"
+            f"assert cli.main(['peel', {data}, '--output', {trace!r}]) == 0\n"
+            f"assert cli.main(['oracle-check', {trace!r}, {data}]) == 0\n"
+            "assert cli.main(['b-constant', '3']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'a later command imported scipy'\n"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
         assert r.returncode == 0, r.stderr.decode()

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import elder_oracle, random_one_param, random_space
 from dense_reference import DenseForest
+from test_sparse_forest import lattice_space
 from rootpeel import pset, rooted
 from rootpeel.space import AugmentedMetricSpace
 
@@ -127,7 +128,7 @@ class TestNNGraph:
         sp = AugmentedMetricSpace(points=[[0, 0], [1, 0], [0, 2], [1, 2]])
         assert rooted.nn_graph(sp).mutual_pairs == [(0, 1), (2, 3)]
 
-    def test_kdtree_and_matrix_paths_agree(self):
+    def test_coordinate_and_matrix_paths_agree(self):
         def duplicate_heavy(rng, t):
             # grid-rounded coordinates, 8 or more coincident points in every
             # other space, tied densities or none at all
@@ -138,25 +139,37 @@ class TestNNGraph:
             dens = np.round(3 * rng.random(n)) if t % 3 else None
             return AugmentedMetricSpace(points=pts, density=dens)
 
+        def argmin_nn(sp):
+            # columns in tie-rank order: canonical with densities, else by index
+            order = sp.canonical_order() if sp.has_density() else np.arange(sp.n)
+            square = sp.distance_matrix()[:, order]
+            square[order, np.arange(sp.n)] = np.inf
+            return order[np.argmin(square, axis=1)].tolist()
+
         rng = np.random.default_rng(33)
         spaces = [random_space(rng, n=int(rng.integers(2, 30)), duplicates=(t % 2 == 0))
                   for t in range(60)]
         spaces += [duplicate_heavy(rng, t) for t in range(60)]
+        for seed in range(35):
+            sp = lattice_space(seed)
+            spaces += [sp, AugmentedMetricSpace(points=sp.points)]
         for sp in spaces:
-            # fresh copies: the kd-tree runs only on coordinates with no matrix yet
-            by_tree = rooted.nn_graph(AugmentedMetricSpace(points=sp.points, density=sp.density))
+            # fresh copies: the coordinate copy must not build its matrix
+            coords = AugmentedMetricSpace(points=sp.points, density=sp.density)
+            by_coords = rooted.nn_graph(coords)
+            assert coords._dist is None
             by_matrix = rooted.nn_graph(AugmentedMetricSpace(dist=sp.distance_matrix(),
                                                              density=sp.density))
-            assert by_tree.nn.tolist() == by_matrix.nn.tolist()
-            assert by_tree.mutual_pairs == by_matrix.mutual_pairs
+            assert by_coords.nn.tolist() == by_matrix.nn.tolist()
+            assert by_coords.mutual_pairs == by_matrix.mutual_pairs
+            assert by_coords.nn.tolist() == argmin_nn(sp)
             if sp.has_density():
                 trace = rooted.peel_all(sp)
-                assert trace.nn.nn.tolist() == by_tree.nn.tolist()
-                assert trace.nn.mutual_pairs == by_tree.mutual_pairs
+                assert trace.nn.nn.tolist() == by_coords.nn.tolist()
+                assert trace.nn.mutual_pairs == by_coords.mutual_pairs
 
-    def test_kdtree_rechecks_rows_without_building_the_matrix(self):
-        # 6^4 lattice: an inner point has 8 neighbors at distance 1, so the
-        # kd-tree leaves 768 of the 1,296 rows to the brute recheck
+    def test_lattice_ties_without_building_the_matrix(self):
+        # 6^4 lattice: an inner point has 8 neighbors at distance 1, all tied
         axis = np.arange(6.0)
         pts = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), -1).reshape(-1, 4)
         sp = AugmentedMetricSpace(points=pts)
