@@ -204,70 +204,17 @@ def _cmd_oracle_check(args) -> int:
         raise ValueError(f"oracle replay is desk-scale only: n = {space.n} > 8")
     records = rooted.trace_records_from_json(_read_text(args.trace), space.n)
     forest = pset.LeveledMergeForest(space)
-    view = pset.fresh_view(forest)
-    module = None  # the view's linearization, made by the previous record's residual check
-    sigmas = [float(s) for s in forest.sigma_levels]
-    bottom_seen = False
-    for k, rec in enumerate(records):
-        if rec["reason"] == "bottom":
-            why = _check_bottom(forest, rec, sigmas, bottom_seen)
-            bottom_seen = True
-        else:
-            why, view, module = _check_peel(view, module, rec, sigmas, args.dim_budget)
+    module = None  # the view's linearization, made by the previous record's split check
+    for k, (rec, (before, after, support, why)) in enumerate(
+            zip(records, rooted.replay_steps(forest, records))):
+        if not why and rec["reason"] != "bottom":
+            why, module = linalg.check_peel_split(before, after, rec["generator"], rec["root"],
+                                                  support, module, args.dim_budget)
         print(f"{'FAIL' if why else 'PASS'} record {k}: generator {rec['generator']} ({rec['reason']})"
               + (f" - {why}" if why else ""))
         if why:
             return 2
     return 0
-
-
-_ZERO_FLAG_DIFFERS = "recorded zero flag differs from the recomputed support"
-
-
-def _check_bottom(fo, rec, sigmas, bottom_seen) -> str:
-    if bottom_seen:
-        return "trace has more than one bottom record"
-    if rec["generator"] != int(fo.perm[0]):
-        return f"bottom generator should be {int(fo.perm[0])}"
-    if rec["support"] != [[s, None] for s in sigmas]:
-        return "bottom support must cover every grade"
-    if rec.get("zero_interval") is not False:
-        return _ZERO_FLAG_DIFFERS
-    return ""
-
-
-def _check_peel(view, module, rec, sigmas, dim_budget):
-    """Certify one peel in exact arithmetic: (failure reason, None, None), or
-    ("", the restricted view, its linearization)."""
-    fo = view.forest
-    gen, root = rec["generator"], rec.get("root")
-    if root is None:
-        return "missing root", None, None
-    if not view.rooted_pair_ok(gen, root):
-        return "pair fails the rootedness criterion", None, None
-    if module is None:
-        module = linalg.linearize(view, dim_budget=dim_budget)
-    phi = linalg.idempotent_from_peel(view, gen, root, module=module, dim_budget=dim_budget,
-                                      check_rooted=False)
-    da, db = linalg.split_dims(module, phi)
-    support = {(s, t) for s, t in rec["support"]}
-    sup = rooted._support_unchecked(fo, int(fo.pos_of[gen]), int(fo.pos_of[root]))
-    declared = {(s, None if math.isinf(t) else t) for s, t in sup.pairs(sigmas)}
-    if support != declared:
-        return "recorded support differs from the recomputed one", None, None
-    if rec.get("zero_interval") is not sup.zero:
-        return _ZERO_FLAG_DIFFERS, None, None
-    eps = module.eps_values
-    sig = module.sigma_values
-    for (i, j), d in da.items():
-        inside = sup.contains(eps[i], sig[j])
-        if d != (1 if inside else 0):
-            return f"split dimension {d} at grade ({eps[i]}, {sig[j]}) contradicts the support", None, None
-    after = view._restrict_unchecked(gen, root)
-    residual = linalg.linearize(after, dim_budget=dim_budget)
-    if any(db[k] != residual.dims[k] for k in db):
-        return "residual factor dimensions differ from the restricted view", None, None
-    return "", after, residual
 
 
 def _cmd_b_constant(args) -> int:
@@ -302,6 +249,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, DensityError, pset.QueryError, linalg.BudgetError,
             linalg.ConsistencyError, experiment.ConvergenceError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -558,6 +558,25 @@ def split_dims(
     return da, db
 
 
+def check_peel_split(before: PeelView, after: PeelView, x: int, root: int, support,
+                     module: Optional[GridModule] = None, dim_budget: int = 64) -> Tuple[str, GridModule]:
+    """Certify the peel of x toward root, a rooted pair on ``before`` (whose
+    linearization ``module`` is, when given), in exact arithmetic: split along
+    its idempotent, check the split-off factor against ``support`` and the
+    residual against ``after``. Returns the first failure ('' if none) and the
+    next peel's module."""
+    phi = idempotent_from_peel(before, x, root, module, dim_budget, check_rooted=False)
+    da, db = split_dims(phi.source, phi)
+    eps, sig = phi.source.eps_values, phi.source.sigma_values
+    for (i, j), d in da.items():
+        if d != (1 if support.contains(eps[i], sig[j]) else 0):
+            return f"split dimension {d} at grade ({eps[i]}, {sig[j]}) contradicts the support", phi.source
+    residual = linearize(after, dim_budget=dim_budget)
+    if any(db[g] != residual.dims[g] for g in db):
+        return "residual factor dimensions differ from the restricted view", residual
+    return "", residual
+
+
 def split(module: GridModule, phi: ModuleMorphism) -> Tuple[GridModule, GridModule]:
     """Decompose along an idempotent: (img(id - phi), img(phi)).
 

@@ -24,7 +24,6 @@ endomorphism that sends each removed generator to its recorded root.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
@@ -300,10 +299,14 @@ class LeveledMergeForest(ChainLevels):
         level_sizes = np.searchsorted(self.f_by_pos, self.sigma_levels, side="right")
         self.nn_pos = np.zeros(space.n, dtype=np.intp)
         self.nn_dist = np.full(space.n, np.inf)
-        super().__init__(
-            _level_chains(space.nearest_sweep(self.perm, self.nn_pos, self.nn_dist), level_sizes),
-            np.searchsorted(self.sigma_levels, self.f_by_pos),
-        )
+        try:
+            super().__init__(
+                _level_chains(space.nearest_sweep(self.perm, self.nn_pos, self.nn_dist), level_sizes),
+                np.searchsorted(self.sigma_levels, self.f_by_pos),
+            )
+        except MemoryError:
+            raise MemoryError(f"out of memory building the merge forest of n = {space.n} points"
+                              f" on {len(level_sizes)} density levels") from None
         self._grid: Optional[GradeGrid] = None
 
     # -- basic lookups -------------------------------------------------------
@@ -346,7 +349,7 @@ class LeveledMergeForest(ChainLevels):
             for j, theta in _steps(int(self.birth_level[px]), self.num_levels - 1, f)
         )
 
-    # -- serialization ---------------------------------------------------------
+    # -- merge events ----------------------------------------------------------
 
     def merge_events(self, level: int) -> List[Tuple[float, int, int]]:
         """Sorted merge events (eps, a, b) of one level; a, b are the merging
@@ -377,20 +380,6 @@ class LeveledMergeForest(ChainLevels):
             events += [(float(eps), int(self.perm[a]), int(self.perm[b])) for a, b in joined]
             start = stop
         return events
-
-    def to_json(self) -> str:
-        payload = {
-            "n": int(self.n),
-            "levels": [
-                {
-                    "sigma": float(self.sigma_levels[j]),
-                    "active": int(self.level_sizes[j]),
-                    "merges": self.merge_events(j),
-                }
-                for j in range(self.num_levels)
-            ],
-        }
-        return json.dumps(payload)
 
 
 def build(space: AugmentedMetricSpace) -> Tuple[GradeGrid, LeveledMergeForest]:

@@ -19,7 +19,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -361,20 +361,62 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
     return PeelTrace(records=records, final_view=final, n=n, nn=graph)
 
 
-def replay(records: Sequence[PeelRecord], forest: LeveledMergeForest) -> PeelView:
-    """Re-apply a trace on a fresh view, re-checking every peel; returns the
-    final view or raises QueryError on the first invalid record."""
+def replay_steps(forest: LeveledMergeForest, records: Iterable[dict]) -> Iterator[tuple]:
+    """Re-apply trace records, dicts as ``trace_records_from_json`` returns
+    them, to a fresh view of ``forest``. Yields per record the views before
+    and after it, the support the peel engine writes for it and the first
+    check it fails ('' if none), and stops after a failure (after is None).
+
+    A record passes when it is the one bottom record and names the first
+    canonical point, or its root roots its generator on the view; and its
+    support pairs and zero flag are those the peel engine writes.
+    """
     view = fresh_view(forest)
     bottom_seen = False
-    for r in records:
-        if r.reason == "bottom":
+    for rec in records:
+        gen, root = rec["generator"], rec.get("root")
+        after, support, why = view, None, ""
+        if rec["reason"] == "bottom":
             if bottom_seen:
-                raise QueryError("trace has more than one bottom record")
+                why = "trace has more than one bottom record"
+            elif gen != int(forest.perm[0]):
+                why = f"bottom generator should be {int(forest.perm[0])}"
             bottom_seen = True
-            continue
-        if r.root is None:
-            raise QueryError(f"non-bottom record for {r.generator} lacks a root")
-        view = view.restrict(r.generator, r.root)
+            support = _bottom_support(forest)
+        elif root is None:
+            why = "missing root"
+        elif not view.rooted_pair_ok(gen, root):
+            why = "pair fails the rootedness criterion"
+        else:
+            support = _support_unchecked(forest, int(forest.pos_of[gen]), int(forest.pos_of[root]))
+            after = view._restrict_unchecked(gen, root)
+        if not why and rec["support"] != _support_pairs(support, forest.sigma_levels):
+            why = "recorded support differs from the recomputed one"
+        if not why and rec.get("zero_interval") is not support.zero:
+            why = "recorded zero flag differs from the recomputed support"
+        yield view, None if why else after, support, why
+        if why:
+            return
+        view = after
+
+
+def _support_pairs(support: IntervalSupport, sigma_levels: Sequence[float]) -> List[list]:
+    """A support's ``[sigma, theta]`` pairs as a trace document holds them."""
+    return [[s, None if math.isinf(t) else t] for s, t in support.pairs(sigma_levels)]
+
+
+def replay(records: Sequence[PeelRecord], forest: LeveledMergeForest) -> PeelView:
+    """Re-apply a trace on a fresh view through ``replay_steps``, which runs
+    every check ``oracle-check`` makes short of the exact split; returns the
+    final view or raises QueryError naming the first record that fails."""
+    view = fresh_view(forest)
+    docs = ({"generator": r.generator, "root": r.root, "reason": r.reason,
+             "support": _support_pairs(r.support, forest.sigma_levels), "zero_interval": r.zero_interval}
+            for r in records)
+    for k, (r, (_, after, _, why)) in enumerate(zip(records, replay_steps(forest, docs))):
+        if why:
+            raise QueryError(f"record {k}: generator {r.generator} ({r.reason}) - {why}")
+        view = after
     return view
 
 
@@ -382,9 +424,7 @@ _REASONS = ("neighborly", "general-rooted", "bottom")
 
 
 def _is_grade_pair(p) -> bool:
-    return isinstance(p, list) and len(p) == 2 and all(
-        v is None or isinstance(v, (int, float)) for v in p
-    )
+    return isinstance(p, list) and len(p) == 2 and all(v is None or type(v) in (int, float) for v in p)
 
 
 def trace_records_from_json(payload: str, n: int) -> List[dict]:
@@ -397,7 +437,7 @@ def trace_records_from_json(payload: str, n: int) -> List[dict]:
         raise ValueError("trace document is nested too deeply") from None
     if not isinstance(data, dict) or not isinstance(data.get("records"), list):
         raise ValueError("not a peel trace document")
-    if data.get("n") != n:
+    if type(data.get("n")) is not int or data["n"] != n:
         raise ValueError(f"trace is for n = {data.get('n')!r} points, the input has {n}")
     for k, rec in enumerate(data["records"]):
         if not isinstance(rec, dict):

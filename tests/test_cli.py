@@ -1,10 +1,15 @@
+import ast
 import json
 import subprocess
 import sys
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 
 from conftest import cli_env
+from rootpeel import cli, pset, rooted
+from rootpeel.space import load_points
 
 CLI = [sys.executable, "-m", "rootpeel.cli"]
 
@@ -203,6 +208,70 @@ class TestOracleCheck:
         r = run_cli(["oracle-check", str(trace), "--input", str(pts),
                      "--density-mode", "random", "--seed", "3"])
         assert r.returncode == 0, r.stdout + r.stderr
+
+
+# A 7-point trace with four neighborly records, two general-rooted ones and the bottom record.
+SEVEN = "x,f\n6.4,3\n2.7,2\n0.4,0\n0.2,1\n8.1,4\n9.1,6\n6.1,5\n"
+
+
+@dataclass(frozen=True)
+class _FlippedZero(rooted.PeelRecord):
+    """A record whose zero flag contradicts its support."""
+
+    @property
+    def zero_interval(self):
+        return not self.support.zero
+
+
+def _at(k, change):
+    """Tampering that replaces record k by the records ``change`` makes of it."""
+    return lambda recs: recs[:k] + change(recs[k]) + recs[k + 1:]
+
+
+def _theta_99(r):
+    birth = r.support.birth_sigma
+    return [replace(r, support=rooted.IntervalSupport(birth, ((birth, 99.0),)))]
+
+
+TAMPERINGS = {
+    "untouched": lambda recs: recs,
+    "support-theta": _at(4, _theta_99),
+    "bottom-generator": _at(6, lambda r: [replace(r, generator=1)]),
+    "missing-root": _at(1, lambda r: [replace(r, root=None)]),
+    "unrooted-pair": _at(5, lambda r: [replace(r, generator=r.root, root=r.generator)]),
+    "second-bottom": _at(6, lambda r: [r, r]),
+    "zero-flag": _at(2, lambda r: [_FlippedZero(r.generator, r.root, r.reason, r.support)]),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERINGS.values(), ids=TAMPERINGS.keys())
+def test_replay_raises_where_oracle_check_fails(tmp_path, capsys, tamper):
+    # the same records, written as a trace for oracle-check and replayed as they are
+    src = tmp_path / "seven.csv"
+    src.write_text(SEVEN)
+    space = load_points(SEVEN, density_column="f")
+    fo = pset.LeveledMergeForest(space)
+    records = tamper(rooted.peel_all(space, fo).records)
+    trace = tmp_path / "t.json"
+    trace.write_text(rooted.PeelTrace(records, pset.fresh_view(fo), space.n).to_json())
+    code = cli.main(["oracle-check", str(trace), "--input", str(src), "--density-column", "f"])
+    lines = capsys.readouterr().out.splitlines()
+    try:
+        rooted.replay(records, fo)
+        raised = None
+    except pset.QueryError as e:
+        raised = f"FAIL {e}"
+    assert (code, lines[-1] if code else None) == ((2, raised) if raised else (0, None))
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # record checks live in rooted and linalg; the CLI only uses their public names
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = [(node.lineno, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    names += [(node.lineno, a.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for a in node.names]
+    assert [(line, name) for line, name in names
+            if name.startswith("_") and not name.endswith("__")] == []
 
 
 class TestOtherCommands:

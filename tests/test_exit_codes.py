@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootpeel import cli
+from rootpeel import cli, pset
 
 NUMBERS = ["0", "1", "-1", "0.5", "3", "1e-300", "1e300", "-1e300", "1e308", "nan", "inf", "x", ""]
 DELIMS = [",", ";", " "]
@@ -149,3 +149,41 @@ def test_points_whose_distances_overflow(tmp_path, capsys, command):
     argv = [command, "--input", "IN", "--density-mode", "random"]
     assert run_main(argv, tmp_path, b"x\n1e300\n-1e300\n0\n") == 2
     assert capsys.readouterr().err == "error: points lie too far apart: their distances overflow\n"
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["peel", "--input", "IN", "--density-mode", "random"], 4),
+    (["simulate", "--n", "5", "--trials", "1", "--jobs", "1"], 5),
+], ids=["peel", "simulate"])
+def test_out_of_memory_in_the_forest_build(tmp_path, capsys, monkeypatch, argv, n):
+    # a MemoryError ended in a traceback; random densities give every point its own level
+    monkeypatch.setattr(pset, "_level_chains", _no_memory)
+    assert run_main(argv, tmp_path, b"0\n1\n3\n7\n") == 2
+    assert capsys.readouterr().err == (
+        f"error: out of memory building the merge forest of n = {n} points on {n} density levels\n")
+
+
+def test_out_of_memory_elsewhere(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pset.LeveledMergeForest, "__init__", _no_memory)
+    assert run_main(["peel", "--input", "IN", "--density-mode", "random"], tmp_path, b"0\n1\n") == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("table, tamper", [
+    (b"x,f\n0,0\n7.5,1\n3,2\n5,3\n", lambda doc: doc["records"][1]["support"][1].__setitem__(0, True)),
+    (b"x,f\n0,0\n", lambda doc: doc.update(n=True)),
+], ids=["bottom-sigma-true", "n-true"])
+def test_trace_booleans_are_not_numbers(tmp_path, capsys, table, tamper):
+    # JSON true equals 1 in Python, so both traces used to PASS
+    argv = ["--input", "IN", "--density-column", "f"]
+    assert run_main(["peel", *argv, "--output", "OUT"], tmp_path, table) == 0
+    doc = json.loads((tmp_path / "OUT").read_text())
+    tamper(doc)
+    capsys.readouterr()
+    assert run_main(["oracle-check", "TRACE", *argv], tmp_path, table, json.dumps(doc).encode()) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -274,13 +273,6 @@ class TestSerialization:
         _, fo = forest4
         top = fo.merge_events(3)
         assert top == [(2.0, 2, 3), (2.5, 1, 2), (3.0, 0, 1)]
-
-    def test_json_round_readable(self, forest4):
-        _, fo = forest4
-        data = json.loads(fo.to_json())
-        assert data["n"] == 4
-        assert len(data["levels"]) == 4
-        assert data["levels"][1]["merges"] == [[7.5, 0, 1]]
 
     def test_duplicates_merge_at_zero(self):
         sp = AugmentedMetricSpace(points=[[1.0], [1.0]], density=[0, 1])

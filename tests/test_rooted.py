@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,6 +316,16 @@ class TestPeelAll:
         ]
         with pytest.raises(pset.QueryError):
             rooted.replay(bad, fo)
+
+    def test_replay_checks_supports_and_the_bottom_generator(self, line4):
+        # both records used to replay: replay checked only rootedness and the bottom count
+        _, fo = pset.build(line4)
+        peel, bottom = rooted.peel_all(line4, forest=fo).records
+        wide = replace(peel, support=rooted.IntervalSupport(3.0, ((3.0, 99.0),)))
+        with pytest.raises(pset.QueryError, match=r"^record 0: generator 3 \(neighborly\) - recorded support"):
+            rooted.replay([wide, bottom], fo)
+        with pytest.raises(pset.QueryError, match=r"^record 1: generator 1 \(bottom\) - bottom generator should be 0"):
+            rooted.replay([peel, replace(bottom, generator=1)], fo)
 
     def test_json_round_trip_fields(self, line4):
         trace = rooted.peel_all(line4)
