@@ -207,8 +207,8 @@ def _cmd_oracle_check(args) -> int:
     module = None  # the view's linearization, made by the previous record's split check
     for k, (rec, (before, after, support, why)) in enumerate(
             zip(records, rooted.replay_steps(forest, records))):
-        if not why and rec["reason"] != "bottom":
-            why, module = linalg.check_peel_split(before, after, rec["generator"], rec["root"],
+        if not why:
+            why, module = linalg.check_peel_split(before, after, rec["generator"], rec.get("root"),
                                                   support, module, args.dim_budget)
         print(f"{'FAIL' if why else 'PASS'} record {k}: generator {rec['generator']} ({rec['reason']})"
               + (f" - {why}" if why else ""))

@@ -43,6 +43,11 @@ class ConsistencyError(ValueError):
     """Raised when a would-be morphism fails idempotency or naturality."""
 
 
+def _check_budget(total: int, dim_budget: int) -> None:
+    if total > dim_budget:
+        raise BudgetError(f"module has total dimension {total}, over the budget {dim_budget}")
+
+
 # -- exact fields ---------------------------------------------------------------
 # Elements are Python objects (``Fraction``, or ints in [0, p)); ``reduce``
 # brings a scalar or an integer/object array back to canonical form.
@@ -452,9 +457,7 @@ def linearize(view: PeelView, dim_budget: int = 64) -> GridModule:
     grid = view.forest.grid
     bases = _grade_bases(view)
     dims = {g: len(basis) for g, (_, basis) in bases.items()}
-    total = sum(dims.values())
-    if total > dim_budget:
-        raise BudgetError(f"module has total dimension {total}, over the budget {dim_budget}")
+    _check_budget(sum(dims.values()), dim_budget)
 
     maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
     for axis, src, dst in _covering_steps(len(grid.eps_values), len(grid.sigma_values)):
@@ -506,22 +509,10 @@ def idempotent_from_peel(
     """
     if check_rooted and not view.rooted_pair_ok(x, root):
         raise ConsistencyError(f"({x}, {root}) is not a rooted pair on this view")
-    module, bases = _peel_module(view, module, dim_budget)
     fo = view.forest
     px, proot = fo.position(x), fo.position(root)
-    mats: Dict[Tuple[int, int], np.ndarray] = {}
-    for (i, j), (labels, basis) in bases.items():
-        m = int(fo.level_sizes[j])
-        mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
-        for col, rep in enumerate(basis):
-            if rep == px and proot < m:
-                rep = int(labels[proot])
-            mat[basis[rep], col] = 1
-        mats[(i, j)] = mat
-    phi = ModuleMorphism(module, module, mats)
-    phi.check_natural()
-    phi.check_idempotent()
-    return phi
+    return _idempotent(view, module, dim_budget, lambda j, labels, rep: (
+        int(labels[proot]) if rep == px and proot < fo.level_sizes[j] else rep))
 
 
 def bottom_idempotent(view: PeelView, module: Optional[GridModule] = None,
@@ -529,13 +520,21 @@ def bottom_idempotent(view: PeelView, module: Optional[GridModule] = None,
     """The idempotent collapsing every class onto the densest generator's class."""
     if not view.survives(int(view.forest.perm[0])):
         raise ConsistencyError("the densest generator was removed from this view")
+    return _idempotent(view, module, dim_budget, lambda j, labels, rep: int(labels[0]))
+
+
+def _idempotent(view: PeelView, module: Optional[GridModule], dim_budget: int, target) -> ModuleMorphism:
+    """The endomorphism of ``view``'s linearization that sends, at each grade
+    of level j, the class of each basis representative ``rep`` to the class of
+    ``target(j, labels, rep)``; raises ConsistencyError unless it is natural
+    and idempotent."""
     module, bases = _peel_module(view, module, dim_budget)
     mats: Dict[Tuple[int, int], np.ndarray] = {}
-    for g, (labels, basis) in bases.items():
+    for (i, j), (labels, basis) in bases.items():
         mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
-        if basis:
-            mat[basis[int(labels[0])], :] = 1
-        mats[g] = mat
+        for col, rep in enumerate(basis):
+            mat[basis[target(j, labels, rep)], col] = 1
+        mats[(i, j)] = mat
     phi = ModuleMorphism(module, module, mats)
     phi.check_natural()
     phi.check_idempotent()
@@ -558,19 +557,26 @@ def split_dims(
     return da, db
 
 
-def check_peel_split(before: PeelView, after: PeelView, x: int, root: int, support,
+def check_peel_split(before: PeelView, after: PeelView, x: int, root: Optional[int], support,
                      module: Optional[GridModule] = None, dim_budget: int = 64) -> Tuple[str, GridModule]:
     """Certify the peel of x toward root, a rooted pair on ``before`` (whose
     linearization ``module`` is, when given), in exact arithmetic: split along
     its idempotent, check the split-off factor against ``support`` and the
-    residual against ``after``. Returns the first failure ('' if none) and the
-    next peel's module."""
-    phi = idempotent_from_peel(before, x, root, module, dim_budget, check_rooted=False)
-    da, db = split_dims(phi.source, phi)
+    residual against ``after``. With root None, x is the bottom generator and
+    the image of the bottom idempotent is checked against ``support``.
+    Returns the first failure ('' if none) and the next peel's module."""
+    if root is None:
+        phi = bottom_idempotent(before, module, dim_budget)
+        what, dims = "bottom", {g: mat_rank(m) for g, m in phi.mats.items()}
+    else:
+        phi = idempotent_from_peel(before, x, root, module, dim_budget, check_rooted=False)
+        what, (dims, db) = "split", split_dims(phi.source, phi)
     eps, sig = phi.source.eps_values, phi.source.sigma_values
-    for (i, j), d in da.items():
+    for (i, j), d in dims.items():
         if d != (1 if support.contains(eps[i], sig[j]) else 0):
-            return f"split dimension {d} at grade ({eps[i]}, {sig[j]}) contradicts the support", phi.source
+            return f"{what} dimension {d} at grade ({eps[i]}, {sig[j]}) contradicts the support", phi.source
+    if root is None:
+        return "", phi.source
     residual = linearize(after, dim_budget=dim_budget)
     if any(db[g] != residual.dims[g] for g in db):
         return "residual factor dimensions differ from the restricted view", residual
@@ -620,9 +626,7 @@ def split(module: GridModule, phi: ModuleMorphism) -> Tuple[GridModule, GridModu
 
 def endomorphism_space(module: GridModule, dim_budget: int = 64) -> List[ModuleMorphism]:
     """Basis of all grade-wise maps commuting with the structure maps."""
-    total = module.total_dim()
-    if total > dim_budget:
-        raise BudgetError(f"total dimension {total} over budget {dim_budget}")
+    _check_budget(module.total_dim(), dim_budget)
     fld = _field_of(module.field)
 
     # unknowns: the entries of each grade's d x d block, row-major, grade by grade
@@ -710,12 +714,9 @@ def is_indecomposable(
     if module.field != "QQ":
         raise ValueError("indecomposability test is defined over the rationals")
     total = module.total_dim()
-    if total > dim_budget:
-        raise BudgetError(f"total dimension {total} over budget {dim_budget}")
+    basis = endomorphism_space(module, dim_budget=dim_budget)  # checks the budget
     if total == 0:
         return False
-
-    basis = endomorphism_space(module, dim_budget=dim_budget)
     m = len(basis)
     if m == 1:
         return True
@@ -777,9 +778,7 @@ def is_indecomposable(
 
 def betti0_total(module: GridModule, dim_budget: int = 64) -> int:
     """Sum over grades of the cokernel dimension of all incoming maps."""
-    total = module.total_dim()
-    if total > dim_budget:
-        raise BudgetError(f"total dimension {total} over budget {dim_budget}")
+    _check_budget(module.total_dim(), dim_budget)
     fld = _field_of(module.field)
     out = 0
     for (i, j) in module.grades():

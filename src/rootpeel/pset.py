@@ -146,6 +146,15 @@ def _nearest_marked(order: np.ndarray, alive: np.ndarray, k: int, step: int) -> 
     return -1
 
 
+def find_set(parent: List[int], a: int) -> int:
+    """Representative of a's set in the union-find forest ``parent``; halves
+    the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def _steps(lo: int, hi: int, f: Callable[[int], float]) -> Iterator[Tuple[int, float]]:
     """(lo, f(lo)), then (j, f(j)) for each j in (lo, hi] where a nonincreasing
     f changes, in increasing j; bisection evaluates f O(changes * log) times."""
@@ -213,13 +222,6 @@ class ChainLevels:
         if right >= 0:
             eps = min(eps, float(gaps[k + 1 : right + 1].max()))
         return eps
-
-    def scale_row(self, j: int, px: int) -> np.ndarray:
-        """Merge scales of position px with every position active at level j."""
-        order, gaps, index = self.chain(j)
-        row = np.empty(len(order))
-        row[order] = _scales_from(gaps, int(index[px]))
-        return row
 
     def cluster_labels(self, j: int, eps: float, alive: np.ndarray) -> np.ndarray:
         """For each position active at level j, the first position marked in
@@ -357,13 +359,6 @@ class LeveledMergeForest(ChainLevels):
         sorted by (a, b) in canonical order."""
         order, gaps, _ = self.chain(level)
         parent = list(range(len(order)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         by_scale = np.argsort(gaps[1:], kind="stable") + 1
         events = []
         start = 0
@@ -372,11 +367,13 @@ class LeveledMergeForest(ChainLevels):
             stop = start
             while stop < len(by_scale) and gaps[by_scale[stop]] == eps:
                 stop += 1
-            pairs = [(find(int(order[k - 1])), find(int(order[k]))) for k in by_scale[start:stop]]
+            pairs = [(find_set(parent, int(order[k - 1])), find_set(parent, int(order[k])))
+                     for k in by_scale[start:stop]]
             for p, q in pairs:
-                p, q = find(p), find(q)
+                p, q = find_set(parent, p), find_set(parent, q)
                 parent[max(p, q)] = min(p, q)
-            joined = sorted((find(p), p) for p in {p for pair in pairs for p in pair} if find(p) != p)
+            ends = {p for pair in pairs for p in pair}
+            joined = sorted((find_set(parent, p), p) for p in ends if find_set(parent, p) != p)
             events += [(float(eps), int(self.perm[a]), int(self.perm[b])) for a, b in joined]
             start = stop
         return events

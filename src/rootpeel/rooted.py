@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .pset import ChainLevels, LeveledMergeForest, PeelView, QueryError, fresh_view
+from .pset import ChainLevels, LeveledMergeForest, PeelView, QueryError, find_set, fresh_view
 from .space import AugmentedMetricSpace, is_point
 
 
@@ -68,17 +68,15 @@ class IntervalSupport:
 
     def pairs(self, sigma_values: Sequence[float]) -> List[Tuple[float, float]]:
         """(sigma, theta) for each of the ascending ``sigma_values`` from the
-        birth density up, in one pass over them and the runs."""
-        out = []
-        k = 0
-        for s in sigma_values:
-            s = float(s)
-            if s < self.birth_sigma:
-                continue
-            while k + 1 < len(self.breaks) and self.breaks[k + 1][0] <= s:
-                k += 1
-            out.append((s, self.breaks[k][1]))
-        return out
+        birth density up."""
+        sigmas = [float(s) for s in sigma_values]
+        return [(s, theta) for lo, hi, theta in self._spans(sigmas) for s in sigmas[lo:hi]]
+
+    def _spans(self, sigmas: List[float]) -> List[Tuple[int, int, float]]:
+        """(lo, hi, theta) per run: the ascending ``sigmas[lo:hi]`` are the
+        levels where the run's theta holds."""
+        starts = [bisect.bisect_left(sigmas, s) for s, _ in self.breaks] + [len(sigmas)]
+        return [(lo, hi, theta) for (_, theta), lo, hi in zip(self.breaks, starts, starts[1:])]
 
 
 # -- nearest neighbors ---------------------------------------------------------
@@ -95,42 +93,32 @@ class NNGraph:
         self.nn.setflags(write=False)
 
 
-def _tie_rank(space: AugmentedMetricSpace) -> np.ndarray:
-    """Rank of each point in the order used to break distance ties: canonical
-    order when densities exist, plain index order otherwise."""
-    n = space.n
-    if space.has_density():
-        rank = np.empty(n, dtype=np.intp)
-        rank[space.canonical_order()] = np.arange(n)
-        return rank
-    return np.arange(n, dtype=np.intp)
-
-
 def _graph(nn: np.ndarray) -> NNGraph:
     return NNGraph(nn=nn, mutual_pairs=[(i, int(j)) for i, j in enumerate(nn) if i < j and nn[j] == i])
 
 
 def nn_graph(space: AugmentedMetricSpace) -> NNGraph:
-    """Nearest-neighbor graph, distance ties going to the lower tie rank, from
-    the forest build's ``nearest_sweep`` in tie-rank order: matrix entries for
-    ``#matrix`` input, else rows computed from the coordinates, so no matrix is
-    built. O(n^2) time and O(n) memory."""
+    """Nearest-neighbor graph, distance ties going to the point first in the
+    canonical order (index order without densities), from the forest build's
+    ``nearest_sweep`` in that order: matrix entries for ``#matrix`` input, else
+    rows computed from the coordinates, so no matrix is built. O(n^2) time and
+    O(n) memory."""
     if space.n < 2:
         raise ValueError("nearest neighbors need at least two points")
-    rank = _tie_rank(space)
-    order = np.argsort(rank)
+    order = space.canonical_order() if space.has_density() else np.arange(space.n)
     nn_pos = np.zeros(space.n, dtype=np.intp)
     for _ in space.nearest_sweep(order, nn_pos, np.full(space.n, np.inf)):
         pass
-    return _graph(order[nn_pos][rank])
+    nn = np.empty_like(order)
+    nn[order] = order[nn_pos]
+    return _graph(nn)
 
 
 def neighborly_rooted(space: AugmentedMetricSpace) -> Set[int]:
     """Points whose nearest neighbor precedes them in the canonical order."""
     if space.n < 2:
         raise ValueError("neighborly rootedness needs at least two points")
-    rank = _tie_rank(space)
-    space.require_density()
+    rank = np.argsort(space.canonical_order())
     nn = nn_graph(space).nn
     return {i for i in range(space.n) if rank[nn[i]] < rank[i]}
 
@@ -267,9 +255,8 @@ def staircase_json(sigma_levels: Sequence[float], depth: int) -> Callable[[Inter
     heads = [f"{pad}[\n{pad}  {s!r},\n{pad}  " for s in sigmas]
 
     def render(support: IntervalSupport) -> str:
-        starts = [bisect.bisect_left(sigmas, s) for s, _ in support.breaks] + [len(sigmas)]
         runs = []
-        for (_, theta), lo, hi in zip(support.breaks, starts, starts[1:]):
+        for lo, hi, theta in support._spans(sigmas):
             if lo < hi:
                 tail = ("null" if math.isinf(theta) else repr(float(theta))) + f"\n{pad}]"
                 runs.append((tail + ",\n").join(heads[lo:hi]) + tail)
@@ -367,9 +354,12 @@ def replay_steps(forest: LeveledMergeForest, records: Iterable[dict]) -> Iterato
     and after it, the support the peel engine writes for it and the first
     check it fails ('' if none), and stops after a failure (after is None).
 
-    A record passes when it is the one bottom record and names the first
-    canonical point, or its root roots its generator on the view; and its
-    support pairs and zero flag are those the peel engine writes.
+    A record passes when it is the first bottom record, names the first
+    canonical point and has no root; or no bottom record came before it and
+    its root roots its generator on the view; and its support pairs and zero
+    flag are those the peel engine writes. So nothing follows the bottom
+    record, and a prefix of a trace passes (``trace_records_from_json``
+    checks that a document holds its bottom record).
     """
     view = fresh_view(forest)
     bottom_seen = False
@@ -381,8 +371,12 @@ def replay_steps(forest: LeveledMergeForest, records: Iterable[dict]) -> Iterato
                 why = "trace has more than one bottom record"
             elif gen != int(forest.perm[0]):
                 why = f"bottom generator should be {int(forest.perm[0])}"
+            elif root is not None:
+                why = "bottom record has a root"
             bottom_seen = True
             support = _bottom_support(forest)
+        elif bottom_seen:
+            why = "record follows the bottom record"
         elif root is None:
             why = "missing root"
         elif not view.rooted_pair_ok(gen, root):
@@ -406,9 +400,10 @@ def _support_pairs(support: IntervalSupport, sigma_levels: Sequence[float]) -> L
 
 
 def replay(records: Sequence[PeelRecord], forest: LeveledMergeForest) -> PeelView:
-    """Re-apply a trace on a fresh view through ``replay_steps``, which runs
-    every check ``oracle-check`` makes short of the exact split; returns the
-    final view or raises QueryError naming the first record that fails."""
+    """Re-apply a trace, or a prefix of one, on a fresh view through
+    ``replay_steps``, which runs every record check ``oracle-check`` makes
+    short of the exact one; returns the final view or raises QueryError
+    naming the first record that fails."""
     view = fresh_view(forest)
     docs = ({"generator": r.generator, "root": r.root, "reason": r.reason,
              "support": _support_pairs(r.support, forest.sigma_levels), "zero_interval": r.zero_interval}
@@ -429,8 +424,8 @@ def _is_grade_pair(p) -> bool:
 
 def trace_records_from_json(payload: str, n: int) -> List[dict]:
     """Decode a serialized trace of an n-point space into plain record dicts
-    (for replay tools); raises ValueError when the document is malformed or
-    was computed on a different number of points."""
+    (for replay tools); raises ValueError when the document is malformed, has
+    no bottom record or was computed on a different number of points."""
     try:
         data = json.loads(payload)
     except RecursionError:
@@ -451,6 +446,8 @@ def trace_records_from_json(payload: str, n: int) -> List[dict]:
         support = rec.get("support")
         if not isinstance(support, list) or not all(_is_grade_pair(p) for p in support):
             raise ValueError(f"trace record {k}: support must be a list of [sigma, theta] pairs")
+    if not any(rec["reason"] == "bottom" for rec in data["records"]):
+        raise ValueError("trace has no bottom record")
     return data["records"]
 
 
@@ -483,13 +480,6 @@ def elder_barcode_1d(
     tail = list(range(n))
     after = [-1] * n
     gap_before = [math.inf] * n
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     last = -math.inf
     for scale, i, j in merges:
         scale = float(scale)
@@ -500,7 +490,7 @@ def elder_barcode_1d(
         if scale < max(births[i], births[j]):
             raise ValueError(f"merge ({scale}, {i}, {j}) precedes a birth")
         last = scale
-        a, b = find(pos_of[i]), find(pos_of[j])
+        a, b = find_set(parent, pos_of[i]), find_set(parent, pos_of[j])
         if a == b:
             continue
         after[tail[a]] = b
@@ -532,10 +522,9 @@ def staircode(
     Only defined for injective density functions; thresholds are the merge
     scales of x with the nearest strictly-denser point per level.
     """
-    f = space.require_density()
-    if len(np.unique(f)) != space.n:
-        raise ValueError("staircodes need an injective density function")
     fo = forest if forest is not None else LeveledMergeForest(space)
+    if fo.num_levels != fo.n:
+        raise ValueError("staircodes need an injective density function")
     px = fo.position(x)
     before = np.arange(fo.n) < px
     breaks = fo.threshold_runs(px, lambda j: fo.first_merge_at(j, before, px))

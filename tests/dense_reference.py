@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from rootpeel.pset import _scales_from
 from rootpeel.rooted import IntervalSupport, PeelRecord
 
 
@@ -54,6 +55,15 @@ def dense_levels(dist, level_sizes):
         cur = m
         levels.append(work[:m, :m].copy())
     return levels
+
+
+def scale_row(fo, j, px):
+    """Merge scales of position px with every position active at level j,
+    read off the forest's chain of that level."""
+    order, gaps, index = fo.chain(j)
+    row = np.empty(len(order))
+    row[order] = _scales_from(gaps, int(index[px]))
+    return row
 
 
 class DenseForest:

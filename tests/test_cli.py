@@ -1,4 +1,6 @@
 import ast
+import functools
+import importlib
 import json
 import subprocess
 import sys
@@ -241,6 +243,8 @@ TAMPERINGS = {
     "unrooted-pair": _at(5, lambda r: [replace(r, generator=r.root, root=r.generator)]),
     "second-bottom": _at(6, lambda r: [r, r]),
     "zero-flag": _at(2, lambda r: [_FlippedZero(r.generator, r.root, r.reason, r.support)]),
+    "bottom-root": _at(6, lambda r: [replace(r, root=3)]),
+    "bottom-first": lambda recs: recs[-1:] + recs[:-1],
 }
 
 
@@ -262,6 +266,59 @@ def test_replay_raises_where_oracle_check_fails(tmp_path, capsys, tamper):
     except pset.QueryError as e:
         raised = f"FAIL {e}"
     assert (code, lines[-1] if code else None) == ((2, raised) if raised else (0, None))
+    assert (raised is None) == (tamper is TAMPERINGS["untouched"])
+
+
+def test_trace_without_a_bottom_record_is_a_data_error(tmp_path, capsys):
+    # replay applies a prefix of a trace; a trace document must hold its bottom record
+    src = tmp_path / "seven.csv"
+    src.write_text(SEVEN)
+    space = load_points(SEVEN, density_column="f")
+    fo = pset.LeveledMergeForest(space)
+    records = rooted.peel_all(space, fo).records[:-1]
+    trace = tmp_path / "t.json"
+    trace.write_text(rooted.PeelTrace(records, pset.fresh_view(fo), space.n).to_json())
+    assert cli.main(["oracle-check", str(trace), "--input", str(src), "--density-column", "f"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: trace has no bottom record\n")
+    assert len(rooted.replay(records, fo).removed) == len(records)
+
+
+def test_oracle_check_certifies_the_bottom_record(ex4, tmp_path, monkeypatch, capsys):
+    # a bottom support ending at a finite scale passes every replay check, since
+    # peel writes what replay recomputes, but not the exact check of its image
+    def bottom_support(fo):
+        birth = float(fo.sigma_levels[0])
+        return rooted.IntervalSupport(birth, ((birth, 2.0),))
+
+    monkeypatch.setattr(rooted, "_bottom_support", bottom_support)
+    trace = tmp_path / "t.json"
+    args = ["--input", ex4, "--density-column", "f"]
+    assert cli.main(["peel", *args, "--output", str(trace)]) == 0
+    capsys.readouterr()
+    assert cli.main(["oracle-check", str(trace), *args]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS record 0: generator 3 (neighborly)",
+        "FAIL record 1: generator 0 (bottom) - bottom dimension 1 at grade (2.0, 0.0) contradicts the support",
+    ]
+
+
+def test_names_the_benchmark_tracer_patches_exist():
+    # perfbench/traced.py wraps layer functions by name; read its install()
+    # without importing it and look each (owner, "name") up in rootpeel
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    install = next(node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    modules = {a.name: importlib.import_module(f"{node.module}.{a.name}") for node in ast.walk(install)
+               if isinstance(node, ast.ImportFrom) for a in node.names}
+    patched = [(ast.unparse(node.elts[0]), node.elts[1].value) for node in ast.walk(install)
+               if isinstance(node, ast.Tuple) and len(node.elts) == 3
+               and isinstance(node.elts[1], ast.Constant) and isinstance(node.elts[1].value, str)]
+    assert len(patched) >= 10 and set(modules) >= {"cli", "linalg", "pset", "rooted"}
+    for owner, name in patched:
+        head, *rest = owner.split(".")
+        obj = functools.reduce(getattr, rest, modules[head])
+        assert callable(getattr(obj, name, None)), f"{owner}.{name}"
 
 
 def test_cli_reads_no_private_name_of_another_module():

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import elder_oracle, random_one_param, random_space
 from dense_reference import DenseForest
@@ -214,6 +216,20 @@ class TestIntervalSupport:
         assert not sup.contains(0.0, 2.0)
         _, fo = pset.build(line4)
         assert sup.pairs(fo.sigma_levels) == [(3.0, 2.0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True),
+           st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf]), min_size=5, max_size=5),
+           st.lists(st.integers(-2, 26), max_size=30))
+    def test_pairs_read_theta_at_each_level(self, starts, thetas, halves):
+        # levels below the birth density, between run starts, on them and repeated
+        starts = sorted(float(s) for s in starts)
+        thetas = sorted(thetas, reverse=True)[: len(starts)]
+        sup = rooted.IntervalSupport(starts[0], tuple(zip(starts, thetas)))
+        levels = sorted(h / 2 for h in halves)
+        want = [(s, sup.theta_at(s)) for s in levels if s >= sup.birth_sigma]
+        assert sup.pairs(levels) == want
+        assert sup.pairs(np.array(levels)) == want
 
     def test_invalid_pair_rejected(self, view4):
         with pytest.raises(pset.QueryError):

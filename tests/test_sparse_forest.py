@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import bfs_components
-from dense_reference import DenseForest
+from dense_reference import DenseForest, scale_row
 from rootpeel import pset, rooted
 from rootpeel.experiment import SamplerConfig, sample
 from rootpeel.space import AugmentedMetricSpace, attach_density
@@ -52,7 +52,7 @@ def check_levels(fo, ref):
     for j, sigma in enumerate(fo.sigma_levels):
         m = int(fo.level_sizes[j])
         for px in range(m):
-            assert np.array_equal(fo.scale_row(j, px), ref.levels[j][px]), (j, px)
+            assert np.array_equal(scale_row(fo, j, px), ref.levels[j][px]), (j, px)
         if small:
             for px in range(m):
                 for py in range(m):
