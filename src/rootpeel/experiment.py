@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -194,8 +193,15 @@ def _run_one_trial(args) -> TrialResult:
 
 
 def _job_count(trials: int, n_jobs: Optional[int]) -> int:
-    cap = os.environ.get("ROOTPEEL_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
+    """Worker processes for ``trials`` trials: ``n_jobs`` (default: all), at
+    most ``ROOTPEEL_THREADS`` (an integer >= 1; unset or empty: the CPU count)."""
+    raw = os.environ.get("ROOTPEEL_THREADS", "")
+    try:
+        cap = int(raw) if raw else (os.cpu_count() or 1)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"ROOTPEEL_THREADS must be an integer >= 1, got {raw!r}")
     if n_jobs is None:
         n_jobs = cap
     return max(1, min(n_jobs, cap, trials))
@@ -280,6 +286,8 @@ def run_trials(
     if workers == 1:
         results = [_run_one_trial(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a pool's imports cost every CLI start
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one_trial, jobs))
     results.sort(key=lambda t: t.trial)

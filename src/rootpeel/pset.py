@@ -61,8 +61,9 @@ def _scales_from(gaps: np.ndarray, k: int) -> np.ndarray:
     """Merge scales of the point at chain index k with every chain index."""
     row = np.empty(len(gaps))
     row[k] = 0.0
-    row[k + 1 :] = np.maximum.accumulate(gaps[k + 1 :])
-    row[:k] = np.maximum.accumulate(gaps[k:0:-1])[::-1]
+    np.maximum.accumulate(gaps[k + 1 :], out=row[k + 1 :])
+    if k:
+        np.maximum.accumulate(gaps[k:0:-1], out=row[k - 1 :: -1])
     return row
 
 
@@ -72,15 +73,19 @@ def _attach(gaps: np.ndarray, d: np.ndarray) -> np.ndarray:
 
     The shortest distance always counts; after that, a distance only matters
     if it is shorter than q's merge scale with its endpoint through the ones
-    that counted.
+    that counted. Min and max only, so the order of the picks does not change
+    a double.
     """
-    r = np.full(len(gaps), np.inf)
+    i = int(np.argmin(d))
+    r = _scales_from(gaps, i)
+    np.maximum(r, d[i], out=r)
     while True:
-        gain = np.where(d < r, d, np.inf)
-        i = int(np.argmin(gain))
-        if math.isinf(gain[i]):
+        shorter = np.flatnonzero(d < r)
+        if not len(shorter):
             return r
-        np.minimum(r, np.maximum(d[i], _scales_from(gaps, i)), out=r)
+        i = shorter[np.argmin(d[shorter])]
+        via = _scales_from(gaps, i)
+        np.minimum(r, np.maximum(via, d[i], out=via), out=r)
 
 
 def _insert(order: np.ndarray, gaps: np.ndarray, q: int, r: np.ndarray):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +53,7 @@ class AugmentedMetricSpace:
                 raise ValueError("points lie too far apart: their distances overflow")
             pts.setflags(write=False)
             self.points: Optional[np.ndarray] = pts
+            self._cols: Optional[np.ndarray] = np.ascontiguousarray(pts.T)  # the kernel reads columns
             self._dist: Optional[np.ndarray] = None
             self.n = pts.shape[0]
             self.dim = pts.shape[1]
@@ -71,6 +72,7 @@ class AugmentedMetricSpace:
             d = d.copy()
             d.setflags(write=False)
             self.points = None
+            self._cols = None
             self._dist = d
             self.n = d.shape[0]
             self.dim = None
@@ -102,9 +104,9 @@ class AugmentedMetricSpace:
         is the one the full formula gives.
         """
         if self._dist is None:
-            n, d = self.points.shape
+            n = self.n
             out = np.empty((n, n))
-            step = max(1, 1_000_000 // max(1, n * d))
+            step = max(1, _BLOCK // n)
             for i0 in range(0, n, step):
                 rows = slice(i0, i0 + step)
                 block = self.distances(rows, slice(i0, None))
@@ -121,24 +123,38 @@ class AugmentedMetricSpace:
         matrix, so both give the same doubles and no matrix is built."""
         if self._dist is not None:
             return self._dist[np.ix_(rows, cols)]
-        return _norms(self.points[rows, None, :] - self.points[None, cols, :])
+        return _distances(self._cols[:, rows], self._cols[:, cols])
 
     def nearest_sweep(self, order: np.ndarray, nn: np.ndarray, nn_dist: np.ndarray) -> Iterator[np.ndarray]:
         """For k = 0, 1, ..., the distances from ``order[k]`` to ``order[:k]``,
         the matrix's doubles, computed by ``distances``' formula if no matrix is
-        held. ``nn[k]``, ``nn_dist[k]``: the sweep index of order[k]'s nearest
-        point so far and its distance. k takes its row's argmin (ties to the
-        lowest index); an earlier point moves to k only if k is strictly closer."""
-        pts = self.points[order] if self._dist is None else None
-        for k in range(len(order)):
-            row = self._dist[order[k], order[:k]] if pts is None else _norms(pts[:k] - pts[k])
-            if k:
-                nn[k] = np.argmin(row)
-                nn_dist[k] = row[nn[k]]
-                closer = np.flatnonzero(row < nn_dist[:k])
-                nn[closer] = k
-                nn_dist[closer] = row[closer]
-            yield row
+        held; ``nn[k]``, ``nn_dist[k]`` (``nn_dist`` given as inf) end as the
+        sweep index of order[k]'s nearest other point (distance ties to the
+        lower index) and its distance.
+
+        Rows come in blocks of about ``_BLOCK`` distances, from each block's
+        rows to every point up to its last row. Before a block's rows are
+        yielded, each row takes its argmin over the earlier points, and then
+        each earlier point takes its argmin over the block's later rows,
+        moving only to a strictly closer one. So the map is complete once the
+        last row is handed out, even if the caller stops pulling there."""
+        cols = self._cols[:, order] if self._dist is None else None
+        for k0, k1 in _row_blocks(len(order)):
+            if cols is None:
+                block = self._dist[np.ix_(order[k0:k1], order[:k1])]
+            else:
+                block = _distances(cols[:, k0:k1], cols[:, :k1])
+            for i in range(k1 - k0):
+                block[i, k0 + i :] = np.inf  # entry (k, j) is masked where k <= j
+            nn[k0:k1] = np.argmin(block, axis=1)
+            nn_dist[k0:k1] = block[np.arange(k1 - k0), nn[k0:k1]]
+            best = np.argmin(block, axis=0)
+            dist = block[best, np.arange(k1)]
+            closer = np.flatnonzero(dist < nn_dist[:k1])
+            nn[closer] = k0 + best[closer]
+            nn_dist[closer] = dist[closer]
+            for i in range(k1 - k0):
+                yield block[i, : k0 + i]
 
     def distance(self, i: int, j: int) -> float:
         if not (is_point(i, self.n) and is_point(j, self.n)):
@@ -175,8 +191,76 @@ def canonical_order(space: AugmentedMetricSpace) -> np.ndarray:
     return space.canonical_order()
 
 
-def _norms(diff: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(diff * diff, axis=-1))  # (a - b)**2 == (b - a)**2 exactly
+_BLOCK = 1 << 18  # distances per block of rows computed at once
+
+
+def _row_blocks(n: int) -> Iterator[Tuple[int, int]]:
+    """The sweep's blocks of rows [k0, k1) of n: each holds r = k1 - k0 rows
+    against the k1 columns up to its last row, r * k1 <= _BLOCK (or r = 1)."""
+    k0 = 0
+    while k0 < n:
+        k1 = min(n, k0 + max(1, int((math.sqrt(k0 * k0 + 4 * _BLOCK) - k0) / 2)))
+        yield k0, k1
+        k0 = k1
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(r, m) Euclidean distances between the columns of a (d, r) and b (d, m)."""
+    out = _square_sums(a, b)
+    return np.sqrt(out, out=out)
+
+
+def _square_sums(a: np.ndarray, b: np.ndarray, scale: Optional[np.ndarray] = None) -> np.ndarray:
+    """(r, m) sums over the coordinates of the squared differences between the
+    columns of ``a`` (d, r) and ``b`` (d, m), each difference divided by
+    ``scale`` (d,) when given: the one distance kernel.
+
+    The coordinates are added in the order ``np.sum(sq, axis=-1)`` adds a
+    contiguous last axis (numpy's pairwise sum), so the doubles equal those of
+    the (r, m, d) formula: fewer than 8 in sequence; up to 128 in eight
+    accumulators, accumulator j taking the coordinates c = j mod 8 up to the
+    last multiple of 8, combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest
+    in sequence; more split in two at a multiple of 8. ``(a - b)**2 ==
+    (b - a)**2`` exactly, so either argument order gives the same doubles.
+    """
+
+    def square(c):
+        z = np.subtract.outer(a[c], b[c])
+        if scale is not None:
+            z /= scale[c]
+        return np.multiply(z, z, out=z)
+
+    def run(lo, hi, step=1):
+        acc = square(lo)
+        for c in range(lo + step, hi, step):
+            acc += square(c)
+        return acc
+
+    def pairwise(lo, n):
+        if n < 8:
+            return run(lo, lo + n)
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            acc = pairwise(lo, half)
+            acc += pairwise(lo + half, n - half)
+            return acc
+        end = lo + n - n % 8
+
+        def pair(j):  # accumulators j and j + 1
+            acc = run(lo + j, end, 8)
+            acc += run(lo + j + 1, end, 8)
+            return acc
+
+        acc = pair(0)
+        acc += pair(2)
+        rest = pair(4)
+        rest += pair(6)
+        acc += rest
+        for c in range(end, lo + n):
+            acc += square(c)
+        return acc
+
+    return pairwise(0, len(a)) if len(a) else np.zeros((a.shape[1], b.shape[1]))
 
 
 # -- density attachment ------------------------------------------------------
@@ -210,11 +294,12 @@ def gaussian_kde_values(points: np.ndarray, bandwidth=None) -> np.ndarray:
             if np.any(h <= 0):
                 raise ValueError("bandwidth must be positive")
         norm = n * np.prod(h) * np.float64(2.0 * math.pi) ** (d / 2.0)
+        cols = np.ascontiguousarray(pts.T)
         out = np.empty(n)
-        step = max(1, 4_000_000 // max(1, n * d))
+        step = max(1, _BLOCK // max(1, n))
         for i0 in range(0, n, step):
-            z = (pts[i0 : i0 + step, None, :] - pts[None, :, :]) / h
-            out[i0 : i0 + step] = np.sum(np.exp(-0.5 * np.sum(z * z, axis=2)), axis=1)
+            sq = _square_sums(cols[:, i0 : i0 + step], cols, h)
+            out[i0 : i0 + step] = np.sum(np.exp(-0.5 * sq), axis=1)
         est = out / norm
     if not np.all(np.isfinite(est)):
         raise DensityError("the density estimate overflows; use a larger bandwidth")

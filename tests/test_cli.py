@@ -393,7 +393,8 @@ class TestOtherCommands:
 class TestImports:
     def test_peel_and_simulate_import_no_scipy(self, ex4, tmp_path):
         # nothing in the package imports scipy: the peel takes its neighbors
-        # from the forest's build, nn from the same sweep
+        # from the forest's build, nn from the same sweep; and only a pool
+        # imports concurrent.futures and multiprocessing (20 ms of every start)
         trace = str(tmp_path / "t.json")
         data = f"'--input', {ex4!r}, '--density-column', 'f'"
         code = (
@@ -410,6 +411,7 @@ class TestImports:
             f"assert cli.main(['oracle-check', {trace!r}, {data}]) == 0\n"
             "assert cli.main(['b-constant', '3']) == 0\n"
             "assert 'scipy' not in sys.modules, 'a later command imported scipy'\n"
+            "assert 'concurrent.futures.process' not in sys.modules, 'a command without a pool imported one'\n"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
         assert r.returncode == 0, r.stderr.decode()

@@ -187,3 +187,17 @@ def test_trace_booleans_are_not_numbers(tmp_path, capsys, table, tamper):
     assert run_main(["oracle-check", "TRACE", *argv], tmp_path, table, json.dumps(doc).encode()) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_threads_variable_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, value):
+    # abc ended in int()'s own message; 0 and -3 silently ran one worker
+    monkeypatch.setenv("ROOTPEEL_THREADS", value)
+    assert run_main(["simulate", "--n", "5", "--trials", "1", "--jobs", "1"], tmp_path) == 2
+    assert capsys.readouterr().err == f"error: ROOTPEEL_THREADS must be an integer >= 1, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["", "1", "3"])
+def test_threads_variable_unset_or_positive_runs(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("ROOTPEEL_THREADS", value)
+    assert run_main(["simulate", "--n", "5", "--trials", "1", "--jobs", "1"], tmp_path) == 0

@@ -108,6 +108,34 @@ class TestDistances:
         full = np.sqrt(np.sum(diff * diff, axis=2))
         assert np.array_equal(AugmentedMetricSpace(points=p).distance_matrix(), full)
 
+    @pytest.mark.parametrize("d", [*range(1, 10), 13, 16, 17, 127, 128, 129, 300])
+    def test_kernel_adds_in_the_order_of_numpy_sum(self, d):
+        # np.sum over a contiguous last axis adds fewer than 8 terms in
+        # sequence and more pairwise; the kernel reads coordinate columns and
+        # must give the doubles of the (n, n, d) formula
+        n = 40
+        rng = np.random.default_rng(d)
+        p = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        p[rng.integers(0, n, 8)] = p[rng.integers(0, n, 8)]
+        diff = p[:, None, :] - p[None, :, :]
+        full = np.sqrt(np.sum(diff * diff, axis=-1))
+        sp = AugmentedMetricSpace(points=p)
+        rows, cols = rng.permutation(n)[:15], rng.permutation(n)
+        assert sp.distances(rows, cols).tobytes() == full[np.ix_(rows, cols)].tobytes()
+        order = rng.permutation(n)
+        sweep = sp.nearest_sweep(order, np.zeros(n, dtype=np.intp), np.full(n, np.inf))
+        for k, row in enumerate(sweep):
+            assert row.tobytes() == full[order[k], order[:k]].tobytes(), k
+        assert sp.distance_matrix().tobytes() == full.tobytes()
+        # KDE terms all count when the squared sums are about 1: coordinates
+        # of spread 10^u / sqrt(d), bandwidths sqrt(d) times their spread
+        q = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 1, size=d) / math.sqrt(d)
+        h = np.std(q, axis=0) * math.sqrt(d)
+        z = (q[:, None, :] - q[None, :, :]) / h
+        norm = n * np.prod(h) * np.float64(2.0 * math.pi) ** (d / 2.0)
+        kde = np.sum(np.exp(-0.5 * np.sum(z * z, axis=-1)), axis=1) / norm
+        assert gaussian_kde_values(q, bandwidth=h).tobytes() == kde.tobytes()
+
     @given(
         st.lists(
             st.tuples(*[st.floats(-50, 50) for _ in range(2)]), min_size=1, max_size=12

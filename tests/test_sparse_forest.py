@@ -15,7 +15,7 @@ import pytest
 
 from conftest import bfs_components
 from dense_reference import DenseForest, scale_row
-from rootpeel import pset, rooted
+from rootpeel import pset, rooted, space
 from rootpeel.experiment import SamplerConfig, sample
 from rootpeel.space import AugmentedMetricSpace, attach_density
 
@@ -162,6 +162,74 @@ def test_build_sweep_matches_the_matrix(block):
         np.fill_diagonal(square, np.inf)
         assert fo.nn_pos.tolist() == np.argmin(square, axis=1).tolist()
         assert fo.nn_dist.tobytes() == square[np.arange(n), fo.nn_pos].tobytes()
+
+
+def block_edge_points(kind):
+    """3,000 points that the sweep in index order reads in many blocks; each
+    block's first point copies the point before it and its second a point of
+    an earlier block. Uniform points, or 36 lattice sites, where every row is
+    full of ties."""
+    n = 3000
+    rng = np.random.default_rng(3000)
+    pts = rng.random((n, 2)) if kind == "uniform" else rng.integers(0, 6, (n, 2)).astype(float)
+    for k0, _ in space._row_blocks(n):
+        if k0:
+            pts[k0] = pts[k0 - 1]
+            pts[k0 + 1] = pts[rng.integers(0, k0 - 1)]
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice"])
+def test_sweep_across_many_blocks_matches_the_matrix(kind):
+    pts = block_edge_points(kind)
+    n = len(pts)
+    assert len(list(space._row_blocks(n))) > 10
+    sp = AugmentedMetricSpace(points=pts)
+    tracemalloc.start()
+    try:
+        graph = rooted.nn_graph(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the matrix of 3,000 points is 69 MiB
+    nn, nn_dist = np.zeros(n, dtype=np.intp), np.full(n, np.inf)
+    rows = sp.nearest_sweep(np.arange(n), nn, nn_dist)
+    dm = AugmentedMetricSpace(points=pts).distance_matrix()
+    for k, row in enumerate(rows):
+        assert row.tobytes() == dm[k, :k].tobytes(), k
+    # an argmin over each matrix row without its diagonal: ties to the lower index
+    want = np.empty(n, dtype=np.intp)
+    for i0 in range(0, n, 500):
+        block = dm[i0 : i0 + 500].copy()
+        block[np.arange(len(block)), np.arange(i0, i0 + len(block))] = np.inf
+        want[i0 : i0 + 500] = np.argmin(block, axis=1)
+    assert nn.tolist() == want.tolist()
+    assert graph.nn.tolist() == want.tolist()
+    # the build stops pulling rows after the last point
+    assert pset.LeveledMergeForest(sp.with_density(np.zeros(n))).nn_pos.tolist() == want.tolist()
+    assert nn_dist.tobytes() == dm[np.arange(n), want].tobytes()
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_attach_is_the_least_scale_through_any_chain_point(block):
+    # q reaches chain index b at min over a of max(d[a], scale(a, b)); _attach
+    # picks only some a, and with min and max alone it must give the same doubles
+    for seed in range(block * 35, (block + 1) * 35):
+        for sp in (lattice_space(seed), seeded_space(seed)[1]):
+            n = sp.n
+            rows = sp.nearest_sweep(sp.canonical_order(), np.zeros(n, dtype=np.intp), np.full(n, np.inf))
+            next(rows)
+            order, gaps = np.zeros(1, dtype=np.intp), np.full(1, np.inf)
+            for q, row in enumerate(rows, start=1):
+                if q <= 12:  # merge scales by their definition: the largest gap between
+                    for a in range(q):
+                        want = [max(gaps[min(a, b) + 1 : max(a, b) + 1], default=0.0) for b in range(q)]
+                        assert pset._scales_from(gaps, a).tolist() == want
+                d = row[order]
+                brute = np.min([np.maximum(d[a], pset._scales_from(gaps, a)) for a in range(q)], axis=0)
+                r = pset._attach(gaps, d)
+                assert r.tobytes() == brute.tobytes(), (seed, q)
+                order, gaps = pset._insert(order, gaps, q, r)
 
 
 def test_flat_peel_at_n3000_makes_no_distance_matrix():
