@@ -7,13 +7,7 @@ Carlo harness and limit constants), and ``cli``.
 """
 
 from .space import AugmentedMetricSpace, attach_density, canonical_order, load_points
-from .pset import (
-    GradeGrid,
-    LeveledMergeForest,
-    PeelView,
-    build,
-    fresh_view,
-)
+from .pset import LeveledMergeForest, PeelView, fresh_view
 from .rooted import (
     IntervalSupport,
     NNGraph,
@@ -53,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedMetricSpace",
-    "GradeGrid",
     "GridModule",
     "IntervalSupport",
     "LeveledMergeForest",
@@ -67,7 +60,6 @@ __all__ = [
     "attach_density",
     "b_constant",
     "betti0_total",
-    "build",
     "c_constant",
     "canonical_order",
     "constant_conqueror",

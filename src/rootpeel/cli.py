@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -252,6 +253,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except MemoryError as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as e:
+        devnull = os.open(os.devnull, os.O_WRONLY)  # takes stdout's fd, for the flush at exit
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
         return 2
 
 

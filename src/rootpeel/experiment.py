@@ -193,8 +193,10 @@ def _run_one_trial(args) -> TrialResult:
 
 
 def _job_count(trials: int, n_jobs: Optional[int]) -> int:
-    """Worker processes for ``trials`` trials: ``n_jobs`` (default: all), at
-    most ``ROOTPEEL_THREADS`` (an integer >= 1; unset or empty: the CPU count)."""
+    """Worker processes for ``trials`` trials: ``n_jobs`` (>= 1; default: all),
+    at most ``ROOTPEEL_THREADS`` (an integer >= 1; unset or empty: the CPU count)."""
+    if n_jobs is not None and n_jobs < 1:
+        raise ValueError(f"--jobs must be an integer >= 1, got {n_jobs}")
     raw = os.environ.get("ROOTPEEL_THREADS", "")
     try:
         cap = int(raw) if raw else (os.cpu_count() or 1)
@@ -204,7 +206,7 @@ def _job_count(trials: int, n_jobs: Optional[int]) -> int:
         raise ValueError(f"ROOTPEEL_THREADS must be an integer >= 1, got {raw!r}")
     if n_jobs is None:
         n_jobs = cap
-    return max(1, min(n_jobs, cap, trials))
+    return min(n_jobs, cap, trials)
 
 
 @dataclass
@@ -290,7 +292,6 @@ def run_trials(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one_trial, jobs))
-    results.sort(key=lambda t: t.trial)
     cfg = {
         "sampler": config.kind,
         "dim": config.dim,

@@ -14,10 +14,11 @@ once fractions can appear. One kernel serves every caller: ``compose``,
 nullspace; integral matrices over QQ take fraction-free rank. What differs
 between QQ and GF(p) (division, reduction mod p, products) is a method of the
 field class. ``GridModule.covering_maps`` is the one walk over the structure
-maps. ``linearize`` records its view and grade bases on the module, and the
-idempotents built on that module read them back. Sizes are guarded by an
-explicit total-dimension budget; exceeding it is an error, not a silent
-fallback.
+maps. ``_grade_grid`` alone makes the grade grid, from a distance matrix that
+no one keeps. ``linearize`` records its view and grade bases on the module,
+and the idempotents built on that module read them back. Sizes are guarded
+by an explicit total-dimension budget; exceeding it is an error, not a
+silent fallback.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .pset import PeelView
+from .pset import LeveledMergeForest, PeelView
 
 FieldSpec = Union[str, int]  # "QQ" or an odd prime
 
@@ -425,6 +426,12 @@ class ModuleMorphism:
 GradeBases = Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]]
 
 
+def _grade_grid(forest: LeveledMergeForest) -> Tuple[np.ndarray, np.ndarray]:
+    """The full grade grid: every distinct pairwise distance (from a distance
+    matrix made for this call and not kept) and every density level."""
+    return np.unique(forest.space.distance_matrix()), forest.sigma_levels
+
+
 def _grade_bases(view: PeelView) -> GradeBases:
     """Survivor labels and basis at every grade (eps index, sigma index).
 
@@ -434,10 +441,11 @@ def _grade_bases(view: PeelView) -> GradeBases:
     surviving cluster.
     """
     fo = view.forest
+    eps_values, _ = _grade_grid(fo)
     out: GradeBases = {}
     for j in range(fo.num_levels):
         live = np.flatnonzero(view._alive[: int(fo.level_sizes[j])])
-        for i, eps in enumerate(fo.grid.eps_values):
+        for i, eps in enumerate(eps_values):
             labels = fo.cluster_labels(j, eps, view._alive)
             out[(i, j)] = labels, {int(b): k for k, b in enumerate(np.unique(labels[live]))}
     return out
@@ -454,21 +462,21 @@ def linearize(view: PeelView, dim_budget: int = 64) -> GridModule:
     The module records the view and its grade bases, which the idempotents
     built on it read back.
     """
-    grid = view.forest.grid
+    eps_values, sigma_values = _grade_grid(view.forest)
     bases = _grade_bases(view)
     dims = {g: len(basis) for g, (_, basis) in bases.items()}
     _check_budget(sum(dims.values()), dim_budget)
 
     maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
-    for axis, src, dst in _covering_steps(len(grid.eps_values), len(grid.sigma_values)):
+    for axis, src, dst in _covering_steps(len(eps_values), len(sigma_values)):
         dst_labels, dst_basis = bases[dst]
         mat = np.zeros((dims[dst], dims[src]), dtype=np.int64)
         for col, rep in enumerate(bases[src][1]):
             mat[dst_basis[int(dst_labels[rep])], col] = 1
         maps[axis][src] = mat
     module = GridModule(
-        eps_values=tuple(float(e) for e in grid.eps_values),
-        sigma_values=tuple(float(s) for s in grid.sigma_values),
+        eps_values=tuple(float(e) for e in eps_values),
+        sigma_values=tuple(float(s) for s in sigma_values),
         dims=dims,
         right_maps=maps["right_maps"],
         up_maps=maps["up_maps"],

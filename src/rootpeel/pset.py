@@ -3,10 +3,10 @@
 For an augmented metric space the persistent set assigns to each grade
 (scale eps, density sigma) the partition of the sub-level set
 ``{x : f(x) <= sigma}`` into connected components of the geometric graph at
-``eps``. We never materialize the grade grid. Points are relabeled into
-canonical order (density ascending, index ascending on ties), so every
-density level's active set is a prefix, and the single-linkage hierarchy of
-each level determines the whole bifiltration.
+``eps``. Only the exact oracle (``linalg``) materializes the grade grid.
+Points are relabeled into canonical order (density ascending, index
+ascending on ties), so every density level's active set is a prefix, and the
+single-linkage hierarchy of each level determines the whole bifiltration.
 
 Queries read a level through its *chain*: the level's points in an order
 where every cluster is contiguous, plus the merge scale between neighbors.
@@ -25,7 +25,6 @@ endomorphism that sends each removed generator to its recorded root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -35,18 +34,6 @@ from .space import AugmentedMetricSpace, is_point
 
 class QueryError(ValueError):
     """Raised when a grade/point query violates its preconditions."""
-
-
-@dataclass(frozen=True)
-class GradeGrid:
-    """The finite grade grid: distinct pairwise distances times distinct densities."""
-
-    eps_values: np.ndarray
-    sigma_values: np.ndarray
-
-    def __post_init__(self):
-        self.eps_values.setflags(write=False)
-        self.sigma_values.setflags(write=False)
 
 
 # -- chains --------------------------------------------------------------------
@@ -314,16 +301,8 @@ class LeveledMergeForest(ChainLevels):
         except MemoryError:
             raise MemoryError(f"out of memory building the merge forest of n = {space.n} points"
                               f" on {len(level_sizes)} density levels") from None
-        self._grid: Optional[GradeGrid] = None
 
     # -- basic lookups -------------------------------------------------------
-
-    @property
-    def grid(self) -> GradeGrid:
-        """The oracle's grade grid; it caches the space's distance matrix."""
-        if self._grid is None:
-            self._grid = GradeGrid(np.unique(self.space.distance_matrix()), self.sigma_levels.copy())
-        return self._grid
 
     def level_index(self, sigma: float) -> int:
         """Largest level with density value <= sigma."""
@@ -382,12 +361,6 @@ class LeveledMergeForest(ChainLevels):
             events += [(float(eps), int(self.perm[a]), int(self.perm[b])) for a, b in joined]
             start = stop
         return events
-
-
-def build(space: AugmentedMetricSpace) -> Tuple[GradeGrid, LeveledMergeForest]:
-    """The grade grid, which caches the distance matrix, and the merge forest."""
-    forest = LeveledMergeForest(space)
-    return forest.grid, forest
 
 
 # -- peel views ---------------------------------------------------------------

@@ -54,7 +54,7 @@ class AugmentedMetricSpace:
             pts.setflags(write=False)
             self.points: Optional[np.ndarray] = pts
             self._cols: Optional[np.ndarray] = np.ascontiguousarray(pts.T)  # the kernel reads columns
-            self._dist: Optional[np.ndarray] = None
+            self._dist: Optional[np.ndarray] = None  # only a matrix given as input
             self.n = pts.shape[0]
             self.dim = pts.shape[1]
         else:
@@ -94,7 +94,8 @@ class AugmentedMetricSpace:
     # -- distances ---------------------------------------------------------
 
     def distance_matrix(self) -> np.ndarray:
-        """Full symmetric distance matrix (computed once and cached).
+        """Full symmetric distance matrix, read-only: the input matrix, or for
+        coordinates a new matrix on every call, which the space does not keep.
 
         Uses the elementwise difference formula, not the Gram expansion, so
         coincident points give exactly zero and any other code path computing
@@ -103,33 +104,33 @@ class AugmentedMetricSpace:
         mirrored: ``(a - b)**2 == (b - a)**2`` exactly, so the lower triangle
         is the one the full formula gives.
         """
-        if self._dist is None:
-            n = self.n
-            out = np.empty((n, n))
-            step = max(1, _BLOCK // n)
-            for i0 in range(0, n, step):
-                rows = slice(i0, i0 + step)
-                block = self.distances(rows, slice(i0, None))
-                out[rows, i0:] = block
-                out[i0:, rows] = block.T
-            out.setflags(write=False)
-            self._dist = out
-        return self._dist
+        if self.points is None:
+            return self._dist
+        n = self.n
+        out = np.empty((n, n))
+        step = max(1, _BLOCK // n)
+        for i0 in range(0, n, step):
+            rows = slice(i0, i0 + step)
+            block = self.distances(rows, slice(i0, None))
+            out[rows, i0:] = block
+            out[i0:, rows] = block.T
+        out.setflags(write=False)
+        return out
 
     def distances(self, rows, cols) -> np.ndarray:
         """Distances from the points ``rows`` to the points ``cols``: read from
-        the matrix when the space holds it (index arrays), else computed from
-        the coordinates (index arrays or slices) by the formula that fills the
-        matrix, so both give the same doubles and no matrix is built."""
-        if self._dist is not None:
+        the input matrix (index arrays), else computed from the coordinates
+        (index arrays or slices) by the formula that fills the full matrix, so
+        both give the same doubles."""
+        if self.points is None:
             return self._dist[np.ix_(rows, cols)]
         return _distances(self._cols[:, rows], self._cols[:, cols])
 
     def nearest_sweep(self, order: np.ndarray, nn: np.ndarray, nn_dist: np.ndarray) -> Iterator[np.ndarray]:
         """For k = 0, 1, ..., the distances from ``order[k]`` to ``order[:k]``,
-        the matrix's doubles, computed by ``distances``' formula if no matrix is
-        held; ``nn[k]``, ``nn_dist[k]`` (``nn_dist`` given as inf) end as the
-        sweep index of order[k]'s nearest other point (distance ties to the
+        the matrix's doubles, read from the input matrix or computed by
+        ``distances``' formula; ``nn[k]``, ``nn_dist[k]`` (``nn_dist`` given
+        as inf) end as the sweep index of order[k]'s nearest other point (distance ties to the
         lower index) and its distance.
 
         Rows come in blocks of about ``_BLOCK`` distances, from each block's
@@ -138,7 +139,7 @@ class AugmentedMetricSpace:
         each earlier point takes its argmin over the block's later rows,
         moving only to a strictly closer one. So the map is complete once the
         last row is handed out, even if the caller stops pulling there."""
-        cols = self._cols[:, order] if self._dist is None else None
+        cols = None if self.points is None else self._cols[:, order]
         for k0, k1 in _row_blocks(len(order)):
             if cols is None:
                 block = self._dist[np.ix_(order[k0:k1], order[:k1])]
@@ -177,9 +178,7 @@ class AugmentedMetricSpace:
         return np.lexsort((np.arange(self.n), f))
 
     def with_density(self, values) -> "AugmentedMetricSpace":
-        if self.points is not None:
-            return AugmentedMetricSpace(points=self.points, density=values)
-        return AugmentedMetricSpace(dist=self._dist, density=values)
+        return AugmentedMetricSpace(points=self.points, dist=self._dist, density=values)
 
     def __repr__(self):
         kind = "points" if self.points is not None else "matrix"

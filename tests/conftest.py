@@ -45,6 +45,11 @@ def random_space(rng, n=None, d=None, mode="random", duplicates=False, collinear
     return AugmentedMetricSpace(points=pts, density=dens)
 
 
+def eps_grid(fo):
+    """The oracle's scales for a forest: every distinct pairwise distance."""
+    return np.unique(fo.space.distance_matrix())
+
+
 def bfs_components(dist, active, eps):
     """Brute-force connected components of the geometric graph at scale eps
     over the active index set; the independent clustering oracle."""

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import cli_env, elder_oracle, random_one_param, random_space
+from conftest import cli_env, elder_oracle, eps_grid, random_one_param, random_space
 from rootpeel import experiment as ex
 from rootpeel import linalg, pset, rooted
 from rootpeel.space import AugmentedMetricSpace
@@ -31,9 +31,9 @@ def test_criterion_1_line_example_end_to_end():
         (3, 2, "neighborly"),
         (0, None, "bottom"),
     ]
-    _, fo = pset.build(sp)
+    fo = pset.LeveledMergeForest(sp)
     sup = trace.records[0].support
-    grid_eps = fo.grid.eps_values
+    grid_eps = eps_grid(fo)
     inside = [
         (float(e), float(s))
         for s in fo.sigma_levels
@@ -58,7 +58,7 @@ def test_criterion_1_line_example_end_to_end():
 
 def test_criterion_2_residual_module_oracle():
     sp = _line4()
-    _, fo = pset.build(sp)
+    fo = pset.LeveledMergeForest(sp)
     view = pset.fresh_view(fo).restrict(3, 2)
     module = linalg.linearize(view, dim_budget=BUDGET)
     psi = linalg.bottom_idempotent(view, module=module, dim_budget=BUDGET)
@@ -96,7 +96,7 @@ def test_criterion_3_split_replay_on_random_spaces():
             duplicates=(t % 3 == 0),
             collinear=(t % 5 == 0),
         )
-        _, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         trace = rooted.peel_all(sp, forest=fo)
         view = pset.fresh_view(fo)
         for r in trace.records:

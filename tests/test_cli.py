@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from conftest import cli_env
-from rootpeel import cli, pset, rooted
-from rootpeel.space import load_points
+from rootpeel import cli, linalg, pset, rooted
+from rootpeel.space import AugmentedMetricSpace, load_points
 
 CLI = [sys.executable, "-m", "rootpeel.cli"]
 
@@ -329,6 +329,34 @@ def test_cli_reads_no_private_name_of_another_module():
               for a in node.names]
     assert [(line, name) for line, name in names
             if name.startswith("_") and not name.endswith("__")] == []
+
+
+def test_only_the_oracle_makes_a_distance_matrix():
+    # README: only the exact oracle's grade grid makes one; every other layer
+    # reads rows from the coordinates
+    src = Path(cli.__file__).parent
+    reads = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "distance_matrix"]
+    assert [name for name, _ in reads if name != "linalg.py"] == []
+
+
+def test_a_coordinate_space_keeps_no_matrix(ex4, tmp_path, capsys, monkeypatch):
+    # the oracle's matrix was kept on the space, and later distances read it
+    sp = load_points(Path(ex4).read_text(), density_column="f")
+    linalg.linearize(pset.fresh_view(pset.LeveledMergeForest(sp)))
+    assert sp._dist is None
+    assert not sp.distance_matrix().flags.writeable
+    assert sp._dist is None
+    asked = []
+    make = AugmentedMetricSpace.distance_matrix
+    monkeypatch.setattr(AugmentedMetricSpace, "distance_matrix",
+                        lambda self: asked.append(self) or make(self))
+    trace = tmp_path / "t.json"
+    args = ["--input", ex4, "--density-column", "f"]
+    assert cli.main(["peel", *args, "--output", str(trace)]) == 0
+    assert cli.main(["oracle-check", str(trace), *args]) == 0
+    assert asked and all(s.points is not None and s._dist is None for s in asked)
 
 
 class TestOtherCommands:

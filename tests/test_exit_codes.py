@@ -8,11 +8,15 @@ help and raises SystemExit(0) itself.
 """
 
 import json
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cli_env
 from rootpeel import cli, pset
 
 NUMBERS = ["0", "1", "-1", "0.5", "3", "1e-300", "1e300", "-1e300", "1e308", "nan", "inf", "x", ""]
@@ -201,3 +205,25 @@ def test_threads_variable_must_be_a_positive_integer(tmp_path, capsys, monkeypat
 def test_threads_variable_unset_or_positive_runs(tmp_path, monkeypatch, value):
     monkeypatch.setenv("ROOTPEEL_THREADS", value)
     assert run_main(["simulate", "--n", "5", "--trials", "1", "--jobs", "1"], tmp_path) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_jobs_must_be_a_positive_integer(tmp_path, capsys, value):
+    # both silently ran one worker and exited 0 with a report
+    assert run_main(["simulate", "--n", "5", "--trials", "1", "--jobs", value], tmp_path) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be an integer >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["peel", "staircode"])
+def test_stdout_closed_by_the_reader(tmp_path, command):
+    # about 1 MB of output, far past the pipe's buffer: the write raised a
+    # BrokenPipeError traceback and exited 1
+    table = tmp_path / "points.csv"
+    np.savetxt(table, np.random.default_rng(200).random((200, 2)), delimiter=",")
+    argv = [sys.executable, "-m", "rootpeel.cli", command, "--input", str(table), "--density-mode", "random"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env()) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"

@@ -11,7 +11,7 @@ BUDGET = 100000
 
 @pytest.fixture
 def full4(line4):
-    _, fo = pset.build(line4)
+    fo = pset.LeveledMergeForest(line4)
     view = pset.fresh_view(fo)
     return view, linalg.linearize(view, dim_budget=BUDGET)
 
@@ -20,7 +20,7 @@ def full4(line4):
 def residual4(line4):
     """The indecomposable leftover: peel the only rooted generator, then split
     off the whole-module interval induced by the densest point."""
-    _, fo = pset.build(line4)
+    fo = pset.LeveledMergeForest(line4)
     view = pset.fresh_view(fo).restrict(3, 2)
     module = linalg.linearize(view, dim_budget=BUDGET)
     psi = linalg.bottom_idempotent(view, module=module, dim_budget=BUDGET)
@@ -50,7 +50,7 @@ class TestLinearize:
         assert m.dims[(eps.index(0.0), sig.index(0.0))] == 1
 
     def test_budget_enforced(self, line4):
-        _, fo = pset.build(line4)
+        fo = pset.LeveledMergeForest(line4)
         with pytest.raises(linalg.BudgetError):
             linalg.linearize(pset.fresh_view(fo), dim_budget=10)
 
@@ -61,7 +61,7 @@ class TestLinearize:
         assert m.basis_reps[(eps.index(2.0), sig.index(3.0))] == (0, 1, 2)
 
     def test_dims_match_grade_dims_helper(self, line4):
-        _, fo = pset.build(line4)
+        fo = pset.LeveledMergeForest(line4)
         view = pset.fresh_view(fo).restrict(3, 2)
         module = linalg.linearize(view, dim_budget=BUDGET)
         assert module.dims == linalg.grade_dims(view)
@@ -316,7 +316,7 @@ class TestBetti:
         rng = np.random.default_rng(7)
         for _ in range(10):
             sp = random_space(rng, n=int(rng.integers(2, 7)))
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             view = pset.fresh_view(fo)
             m = linalg.linearize(view, dim_budget=BUDGET)
             assert linalg.betti0_total(m, dim_budget=BUDGET) == sp.n
@@ -396,7 +396,7 @@ class TestSubsetIdempotents:
         confirmed = 0
         for t in range(60):
             sp = rspace(rng, n=int(rng.integers(2, 8)), duplicates=(t % 4 == 0))
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             view = pset.fresh_view(fo)
             members = list(rng.choice(sp.n, size=int(rng.integers(1, sp.n)), replace=False))
             witness = rooted.is_rooted_subset(view, members)
@@ -415,7 +415,7 @@ class TestSubsetIdempotents:
 
     def test_unrooted_full_complement_has_no_valid_idempotent(self, line4):
         # sending an unrooted generator anywhere denser must break naturality
-        _, fo = pset.build(line4)
+        fo = pset.LeveledMergeForest(line4)
         view = pset.fresh_view(fo)
         module = linalg.linearize(view, dim_budget=BUDGET)
         for x, y in ((1, 0), (2, 0), (2, 1)):

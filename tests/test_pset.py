@@ -3,25 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bfs_components, random_space
+from conftest import bfs_components, eps_grid, random_space
 from dense_reference import dense_levels, position_distances, scale_row
-from rootpeel import pset, rooted
+from rootpeel import linalg, pset, rooted
 from rootpeel.space import AugmentedMetricSpace
 
 
 @pytest.fixture
 def forest4(line4):
-    return pset.build(line4)
+    return pset.LeveledMergeForest(line4)
 
 
 class TestBuild:
     def test_grid_of_line_example(self, forest4):
-        grid, _ = forest4
-        assert grid.eps_values.tolist() == [0, 2, 2.5, 3, 4.5, 5, 7.5]
-        assert grid.sigma_values.tolist() == [0, 1, 2, 3]
+        module = linalg.linearize(pset.fresh_view(forest4))
+        assert list(module.eps_values) == [0, 2, 2.5, 3, 4.5, 5, 7.5]
+        assert list(module.sigma_values) == [0, 1, 2, 3]
 
     def test_level_rows_match_hand_clustering(self, forest4):
-        _, fo = forest4
+        fo = forest4
         v = pset.fresh_view(fo)
         # densest level: only the first point, alone at every scale
         assert v.cluster_at(100.0, 0.0, 0) == {0}
@@ -35,14 +35,14 @@ class TestBuild:
 
     def test_singleton_space(self):
         sp = AugmentedMetricSpace(points=[[1.0]], density=[0.5])
-        grid, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         assert fo.num_levels == 1
-        assert grid.eps_values.tolist() == [0.0]
+        assert eps_grid(fo).tolist() == [0.0]
         assert fo.merge_events(0) == []
 
     def test_equal_densities_collapse_to_one_level(self):
         sp = AugmentedMetricSpace(points=[[0.0], [1.0], [5.0]], density=[2, 2, 2])
-        _, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         assert fo.num_levels == 1
         assert fo.level_sizes.tolist() == [3]
 
@@ -51,7 +51,7 @@ class TestBuild:
         rng = np.random.default_rng(8)
         pts = rng.random((90, 2))
         sp = AugmentedMetricSpace(points=pts, density=np.zeros(90))
-        _, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         (u,) = dense_levels(position_distances(fo), fo.level_sizes)
         for px in range(90):
             assert np.array_equal(scale_row(fo, 0, px), u[px])
@@ -63,7 +63,7 @@ class TestBuild:
         pts = rng.random((100, 2))
         dens = np.concatenate([np.zeros(10), np.ones(90)])
         sp = AugmentedMetricSpace(points=pts, density=dens)
-        _, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         assert fo.level_sizes.tolist() == [10, 100]
         levels = dense_levels(position_distances(fo), fo.level_sizes)
         for j, m in enumerate(fo.level_sizes):
@@ -73,13 +73,13 @@ class TestBuild:
 
 class TestUltrametric:
     def test_line_example_values(self, forest4):
-        _, fo = forest4
+        fo = forest4
         assert fo.ultrametric(3.0, 0, 3) == 3.0
         assert fo.ultrametric(1.0, 0, 1) == 7.5
         assert fo.ultrametric(3.0, 2, 2) == 0.0
 
     def test_absent_point_rejected(self, forest4):
-        _, fo = forest4
+        fo = forest4
         with pytest.raises(pset.QueryError, match="absent"):
             fo.ultrametric(1.0, 0, 3)
 
@@ -87,7 +87,7 @@ class TestUltrametric:
         rng = np.random.default_rng(17)
         for _ in range(40):
             sp = random_space(rng, mode="random", duplicates=True)
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             for j, sigma in enumerate(fo.sigma_levels):
                 m = int(fo.level_sizes[j])
                 pts = fo.perm[:m]
@@ -105,13 +105,14 @@ class TestClusterOracle:
         rng = np.random.default_rng(4)
         for t in range(30):
             sp = random_space(rng, n=int(rng.integers(2, 13)), duplicates=(t % 3 == 0))
-            grid, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             v = pset.fresh_view(fo)
             f = sp.density
-            for sigma in grid.sigma_values:
+            dm, es = sp.distance_matrix(), eps_grid(fo)
+            for sigma in fo.sigma_levels:
                 active = [i for i in range(sp.n) if f[i] <= sigma]
-                for eps in grid.eps_values:
-                    comp = bfs_components(sp.distance_matrix(), active, eps)
+                for eps in es:
+                    comp = bfs_components(dm, active, eps)
                     for x in active:
                         assert v.cluster_at(eps, sigma, x) == comp[x]
 
@@ -119,7 +120,7 @@ class TestClusterOracle:
         rng = np.random.default_rng(11)
         for _ in range(15):
             sp = random_space(rng, n=int(rng.integers(3, 11)))
-            grid, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             from rootpeel.rooted import peel_all
 
             trace = peel_all(sp, forest=fo)
@@ -127,10 +128,11 @@ class TestClusterOracle:
             removed = set(view.removed)
             f = sp.density
             survivors = set(view.survivors())
-            for sigma in grid.sigma_values:
+            dm, es = sp.distance_matrix(), eps_grid(fo)
+            for sigma in fo.sigma_levels:
                 active = [i for i in range(sp.n) if f[i] <= sigma]
-                for eps in grid.eps_values:
-                    comp = bfs_components(sp.distance_matrix(), active, eps)
+                for eps in es:
+                    comp = bfs_components(dm, active, eps)
                     for x in active:
                         if x in removed:
                             continue
@@ -142,11 +144,11 @@ class TestMonotonicity:
         rng = np.random.default_rng(23)
         for _ in range(20):
             sp = random_space(rng, n=int(rng.integers(2, 10)))
-            grid, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             v = pset.fresh_view(fo)
             f = sp.density
-            es = grid.eps_values
-            ss = grid.sigma_values
+            es = eps_grid(fo)
+            ss = fo.sigma_levels
             for x in range(sp.n):
                 for si, sigma in enumerate(ss):
                     if f[x] > sigma:
@@ -162,7 +164,7 @@ class TestMonotonicity:
         rng = np.random.default_rng(29)
         for _ in range(20):
             sp = random_space(rng, n=int(rng.integers(2, 12)))
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             for j in range(fo.num_levels - 1):
                 m = int(fo.level_sizes[j])
                 for px in range(m):
@@ -171,20 +173,20 @@ class TestMonotonicity:
 
 class TestFirstMergeScale:
     def test_line_example(self, forest4):
-        _, fo = forest4
+        fo = forest4
         v = pset.fresh_view(fo)
         assert v.first_merge_scale(3.0, 3) == (2.0, frozenset({2, 3}))
         assert v.first_merge_scale(1.0, 1) == (7.5, frozenset({0, 1}))
 
     def test_singleton_stays_alone(self):
         sp = AugmentedMetricSpace(points=[[0.0]], density=[0.0])
-        _, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         v = pset.fresh_view(fo)
         eps, cluster = v.first_merge_scale(0.0, 0)
         assert math.isinf(eps) and cluster == {0}
 
     def test_birth_grade_cluster_is_singleton(self, forest4):
-        _, fo = forest4
+        fo = forest4
         v = pset.fresh_view(fo)
         for x in range(4):
             assert v.cluster_at(0.0, float(x), x) == {x}
@@ -192,7 +194,7 @@ class TestFirstMergeScale:
 
 class TestRestrict:
     def test_valid_peel(self, forest4):
-        _, fo = forest4
+        fo = forest4
         v = pset.fresh_view(fo)
         v2 = v.restrict(3, 2)
         assert not v2.survives(3)
@@ -201,25 +203,25 @@ class TestRestrict:
         assert v2.cluster_at(2.5, 3.0, 1) == {1, 2}
 
     def test_invalid_pair_rejected(self, forest4):
-        _, fo = forest4
+        fo = forest4
         v = pset.fresh_view(fo)
         with pytest.raises(pset.QueryError):
             v.restrict(1, 0)
 
     def test_double_removal_rejected(self, forest4):
-        _, fo = forest4
+        fo = forest4
         v = pset.fresh_view(fo).restrict(3, 2)
         with pytest.raises(pset.QueryError):
             v._restrict_unchecked(3, 2)
 
     def test_queries_on_removed_point_fail(self, forest4):
-        _, fo = forest4
+        fo = forest4
         v = pset.fresh_view(fo).restrict(3, 2)
         with pytest.raises(pset.QueryError, match="removed"):
             v.cluster_at(2.0, 3.0, 3)
 
     def test_views_are_independent(self, forest4):
-        _, fo = forest4
+        fo = forest4
         v = pset.fresh_view(fo)
         v.restrict(3, 2)
         assert v.survives(3)
@@ -230,7 +232,7 @@ class TestRestrict:
 
         for _ in range(10):
             sp = random_space(rng, n=int(rng.integers(3, 10)))
-            grid, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             trace = peel_all(sp, forest=fo)
             views = [pset.fresh_view(fo)]
             for r in trace.records:
@@ -239,8 +241,8 @@ class TestRestrict:
             final = views[-1]
             keep = final.survivors()
             f = sp.density
-            for eps in grid.eps_values:
-                for sigma in grid.sigma_values:
+            for eps in eps_grid(fo):
+                for sigma in fo.sigma_levels:
                     for a in keep:
                         if f[a] > sigma:
                             continue
@@ -263,20 +265,20 @@ class TestRestrict:
 ], ids=["survives(-1)", "ultrametric(-1)", "is_rooted_subset(-1)",
         "restrict(n)", "ultrametric(n)", "is_rooted_subset(n)"])
 def test_point_index_out_of_range_is_a_query_error(forest4, call):
-    _, fo = forest4
+    fo = forest4
     with pytest.raises(pset.QueryError, match="out of range"):
         call(fo, pset.fresh_view(fo))
 
 
 class TestSerialization:
     def test_merge_events_sorted_and_complete(self, forest4):
-        _, fo = forest4
+        fo = forest4
         top = fo.merge_events(3)
         assert top == [(2.0, 2, 3), (2.5, 1, 2), (3.0, 0, 1)]
 
     def test_duplicates_merge_at_zero(self):
         sp = AugmentedMetricSpace(points=[[1.0], [1.0]], density=[0, 1])
-        _, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         assert fo.merge_events(1) == [(0.0, 0, 1)]
 
 
@@ -285,11 +287,12 @@ def test_merge_event_count_matches_component_count():
     rng = np.random.default_rng(55)
     for t in range(20):
         sp = random_space(rng, n=int(rng.integers(2, 12)), duplicates=(t % 3 == 0))
-        grid, fo = pset.build(sp)
-        top = float(grid.eps_values[-1])
+        fo = pset.LeveledMergeForest(sp)
+        top = float(eps_grid(fo)[-1])
         f = sp.density
+        dm = sp.distance_matrix()
         for j, sigma in enumerate(fo.sigma_levels):
             active = [i for i in range(sp.n) if f[i] <= sigma]
-            comp = bfs_components(sp.distance_matrix(), active, top)
+            comp = bfs_components(dm, active, top)
             n_comp = len({comp[i] for i in active})
             assert len(fo.merge_events(j)) == len(active) - n_comp

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import elder_oracle, random_one_param, random_space
+from conftest import elder_oracle, eps_grid, random_one_param, random_space
 from dense_reference import DenseForest
 from test_sparse_forest import lattice_space
 from rootpeel import pset, rooted
@@ -16,7 +16,7 @@ from rootpeel.space import AugmentedMetricSpace
 
 @pytest.fixture
 def view4(line4):
-    _, fo = pset.build(line4)
+    fo = pset.LeveledMergeForest(line4)
     return pset.fresh_view(fo)
 
 
@@ -41,7 +41,7 @@ class TestRootedGenerator:
         rng = np.random.default_rng(14)
         for _ in range(40):
             sp = random_space(rng)
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             v = pset.fresh_view(fo)
             for x in range(sp.n):
                 single = rooted.is_rooted_subset(v, [x])
@@ -66,7 +66,7 @@ class TestRootedSubset:
         rng = np.random.default_rng(15)
         for _ in range(25):
             sp = random_space(rng, n=int(rng.integers(3, 9)))
-            grid, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             v = pset.fresh_view(fo)
             members = list(
                 rng.choice(sp.n, size=int(rng.integers(1, sp.n)), replace=False)
@@ -76,8 +76,9 @@ class TestRootedSubset:
                 continue
             assert y not in members
             assert sp.density[y] <= min(sp.density[m] for m in members)
-            for sigma in grid.sigma_values:
-                for eps in grid.eps_values:
+            es = eps_grid(fo)
+            for sigma in fo.sigma_levels:
+                for eps in es:
                     for x in members:
                         if sp.density[x] > sigma:
                             continue
@@ -111,7 +112,7 @@ class TestNeighborly:
         rng = np.random.default_rng(22)
         for _ in range(30):
             sp = random_space(rng, duplicates=True)
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             v = pset.fresh_view(fo)
             for x in rooted.neighborly_rooted(sp):
                 assert rooted.is_rooted_generator(v, x) is not None
@@ -214,7 +215,7 @@ class TestIntervalSupport:
         assert sup.contains(0.0, 3.0)
         assert not sup.contains(2.0, 3.0)
         assert not sup.contains(0.0, 2.0)
-        _, fo = pset.build(line4)
+        fo = pset.LeveledMergeForest(line4)
         assert sup.pairs(fo.sigma_levels) == [(3.0, 2.0)]
 
     @settings(max_examples=300, deadline=None)
@@ -237,7 +238,7 @@ class TestIntervalSupport:
 
     def test_duplicate_point_gives_flagged_empty_support(self):
         sp = AugmentedMetricSpace(points=[[0.0], [0.0]], density=[0, 1])
-        _, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         v = pset.fresh_view(fo)
         sup = rooted.interval_support(v, 1, 0)
         assert sup.zero and all(t == 0.0 for _, t in sup.breaks)
@@ -285,7 +286,7 @@ class TestPeelAll:
         sp = AugmentedMetricSpace(points=[[1.0], [2.0], [4.0], [8.0]], density=[0, 1, 2, 3])
         trace = rooted.peel_all(sp)
         assert len(trace) == 4
-        _, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         assert rooted.replay(trace.records, fo).survivors() == [0]
 
     def test_trace_bounds_on_random_spaces(self):
@@ -315,7 +316,7 @@ class TestPeelAll:
         rng = np.random.default_rng(81)
         for _ in range(25):
             sp = random_space(rng, n=int(rng.integers(2, 30)), mode="constant")
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             assert fo.num_levels == 1
             got = [(r.generator, r.root) for r in rooted.peel_all(sp, forest=fo)]
 
@@ -323,7 +324,7 @@ class TestPeelAll:
             assert got == want
 
     def test_replay_and_tampered_trace(self, line4):
-        _, fo = pset.build(line4)
+        fo = pset.LeveledMergeForest(line4)
         trace = rooted.peel_all(line4, forest=fo)
         assert rooted.replay(trace.records, fo).removed == {3: 2}
         bad = [
@@ -335,7 +336,7 @@ class TestPeelAll:
 
     def test_replay_checks_supports_and_the_bottom_generator(self, line4):
         # both records used to replay: replay checked only rootedness and the bottom count
-        _, fo = pset.build(line4)
+        fo = pset.LeveledMergeForest(line4)
         peel, bottom = rooted.peel_all(line4, forest=fo).records
         wide = replace(peel, support=rooted.IntervalSupport(3.0, ((3.0, 99.0),)))
         with pytest.raises(pset.QueryError, match=r"^record 0: generator 3 \(neighborly\) - recorded support"):
@@ -377,7 +378,7 @@ class TestElderBarcode:
         for pts in (line, rng.random((400, 2))):
             n = len(pts)
             sp = AugmentedMetricSpace(points=pts, density=np.zeros(n))
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             merges = fo.merge_events(0)
             births = [0.0] * n
             assert rooted.elder_barcode_1d(births, merges) == elder_oracle(births, merges)
@@ -399,7 +400,7 @@ class TestElderBarcode:
 class TestConquerorAndStaircodeIndices:
     @pytest.mark.parametrize("x", [-1, 4, 99])
     def test_out_of_range_point_rejected(self, line4, x):
-        _, fo = pset.build(line4)
+        fo = pset.LeveledMergeForest(line4)
         with pytest.raises(pset.QueryError, match="out of range"):
             rooted.staircode(line4, x, fo)
         with pytest.raises(pset.QueryError, match="out of range"):
@@ -408,7 +409,7 @@ class TestConquerorAndStaircodeIndices:
 
 class TestStaircode:
     def test_line_example(self, line4):
-        _, fo = pset.build(line4)
+        fo = pset.LeveledMergeForest(line4)
         assert rooted.staircode(line4, 0, fo).breaks == ((0.0, math.inf),)
         assert rooted.staircode(line4, 1, fo).theta_at(1.0) == 7.5
         assert rooted.staircode(line4, 3, fo).theta_at(3.0) == 2.0
@@ -423,7 +424,7 @@ class TestStaircode:
         for _ in range(20):
             n = int(rng.integers(2, 15))
             sp = AugmentedMetricSpace(points=rng.random((n, 2)), density=rng.permutation(n))
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             for x in range(n):
                 thetas = [t for _, t in rooted.staircode(sp, x, fo).breaks]
                 assert all(a >= b for a, b in zip(thetas, thetas[1:]))
@@ -448,38 +449,38 @@ class TestConstantConqueror:
         for _ in range(30):
             n = int(rng.integers(2, 12))
             sp = AugmentedMetricSpace(points=rng.random((n, 2)), density=rng.permutation(n))
-            _, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             v = pset.fresh_view(fo)
             for x in range(n):
                 if rooted.is_rooted_generator(v, x) is not None:
                     assert rooted.constant_conqueror(sp, x, fo) is not None
 
 
-def brute_is_witness(view, grid, x, y):
+def brute_is_witness(view, eps_values, x, y):
     """Definitional check of one witness: y precedes x canonically, and a scan
-    of every grid grade with cluster_at finds y wherever x's surviving cluster
-    is not a singleton."""
+    of every grade (``eps_values`` times the density levels) with cluster_at
+    finds y wherever x's surviving cluster is not a singleton."""
     fo = view.forest
     f = fo.space.density
     rank = {int(p): k for k, p in enumerate(fo.perm)}
     if rank[y] >= rank[x]:
         return False
-    for sigma in grid.sigma_values:
+    for sigma in fo.sigma_levels:
         if f[x] > sigma:
             continue
-        for eps in grid.eps_values:
+        for eps in eps_values:
             cluster = view.cluster_at(float(eps), float(sigma), x)
             if len(cluster) >= 2 and y not in cluster:
                 return False
     return True
 
 
-def brute_rooted_generator(view, grid, x):
+def brute_rooted_generator(view, eps_values, x):
     """The canonically first surviving witness of x, or None."""
-    return next((y for y in view.survivors() if brute_is_witness(view, grid, x, y)), None)
+    return next((y for y in view.survivors() if brute_is_witness(view, eps_values, x, y)), None)
 
 
-def brute_rooted_subset(view, grid, members):
+def brute_rooted_subset(view, eps_values, members):
     fo = view.forest
     f = fo.space.density
     fmin = min(f[m] for m in members)
@@ -491,8 +492,8 @@ def brute_rooted_subset(view, grid, members):
     mset = set(members)
     for y in candidates:
         ok = True
-        for sigma in grid.sigma_values:
-            for eps in grid.eps_values:
+        for sigma in fo.sigma_levels:
+            for eps in eps_values:
                 for x in members:
                     if f[x] > sigma:
                         continue
@@ -517,15 +518,15 @@ class TestBruteForceCrossChecks:
                 rng, n=int(rng.integers(2, 8)),
                 mode=("random", "ties")[t % 2], duplicates=(t % 3 == 0),
             )
-            grid, fo = pset.build(sp)
-            view = pset.fresh_view(fo)
+            fo = pset.LeveledMergeForest(sp)
+            view, eps_values = pset.fresh_view(fo), eps_grid(fo)
             for _ in range(2):
                 for x in view.survivors():
                     got = rooted.is_rooted_generator(view, x)
-                    want = brute_rooted_generator(view, grid, x)
+                    want = brute_rooted_generator(view, eps_values, x)
                     assert got == want, (t, x, got, want)
                     for y in view.survivors():
-                        want = brute_is_witness(view, grid, x, y)
+                        want = brute_is_witness(view, eps_values, x, y)
                         assert view.rooted_pair_ok(x, y) == want, (t, x, y, want)
                 # advance to a peeled view and check there as well
                 peelable = [
@@ -541,13 +542,13 @@ class TestBruteForceCrossChecks:
         rng = np.random.default_rng(4321)
         for t in range(40):
             sp = random_space(rng, n=int(rng.integers(2, 8)), duplicates=(t % 4 == 0))
-            grid, fo = pset.build(sp)
+            fo = pset.LeveledMergeForest(sp)
             view = pset.fresh_view(fo)
             members = list(
                 rng.choice(sp.n, size=int(rng.integers(1, sp.n)), replace=False)
             )
             got = rooted.is_rooted_subset(view, members)
-            want = brute_rooted_subset(view, grid, members)
+            want = brute_rooted_subset(view, eps_grid(fo), members)
             assert got == want, (t, members, got, want)
 
 
@@ -558,7 +559,7 @@ def test_single_level_engine_matches_at_medium_scale():
     for d in (1, 2):
         pts = rng.random((300, d))
         sp = AugmentedMetricSpace(points=pts, density=np.zeros(300))
-        _, fo = pset.build(sp)
+        fo = pset.LeveledMergeForest(sp)
         got = [(r.generator, r.root) for r in rooted.peel_all(sp, forest=fo)]
 
         want = [(r.generator, r.root) for r in DenseForest(fo).peel()]

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import bfs_components
+from conftest import bfs_components, eps_grid
 from dense_reference import DenseForest, scale_row
 from rootpeel import pset, rooted, space
 from rootpeel.experiment import SamplerConfig, sample
@@ -62,13 +62,13 @@ def check_levels(fo, ref):
 
 
 def check_clusters(sp, fo):
-    grid = fo.grid
     view = pset.fresh_view(fo)
     f = sp.density
-    for sigma in grid.sigma_values:
+    dm, es = sp.distance_matrix(), eps_grid(fo)
+    for sigma in fo.sigma_levels:
         active = [i for i in range(sp.n) if f[i] <= sigma]
-        for eps in grid.eps_values:
-            comp = bfs_components(sp.distance_matrix(), active, eps)
+        for eps in es:
+            comp = bfs_components(dm, active, eps)
             for x in active:
                 assert view.cluster_at(eps, sigma, x) == comp[x]
 
