@@ -248,7 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except (ParseError, DensityError, pset.QueryError, linalg.BudgetError,
-            linalg.ConsistencyError, experiment.ConvergenceError, ValueError) as e:
+            linalg.ConsistencyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

@@ -432,8 +432,9 @@ def _grade_grid(forest: LeveledMergeForest) -> Tuple[np.ndarray, np.ndarray]:
     return np.unique(forest.space.distance_matrix()), forest.sigma_levels
 
 
-def _grade_bases(view: PeelView) -> GradeBases:
-    """Survivor labels and basis at every grade (eps index, sigma index).
+def _grade_bases(view: PeelView, eps_values) -> GradeBases:
+    """Survivor labels and basis at every grade (eps index, sigma index), over
+    the grade grid's distances ``eps_values``.
 
     The labels give each position active at the grade's level the position of
     its cluster's canonically first survivor. The basis maps each label that a
@@ -441,7 +442,6 @@ def _grade_bases(view: PeelView) -> GradeBases:
     surviving cluster.
     """
     fo = view.forest
-    eps_values, _ = _grade_grid(fo)
     out: GradeBases = {}
     for j in range(fo.num_levels):
         live = np.flatnonzero(view._alive[: int(fo.level_sizes[j])])
@@ -453,7 +453,8 @@ def _grade_bases(view: PeelView) -> GradeBases:
 
 def grade_dims(view: PeelView) -> Dict[Tuple[int, int], int]:
     """Fiber dimensions of the linearized view at every grade of the full grid."""
-    return {g: len(basis) for g, (_, basis) in _grade_bases(view).items()}
+    eps_values, _ = _grade_grid(view.forest)
+    return {g: len(basis) for g, (_, basis) in _grade_bases(view, eps_values).items()}
 
 
 def linearize(view: PeelView, dim_budget: int = 64) -> GridModule:
@@ -463,7 +464,7 @@ def linearize(view: PeelView, dim_budget: int = 64) -> GridModule:
     built on it read back.
     """
     eps_values, sigma_values = _grade_grid(view.forest)
-    bases = _grade_bases(view)
+    bases = _grade_bases(view, eps_values)
     dims = {g: len(basis) for g, (_, basis) in bases.items()}
     _check_budget(sum(dims.values()), dim_budget)
 

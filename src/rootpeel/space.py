@@ -290,7 +290,7 @@ def gaussian_kde_values(points: np.ndarray, bandwidth=None) -> np.ndarray:
             h = scott_bandwidths(pts)
         else:
             h = np.broadcast_to(np.asarray(bandwidth, dtype=np.float64), (d,)).copy()
-            if np.any(h <= 0):
+            if not np.all(h > 0):
                 raise ValueError("bandwidth must be positive")
         norm = n * np.prod(h) * np.float64(2.0 * math.pi) ** (d / 2.0)
         cols = np.ascontiguousarray(pts.T)
@@ -381,10 +381,12 @@ def load_points(
     if density_column is not None:
         if isinstance(density_column, int):
             dens_idx = density_column
-        else:
-            if header is None or density_column not in header:
-                raise ParseError(f"density column {density_column!r} not found in header")
+        elif header is not None and density_column in header:
             dens_idx = header.index(density_column)
+        elif density_column.isdecimal():  # a string that names no column may be its index
+            dens_idx = int(density_column)
+        else:
+            raise ParseError(f"density column {density_column!r} not found in header")
 
     width = None
     coords = []

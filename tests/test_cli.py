@@ -84,6 +84,21 @@ class TestPeel:
         assert r.stderr.decode().startswith(f"error: cannot write {out}:")
         assert b"Traceback" not in r.stderr
 
+    def test_density_column_by_index(self, tmp_path, capsys):
+        rows = "0,0,0\n7.5,1,1\n3,2,2\n5,0,3\n"
+        headed, bare = tmp_path / "headed.csv", tmp_path / "bare.csv"
+        headed.write_text("x,y,f\n" + rows)
+        bare.write_text(rows)
+        outs = []
+        for path, column in ((headed, "f"), (bare, "2")):
+            trace = tmp_path / f"{path.stem}.json"
+            assert cli.main(["peel", "--input", str(path), "--density-column", column,
+                             "--output", str(trace)]) == 0
+            outs.append((capsys.readouterr().out, trace.read_text()))
+        assert outs[0] == outs[1]
+        assert cli.main(["peel", "--input", str(bare), "--density-column", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_matrix_input(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("#matrix 3\n0,1,4\n1,0,2\n4,2,0\n")

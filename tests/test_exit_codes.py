@@ -141,6 +141,14 @@ def test_kde_bandwidth_at_the_float_range(tmp_path, capsys, bandwidth, code):
     assert capsys.readouterr().err == ("" if code == 0 else err)
 
 
+def test_nan_bandwidth_is_not_positive(tmp_path, capsys):
+    # nan passed the h <= 0 check and was then reported as an overflow
+    argv = ["simulate", "--n", "5", "--trials", "1", "--jobs", "1",
+            "--density-mode", "kde", "--kde-bandwidth", "nan"]
+    assert run_main(argv, tmp_path) == 2
+    assert capsys.readouterr().err == "error: bandwidth must be positive\n"
+
+
 def test_kde_in_many_dimensions(tmp_path):
     # (2 pi) ** (d / 2) raised OverflowError from d = 773 on
     table = "\n".join(",".join(str((i * k) % 7) for k in range(800)) for i in range(4)).encode()

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
@@ -5,33 +8,26 @@ from scipy.special import betainc as scipy_betainc
 from rootpeel import experiment as ex
 
 
-class TestIncompleteBeta:
-    def test_boundaries(self):
-        assert ex.regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert ex.regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+class TestBConstantSeries:
+    def test_against_scipy_betainc(self):
+        for d in range(1, 2001):
+            ref = 1.0 / (2.0 - float(scipy_betainc((d + 1) / 2.0, 0.5, 0.75)))
+            assert abs(ex.b_constant(d) - ref) <= 2 * math.ulp(ref), d
 
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            ex.regularized_incomplete_beta(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            ex.regularized_incomplete_beta(1.0, 1.0, 1.5)
+    def test_closed_forms(self):
+        # I_{3/4}(1, 1/2) = 1/2 and I_{3/4}(2, 1/2) = 1/2 - t(1) = 5/16
+        assert ex.b_constant(1) == 2.0 / 3.0
+        assert ex.b_constant(3) == 16.0 / 27.0
 
-    def test_closed_form_a_one(self):
-        # I_x(1, b) = 1 - (1 - x)^b
-        for b in (0.5, 1.0, 4.0):
-            for x in (0.1, 0.5, 0.75, 0.9):
-                got = ex.regularized_incomplete_beta(1.0, b, x)
-                assert got == pytest.approx(1 - (1 - x) ** b, abs=1e-14)
+    def test_nonincreasing_and_at_least_half(self):
+        values = [ex.b_constant(d) for d in range(1, 5001)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert min(values) >= 0.5
 
-    def test_against_scipy_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            a = 10 ** rng.uniform(-1, 2.3)
-            b = 10 ** rng.uniform(-1, 1.5)
-            x = float(rng.random())
-            mine = ex.regularized_incomplete_beta(a, b, x)
-            ref = float(scipy_betainc(a, b, x))
-            assert mine == pytest.approx(ref, abs=1e-12)
+    def test_largest_int64_dimension(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ex.b_constant(np.int64(2**63 - 1)) == 0.5
 
 
 class TestLimitConstants:

@@ -67,6 +67,17 @@ class TestLinearize:
         assert module.dims == linalg.grade_dims(view)
 
 
+    def test_one_distance_matrix_per_linearize(self, line4, monkeypatch):
+        # the grade grid was built twice: once by linearize, once by _grade_bases
+        view = pset.fresh_view(pset.LeveledMergeForest(line4))
+        asked = []
+        make = type(line4).distance_matrix
+        monkeypatch.setattr(type(line4), "distance_matrix",
+                            lambda self: asked.append(self) or make(self))
+        linalg.linearize(view, dim_budget=BUDGET)
+        assert len(asked) == 1
+
+
 class TestGridModule:
     def test_noncommuting_square_rejected(self):
         with pytest.raises(ValueError, match="commute"):
@@ -379,7 +390,7 @@ class TestSubsetIdempotents:
         mset = {int(m) for m in members}
         pw = int(fo.pos_of[witness])
         mats = {}
-        for (i, j), (labels, basis) in linalg._grade_bases(view).items():
+        for (i, j), (labels, basis) in linalg._grade_bases(view, module.eps_values).items():
             d = module.dims[(i, j)]
             mat = np.zeros((d, d), dtype=np.int64)
             for col, rep in enumerate(basis):
