@@ -2,23 +2,23 @@
 
 Persistent sets linearize to modules over the grade grid: one vector space per
 grade (free on the surviving clusters) and 0/1 inclusion-induced maps along
-both axes. Everything here is exact: rationals by default, an odd prime field
-on request. The oracle exists to validate peels independently, so ranks and
-splits go through honest Gaussian elimination rather than exploiting the
-special shape of cluster maps.
+both axes. Everything here is exact, over the rationals. One field suffices:
+the structure maps and the idempotents a peel induces send basis classes to
+basis classes, so they are set maps, and a split along a set map is the same
+over every field. The oracle exists to validate peels independently, so
+ranks and splits go through honest Gaussian elimination rather than
+exploiting the special shape of cluster maps.
 
 Matrices are numpy arrays: plain int64 for the 0/1 structure maps and
-idempotents, dtype object holding field elements (``Fraction``, or ints mod p)
-once fractions can appear. One kernel serves every caller: ``compose``,
-``mats_equal`` and the elimination ``_rref`` behind rank, solve and
-nullspace; integral matrices over QQ take fraction-free rank. What differs
-between QQ and GF(p) (division, reduction mod p, products) is a method of the
-field class. ``GridModule.covering_maps`` is the one walk over the structure
-maps. ``_grade_grid`` alone makes the grade grid, from a distance matrix that
-no one keeps. ``linearize`` records its view and grade bases on the module,
-and the idempotents built on that module read them back. Sizes are guarded
-by an explicit total-dimension budget; exceeding it is an error, not a
-silent fallback.
+idempotents, dtype object holding ``Fraction`` once fractions can appear. One
+kernel serves every caller: ``compose``, ``mats_equal`` and the elimination
+``_rref`` behind rank, solve and nullspace; integral matrices take
+fraction-free rank. ``GridModule.covering_maps`` is the one walk over the
+structure maps. ``_grade_grid`` alone makes the grade grid, from a distance
+matrix that no one keeps. ``linearize`` records its view and grade bases on
+the module, and the idempotents built on that module read them back. Sizes
+are guarded by an explicit total-dimension budget; exceeding it is an error,
+not a silent fallback.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .pset import LeveledMergeForest, PeelView
-
-FieldSpec = Union[str, int]  # "QQ" or an odd prime
 
 
 class BudgetError(RuntimeError):
@@ -49,31 +47,10 @@ def _check_budget(total: int, dim_budget: int) -> None:
         raise BudgetError(f"module has total dimension {total}, over the budget {dim_budget}")
 
 
-# -- exact fields ---------------------------------------------------------------
-# Elements are Python objects (``Fraction``, or ints in [0, p)); ``reduce``
-# brings a scalar or an integer/object array back to canonical form.
-
-
-class _QQ:
-    characteristic = 0
-
-    def from_int(self, v):
-        return Fraction(v)
-
-    def div(self, a, b):
-        return a / Fraction(b)
-
-    def reduce(self, a):
-        return a
-
-    def matmul(self, a, b):
-        # over a common denominator per factor the products are of ints,
-        # many times cheaper than products of Fractions
-        (ia, da), (ib, db) = _integral(a), _integral(b)
-        prod = ia @ ib
-        out = np.empty(prod.shape, dtype=object)
-        out.ravel()[:] = [Fraction(v, da * db) for v in prod.ravel().tolist()]
-        return out
+# -- matrix kernel ----------------------------------------------------------------
+# A "matrix" is a 2-d numpy array; int64 for integral data, dtype=object with
+# ``Fraction`` entries otherwise. Object arrays keep their shape through every
+# degenerate (zero rows/columns) case, which plain nested tuples do not.
 
 
 def _integral(m: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -85,65 +62,46 @@ def _integral(m: np.ndarray) -> Tuple[np.ndarray, int]:
     return ints, den
 
 
-class _GFp:
-    def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"field characteristic must be prime, got {p}")
-        self.p = self.characteristic = p
-
-    def from_int(self, v):
-        return int(v) % self.p
-
-    def div(self, a, b):
-        return (a * pow(int(b), -1, self.p)) % self.p
-
-    def reduce(self, a):
-        return a % self.p
-
-    def matmul(self, a, b):
-        return (a @ b) % self.p
-
-
-def _field_of(spec: FieldSpec):
-    return _QQ() if spec == "QQ" else _GFp(int(spec))
-
-
-# -- matrix kernel ----------------------------------------------------------------
-# A "matrix" is a 2-d numpy array; int64 for integral data, dtype=object with
-# field elements otherwise. Object arrays keep their shape through every
-# degenerate (zero rows/columns) case, which plain nested tuples do not.
-
-
-def as_field_matrix(m: np.ndarray, fld) -> np.ndarray:
-    if m.dtype == object:
-        return fld.reduce(m)
-    out = np.empty(m.shape, dtype=object)
-    out.ravel()[:] = [fld.from_int(v) for v in m.ravel().tolist()]
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # over a common denominator per factor the products are of ints, many
+    # times cheaper than products of Fractions
+    (ia, da), (ib, db) = _integral(a), _integral(b)
+    prod = ia @ ib
+    out = np.empty(prod.shape, dtype=object)
+    out.ravel()[:] = [Fraction(v, da * db) for v in prod.ravel().tolist()]
     return out
 
 
-def mat_identity(n: int, fld) -> np.ndarray:
-    return as_field_matrix(np.eye(n, dtype=np.int64), fld)
+def as_field_matrix(m: np.ndarray) -> np.ndarray:
+    if m.dtype == object:
+        return m
+    out = np.empty(m.shape, dtype=object)
+    out.ravel()[:] = [Fraction(v) for v in m.ravel().tolist()]
+    return out
 
 
-def mat_zero(r: int, c: int, fld) -> np.ndarray:
-    return as_field_matrix(np.zeros((r, c), dtype=np.int64), fld)
+def mat_identity(n: int) -> np.ndarray:
+    return as_field_matrix(np.eye(n, dtype=np.int64))
 
 
-def compose(a: np.ndarray, b: np.ndarray, fld) -> np.ndarray:
+def mat_zero(r: int, c: int) -> np.ndarray:
+    return as_field_matrix(np.zeros((r, c), dtype=np.int64))
+
+
+def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product; stays in int64 when both factors are integral."""
     if a.dtype != object and b.dtype != object:
-        return fld.reduce(a @ b)
-    return fld.matmul(as_field_matrix(a, fld), as_field_matrix(b, fld))
+        return a @ b
+    return _matmul(as_field_matrix(a), as_field_matrix(b))
 
 
-def mats_equal(a: np.ndarray, b: np.ndarray, fld) -> bool:
-    return a.shape == b.shape and np.count_nonzero(fld.reduce(a - b)) == 0
+def mats_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.count_nonzero(a - b) == 0
 
 
-def _rref(m: np.ndarray, fld) -> Tuple[np.ndarray, List[int]]:
+def _rref(m: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form and pivot column indices."""
-    rows = as_field_matrix(m, fld).copy()
+    rows = as_field_matrix(m).copy()
     nr, nc = rows.shape
     pivots: List[int] = []
     for c in range(nc):
@@ -155,23 +113,22 @@ def _rref(m: np.ndarray, fld) -> Tuple[np.ndarray, List[int]]:
             continue
         pr = r + int(nonzero[0])
         rows[[r, pr]] = rows[[pr, r]]
-        rows[r] = fld.div(rows[r], rows[r, c])
+        rows[r] = rows[r] / Fraction(rows[r, c])
         col = rows[:, c].copy()
         col[r] = 0
         # only the pivot row's nonzero columns change, and the matrices are sparse
         hit, cols = np.flatnonzero(col), np.flatnonzero(rows[r])
         block = np.ix_(hit, cols)
-        rows[block] = fld.reduce(rows[block] - np.outer(col[hit], rows[r, cols]))
+        rows[block] = rows[block] - np.outer(col[hit], rows[r, cols])
         pivots.append(c)
     return rows, pivots
 
 
-def mat_rank(m: np.ndarray, fld=None) -> int:
-    """Exact rank (over QQ by default); integral matrices over QQ go through
-    fraction-free elimination."""
-    if m.dtype != object and (fld is None or fld.characteristic == 0):
+def mat_rank(m: np.ndarray) -> int:
+    """Exact rank; integral matrices go through fraction-free elimination."""
+    if m.dtype != object:
         return _rank_bareiss(m.tolist())
-    return len(_rref(m, fld or _QQ())[1])
+    return len(_rref(m)[1])
 
 
 def _rank_bareiss(rows: List[List[int]]) -> int:
@@ -198,12 +155,12 @@ def _rank_bareiss(rows: List[List[int]]) -> int:
     return rank
 
 
-def mat_solve(a: np.ndarray, b: np.ndarray, fld) -> np.ndarray:
+def mat_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b where a has full column rank; raises if inconsistent."""
     if a.shape[0] != b.shape[0]:
         raise ValueError("incompatible shapes in solve")
     ca = a.shape[1]
-    rows, pivots = _rref(np.concatenate([as_field_matrix(a, fld), as_field_matrix(b, fld)], axis=1), fld)
+    rows, pivots = _rref(np.concatenate([as_field_matrix(a), as_field_matrix(b)], axis=1))
     if any(p >= ca for p in pivots):
         raise ConsistencyError("linear system is inconsistent")
     if len(pivots) < ca:
@@ -212,13 +169,13 @@ def mat_solve(a: np.ndarray, b: np.ndarray, fld) -> np.ndarray:
     return rows[:ca, ca:]
 
 
-def mat_nullspace(m: np.ndarray, fld) -> np.ndarray:
+def mat_nullspace(m: np.ndarray) -> np.ndarray:
     """Basis of {v : m @ v = 0}, one vector per row."""
-    rows, pivots = _rref(m, fld)
+    rows, pivots = _rref(m)
     free = [c for c in range(m.shape[1]) if c not in pivots]
-    basis = mat_zero(len(free), m.shape[1], fld)
-    basis[np.arange(len(free)), free] = fld.from_int(1)
-    basis[:, pivots] = fld.reduce(-rows[: len(pivots)][:, free].T)
+    basis = mat_zero(len(free), m.shape[1])
+    basis[np.arange(len(free)), free] = Fraction(1)
+    basis[:, pivots] = -rows[: len(pivots)][:, free].T
     return basis
 
 
@@ -246,7 +203,7 @@ def _require_dims(dims, ne: int, ns: int) -> None:
 
 @dataclass
 class GridModule:
-    """Functor from the grade grid to vector spaces, over an exact field.
+    """Functor from the grade grid to vector spaces over the rationals.
 
     ``dims[i, j]`` is the fiber dimension at (eps_values[i], sigma_values[j]);
     ``right_maps[i, j]`` maps grade (i, j) to (i+1, j) and ``up_maps[i, j]``
@@ -259,13 +216,8 @@ class GridModule:
     dims: Dict[Tuple[int, int], int]
     right_maps: Dict[Tuple[int, int], np.ndarray]
     up_maps: Dict[Tuple[int, int], np.ndarray]
-    field: FieldSpec = "QQ"
     # set by linearize: the (peel view, grade bases) the module comes from
     _linearized = None
-
-    def __post_init__(self):
-        self._fld = _field_of(self.field)
-        self._validate()
 
     def grades(self):
         for j in range(len(self.sigma_values)):
@@ -291,7 +243,7 @@ class GridModule:
         perm = view.forest.perm
         return {g: tuple(int(perm[p]) for p in basis) for g, (_, basis) in bases.items()}
 
-    def _validate(self):
+    def __post_init__(self):
         ne, ns = len(self.eps_values), len(self.sigma_values)
         for (i, j), d in self.dims.items():
             if not (0 <= i < ne and 0 <= j < ns) or d < 0:
@@ -304,9 +256,9 @@ class GridModule:
                 raise ValueError(f"structure map {src} -> {dst} has wrong shape")
         for j in range(ns - 1):
             for i in range(ne - 1):
-                a = compose(self.up_maps[(i + 1, j)], self.right_maps[(i, j)], self._fld)
-                b = compose(self.right_maps[(i, j + 1)], self.up_maps[(i, j)], self._fld)
-                if not mats_equal(a, b, self._fld):
+                a = compose(self.up_maps[(i + 1, j)], self.right_maps[(i, j)])
+                b = compose(self.right_maps[(i, j + 1)], self.up_maps[(i, j)])
+                if not mats_equal(a, b):
                     raise ValueError(
                         f"structure square at eps index {i}, sigma index {j} does not commute"
                     )
@@ -319,21 +271,21 @@ class GridModule:
         m: Optional[np.ndarray] = None
         for i in range(i0, i1):
             step = self.right_maps[(i, j0)]
-            m = step if m is None else compose(step, m, self._fld)
+            m = step if m is None else compose(step, m)
         for j in range(j0, j1):
             step = self.up_maps[(i1, j)]
-            m = step if m is None else compose(step, m, self._fld)
+            m = step if m is None else compose(step, m)
         if m is None:
-            return mat_identity(self.dims[src], self._fld)
+            return mat_identity(self.dims[src])
         return m
 
     def to_json(self) -> str:
         def enc(m):
-            mo = as_field_matrix(m, self._fld)
+            mo = as_field_matrix(m)
             return [[_enc_scalar(v) for v in row] for row in mo]
 
         payload = {
-            "field": self.field,
+            "field": "QQ",
             "eps_values": list(self.eps_values),
             "sigma_values": list(self.sigma_values),
             "dims": {f"{i},{j}": d for (i, j), d in sorted(self.dims.items())},
@@ -345,7 +297,8 @@ class GridModule:
     @staticmethod
     def from_json(payload: str) -> "GridModule":
         data = json.loads(payload)
-        fld = _field_of(data["field"])
+        if data.get("field") != "QQ":
+            raise ValueError(f"module field must be \"QQ\", got {data.get('field')!r}")
         dims = {}
         for k, v in data["dims"].items():
             i, j = k.split(",")
@@ -358,9 +311,13 @@ class GridModule:
             rows = data[axis].get(f"{src[0]},{src[1]}")
             if rows is None:
                 continue  # the constructor names the missing map
-            out = mat_zero(dims[dst], dims[src], fld)
-            for r, row in enumerate(rows):
-                out[r] = [_dec_scalar(v, fld) for v in row]
+            where = f"{axis} at grade {src}"
+            shape = (dims[dst], dims[src])
+            if not isinstance(rows, list) or len(rows) != shape[0] or any(
+                    not isinstance(row, list) or len(row) != shape[1] for row in rows):
+                raise ValueError(f"{where} is not a {shape[0]} x {shape[1]} matrix")
+            out = np.empty(shape, dtype=object)
+            out.ravel()[:] = [_dec_scalar(v, where) for row in rows for v in row]
             maps[axis][src] = out
         return GridModule(
             eps_values=tuple(data["eps_values"]),
@@ -368,16 +325,15 @@ class GridModule:
             dims=dims,
             right_maps=maps["right_maps"],
             up_maps=maps["up_maps"],
-            field=data["field"],
         )
 
     @staticmethod
-    def zero(eps_values, sigma_values, field: FieldSpec = "QQ") -> "GridModule":
+    def zero(eps_values, sigma_values) -> "GridModule":
         ne, ns = len(eps_values), len(sigma_values)
         dims = {(i, j): 0 for j in range(ns) for i in range(ne)}
         right = {(i, j): np.zeros((0, 0), dtype=np.int64) for j in range(ns) for i in range(ne - 1)}
         up = {(i, j): np.zeros((0, 0), dtype=np.int64) for j in range(ns - 1) for i in range(ne)}
-        return GridModule(tuple(eps_values), tuple(sigma_values), dims, right, up, field)
+        return GridModule(tuple(eps_values), tuple(sigma_values), dims, right, up)
 
 
 def _enc_scalar(v) -> str:
@@ -386,9 +342,13 @@ def _enc_scalar(v) -> str:
     return str(int(v))
 
 
-def _dec_scalar(s: str, fld):
-    num, _, den = s.partition("/")
-    return fld.div(fld.from_int(int(num)), fld.from_int(int(den or 1)))
+def _dec_scalar(s: str, where: str) -> Fraction:
+    """An ``"num/den"`` or ``"num"`` entry of the matrix ``where``."""
+    try:
+        num, _, den = s.partition("/")
+        return Fraction(int(num), int(den or 1))
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"bad entry {s!r} in {where}") from None
 
 
 @dataclass
@@ -401,11 +361,10 @@ class ModuleMorphism:
 
     def check_natural(self) -> None:
         src, dst = self.source, self.target
-        fld = _field_of(src.field)
         for axis, g, h, step in src.covering_maps():
-            lhs = compose(self.mats[h], step, fld)
-            rhs = compose(getattr(dst, axis)[g], self.mats[g], fld)
-            if not mats_equal(lhs, rhs, fld):
+            lhs = compose(self.mats[h], step)
+            rhs = compose(getattr(dst, axis)[g], self.mats[g])
+            if not mats_equal(lhs, rhs):
                 raise ConsistencyError(
                     f"naturality fails on the {'scale' if axis == 'right_maps' else 'density'} "
                     f"step into grade ({src.eps_values[h[0]]}, {src.sigma_values[h[1]]})"
@@ -414,9 +373,8 @@ class ModuleMorphism:
     def check_idempotent(self) -> None:
         if self.source.dims != self.target.dims:
             raise ConsistencyError("idempotency only makes sense for endomorphisms")
-        fld = _field_of(self.source.field)
         for g, m in self.mats.items():
-            if not mats_equal(compose(m, m, fld), m, fld):
+            if not mats_equal(compose(m, m), m):
                 raise ConsistencyError(f"morphism is not idempotent at grade index {g}")
 
 
@@ -481,7 +439,6 @@ def linearize(view: PeelView, dim_budget: int = 64) -> GridModule:
         dims=dims,
         right_maps=maps["right_maps"],
         up_maps=maps["up_maps"],
-        field="QQ",
     )
     module._linearized = (view, bases)
     return module
@@ -557,12 +514,11 @@ def split_dims(
     module: GridModule, phi: ModuleMorphism
 ) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], int]]:
     """Grade-wise dimensions of (img(id - phi), img(phi)) by exact rank."""
-    fld = _field_of(module.field)
     da, db = {}, {}
     for g in module.grades():
         m = phi.mats[g]
-        da[g] = mat_rank(fld.reduce(np.eye(len(m), dtype=m.dtype) - m), fld)
-        db[g] = mat_rank(m, fld)
+        da[g] = mat_rank(np.eye(len(m), dtype=m.dtype) - m)
+        db[g] = mat_rank(m)
     return da, db
 
 
@@ -601,15 +557,14 @@ def split(module: GridModule, phi: ModuleMorphism) -> Tuple[GridModule, GridModu
     """
     phi.check_idempotent()
     phi.check_natural()
-    fld = _field_of(module.field)
 
     bases_a: Dict[Tuple[int, int], np.ndarray] = {}
     bases_b: Dict[Tuple[int, int], np.ndarray] = {}
     for g in module.grades():
-        m = as_field_matrix(phi.mats[g], fld)
-        comp = fld.reduce(mat_identity(len(m), fld) - m)
-        bases_a[g] = comp[:, _rref(comp, fld)[1]]
-        bases_b[g] = m[:, _rref(m, fld)[1]]
+        m = as_field_matrix(phi.mats[g])
+        comp = mat_identity(len(m)) - m
+        bases_a[g] = comp[:, _rref(comp)[1]]
+        bases_b[g] = m[:, _rref(m)[1]]
         if bases_a[g].shape[1] + bases_b[g].shape[1] != module.dims[g]:
             raise ConsistencyError(f"factor dimensions do not add up at grade {g}")
 
@@ -617,15 +572,15 @@ def split(module: GridModule, phi: ModuleMorphism) -> Tuple[GridModule, GridModu
         dims = {g: b.shape[1] for g, b in bases.items()}
         maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
         for axis, src, dst, step in module.covering_maps():
-            img = compose(step, bases[src], fld)
+            img = compose(step, bases[src])
             if dims[dst] == 0:
                 if np.count_nonzero(img):
                     raise ConsistencyError(f"factor is not closed under the map {src} -> {dst}")
                 maps[axis][src] = np.zeros((0, dims[src]), dtype=np.int64)
             else:
-                maps[axis][src] = mat_solve(bases[dst], img, fld)
+                maps[axis][src] = mat_solve(bases[dst], img)
         return GridModule(module.eps_values, module.sigma_values, dims,
-                          maps["right_maps"], maps["up_maps"], module.field)
+                          maps["right_maps"], maps["up_maps"])
 
     return induced(bases_a), induced(bases_b)
 
@@ -636,7 +591,6 @@ def split(module: GridModule, phi: ModuleMorphism) -> Tuple[GridModule, GridModu
 def endomorphism_space(module: GridModule, dim_budget: int = 64) -> List[ModuleMorphism]:
     """Basis of all grade-wise maps commuting with the structure maps."""
     _check_budget(module.total_dim(), dim_budget)
-    fld = _field_of(module.field)
 
     # unknowns: the entries of each grade's d x d block, row-major, grade by grade
     offsets: Dict[Tuple[int, int], int] = {}
@@ -650,18 +604,17 @@ def endomorphism_space(module: GridModule, dim_budget: int = 64) -> List[ModuleM
 
     # one equation per entry of step @ X_src - X_dst @ step along each covering
     # map; the empty first block keeps the stack defined on a one-grade grid
-    blocks = [mat_zero(0, nunk, fld)]
+    blocks = [mat_zero(0, nunk)]
     for _, src, dst, step_raw in module.covering_maps():
-        step = as_field_matrix(step_raw, fld)
+        step = as_field_matrix(step_raw)
         ds, dd = module.dims[src], module.dims[dst]
-        block = mat_zero(dd * ds, nunk, fld)
-        block[:, offsets[src]: offsets[src] + ds * ds] = np.kron(step, mat_identity(ds, fld))
-        block[:, offsets[dst]: offsets[dst] + dd * dd] = -np.kron(mat_identity(dd, fld), step.T)
-        block = fld.reduce(block)
+        block = mat_zero(dd * ds, nunk)
+        block[:, offsets[src]: offsets[src] + ds * ds] = np.kron(step, mat_identity(ds))
+        block[:, offsets[dst]: offsets[dst] + dd * dd] = -np.kron(mat_identity(dd), step.T)
         blocks.append(block[np.count_nonzero(block, axis=1) > 0])
 
     out = []
-    for vec in mat_nullspace(np.concatenate(blocks), fld):
+    for vec in mat_nullspace(np.concatenate(blocks)):
         mats = {}
         for g in module.grades():
             d = module.dims[g]
@@ -670,15 +623,15 @@ def endomorphism_space(module: GridModule, dim_budget: int = 64) -> List[ModuleM
     return out
 
 
-def _block_matrix(morphism: ModuleMorphism, fld) -> np.ndarray:
+def _block_matrix(morphism: ModuleMorphism) -> np.ndarray:
     """Faithful block-diagonal matrix of an endomorphism over all grades."""
     module = morphism.source
     total = module.total_dim()
-    big = mat_zero(total, total, fld)
+    big = mat_zero(total, total)
     off = 0
     for g in module.grades():
         d = module.dims[g]
-        big[off: off + d, off: off + d] = as_field_matrix(morphism.mats[g], fld)
+        big[off: off + d, off: off + d] = as_field_matrix(morphism.mats[g])
         off += d
     return big
 
@@ -686,14 +639,13 @@ def _block_matrix(morphism: ModuleMorphism, fld) -> np.ndarray:
 def _min_poly(big: np.ndarray) -> List[Fraction]:
     """Monic minimal polynomial over QQ (coefficients low-degree first), found
     as the first linear dependence among flattened powers."""
-    fld = _QQ()
     n = len(big)
-    power = mat_identity(n, fld)
+    power = mat_identity(n)
     ech = []  # (lead index, echelon row, its coefficients in the powers)
     for k in range(n + 2):
         vec = power.reshape(-1)
-        coeffs = mat_zero(1, n + 2, fld)[0]
-        coeffs[k] = fld.from_int(1)
+        coeffs = mat_zero(1, n + 2)[0]
+        coeffs[k] = Fraction(1)
         for lead, erow, ecoef in ech:
             if vec[lead] != 0:
                 f = vec[lead] / erow[lead]
@@ -703,25 +655,20 @@ def _min_poly(big: np.ndarray) -> List[Fraction]:
         if not len(nonzero):
             return list(coeffs[: k + 1])
         ech.append((int(nonzero[0]), vec, coeffs))
-        power = compose(power, big, fld)
+        power = compose(power, big)
     raise RuntimeError("minimal polynomial search did not terminate")
 
 
-def is_indecomposable(
-    module: GridModule,
-    dim_budget: int = 64,
-    trials: int = 24,
-    seed: int = 0,
-) -> Optional[bool]:
+def is_indecomposable(module: GridModule, dim_budget: int = 64) -> Optional[bool]:
     """Indecomposability over the rationals, with honest uncertainty.
 
     Returns False with a certificate (an endomorphism whose minimal polynomial
     has coprime factors yields a nontrivial idempotent), True when the
     endomorphism algebra is provably local (its trace-form radical has
-    codimension one), and None when neither certificate was found.
+    codimension one), and None when neither certificate was found. Besides
+    the basis itself, 24 seeded random combinations of it are tried for a
+    splitting minimal polynomial.
     """
-    if module.field != "QQ":
-        raise ValueError("indecomposability test is defined over the rationals")
     total = module.total_dim()
     basis = endomorphism_space(module, dim_budget=dim_budget)  # checks the budget
     if total == 0:
@@ -730,9 +677,8 @@ def is_indecomposable(
     if m == 1:
         return True
 
-    fld = _QQ()
-    bigs = [_block_matrix(b, fld) for b in basis]
-    rng = np.random.default_rng(seed)
+    bigs = [_block_matrix(b) for b in basis]
+    rng = np.random.default_rng(0)
 
     import sympy
 
@@ -752,21 +698,21 @@ def is_indecomposable(
         rest = sympy.Poly(sympy.prod(f**e for f, e in factors[1:]), tsym)
         s, w, h = sympy.gcdex(p1, rest)
         # s*p1 + w*rest = 1, so e := (w*rest)(A) is 1 on ker p1(A), 0 elsewhere
-        ident = mat_identity(total, fld)
-        e = mat_zero(total, total, fld)
+        ident = mat_identity(total)
+        e = mat_zero(total, total)
         for c in (sympy.Poly(w, tsym) * rest).all_coeffs():  # Horner, top degree first
             q = sympy.Rational(c)
-            e = compose(e, big, fld) + Fraction(int(q.p), int(q.q)) * ident
-        if mats_equal(e, ident, fld) or np.count_nonzero(e) == 0:
+            e = compose(e, big) + Fraction(int(q.p), int(q.q)) * ident
+        if mats_equal(e, ident) or np.count_nonzero(e) == 0:
             return False
-        if not mats_equal(compose(e, e, fld), e, fld):
+        if not mats_equal(compose(e, e), e):
             raise RuntimeError("idempotent construction failed")
         return True
 
     for big in bigs:
         if splits(big):
             return False
-    for _ in range(trials):
+    for _ in range(24):
         coefs = rng.integers(-3, 4, size=m)
         if not np.any(coefs):
             continue
@@ -775,11 +721,11 @@ def is_indecomposable(
 
     # char 0 and a faithful representation: the radical is the kernel of the
     # trace form tr(ab) on the algebra
-    gram = mat_zero(m, m, fld)
+    gram = mat_zero(m, m)
     for k in range(m):
         for l in range(m):
             gram[k, l] = np.sum(bigs[k] * bigs[l].T)
-    rad_dim = m - mat_rank(gram, fld)
+    rad_dim = m - mat_rank(gram)
     if m - rad_dim == 1:
         return True
     return None
@@ -788,7 +734,6 @@ def is_indecomposable(
 def betti0_total(module: GridModule, dim_budget: int = 64) -> int:
     """Sum over grades of the cokernel dimension of all incoming maps."""
     _check_budget(module.total_dim(), dim_budget)
-    fld = _field_of(module.field)
     out = 0
     for (i, j) in module.grades():
         d = module.dims[(i, j)]
@@ -796,13 +741,13 @@ def betti0_total(module: GridModule, dim_budget: int = 64) -> int:
             continue
         incoming = []
         if i > 0:
-            incoming.append(as_field_matrix(module.right_maps[(i - 1, j)], fld))
+            incoming.append(as_field_matrix(module.right_maps[(i - 1, j)]))
         if j > 0:
-            incoming.append(as_field_matrix(module.up_maps[(i, j - 1)], fld))
+            incoming.append(as_field_matrix(module.up_maps[(i, j - 1)]))
         incoming = [m for m in incoming if m.shape[1] > 0]
         if not incoming:
             out += d
             continue
         stacked = np.concatenate(incoming, axis=1)
-        out += d - mat_rank(stacked, fld)
+        out += d - mat_rank(stacked)
     return out

@@ -268,11 +268,6 @@ class ChainLevels:
                 return None, eps_first, watch
         return cand, eps_first, watch
 
-    def root_candidates(self, alive: np.ndarray, px: int) -> Tuple[Optional[np.ndarray], float]:
-        """The candidate mask and first-merge scale of ``root_scan``."""
-        cand, eps_first, _ = self.root_scan(alive, px)
-        return cand, eps_first
-
 
 class LeveledMergeForest(ChainLevels):
     """Immutable merge structure of an augmented metric space, one level per
@@ -429,7 +424,7 @@ class PeelView:
         px, proot = fo.position(x), fo.position(root)
         if not (self._alive[px] and self._alive[proot]) or proot >= px:
             return False
-        cand, _ = fo.root_candidates(self._alive, px)
+        cand, _, _ = fo.root_scan(self._alive, px)
         return cand is not None and bool(cand[proot])
 
     def restrict(self, x: int, root: int) -> "PeelView":

@@ -136,7 +136,7 @@ def is_rooted_generator(view: PeelView, x: int) -> Optional[int]:
     px = fo.position(x)
     if not view._alive[px]:
         raise QueryError(f"point {x} was removed from this view")
-    cand, _ = fo.root_candidates(view._alive, px)
+    cand, _, _ = fo.root_scan(view._alive, px)
     return None if cand is None else int(fo.perm[np.argmax(cand)])
 
 
@@ -541,5 +541,5 @@ def constant_conqueror(
     px = fo.position(x)
     if px == 0:
         return int(x)
-    cand, _ = fo.root_candidates(np.arange(fo.n) <= px, px)
+    cand, _, _ = fo.root_scan(np.arange(fo.n) <= px, px)
     return None if cand is None else int(fo.perm[np.argmax(cand)])

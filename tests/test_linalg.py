@@ -7,6 +7,7 @@ import pytest
 from conftest import random_space
 from rootpeel import linalg, pset, rooted
 BUDGET = 100000
+NOT_2X2 = r"right_maps at grade \(0, 0\) is not a 2 x 2 matrix"
 
 
 @pytest.fixture
@@ -121,17 +122,39 @@ class TestGridModule:
         resid, _ = residual4
         back = linalg.GridModule.from_json(resid.to_json())
         assert back.dims == resid.dims
-        fld = linalg._field_of("QQ")
         for key, m in resid.right_maps.items():
-            assert linalg.mats_equal(back.right_maps[key], m, fld)
+            assert linalg.mats_equal(back.right_maps[key], m)
+
+    @staticmethod
+    def two_by_two_doc():
+        """A module on eps (0, 1) with dims 2 and 2 and the identity between."""
+        return {"field": "QQ", "eps_values": [0.0, 1.0], "sigma_values": [0.0],
+                "dims": {"0,0": 2, "1,0": 2},
+                "right_maps": {"0,0": [["1/1", "0/1"], ["0/1", "1/1"]]}, "up_maps": {}}
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d["right_maps"].update({"0,0": [["1/1", "0/1"]]}), NOT_2X2),
+        (lambda d: d["right_maps"].update({"0,0": [["1"], ["1"]]}), NOT_2X2),
+        (lambda d: d["right_maps"]["0,0"].append(["0", "0"]), NOT_2X2),
+        (lambda d: d["right_maps"]["0,0"][1].__setitem__(1, "1/0"),
+         r"bad entry '1/0' in right_maps at grade \(0, 0\)"),
+        (lambda d: d.pop("field"), "module field must be \"QQ\", got None"),
+        (lambda d: d.update(field=5), "module field must be \"QQ\", got 5"),
+    ], ids=["one-row", "one-entry-rows", "extra-row", "zero-denominator", "no-field", "prime-field"])
+    def test_malformed_json_rejected(self, edit, match):
+        doc = self.two_by_two_doc()
+        assert linalg.GridModule.from_json(json.dumps(doc)).dims == {(0, 0): 2, (1, 0): 2}
+        edit(doc)
+        with pytest.raises(ValueError, match=match):
+            linalg.GridModule.from_json(json.dumps(doc))
 
     def test_map_between_composes(self, full4):
         _, m = full4
         comp = m.map_between((0, 0), (2, 1))
         step = linalg.compose(
-            m.up_maps[(2, 0)], linalg.compose(m.right_maps[(1, 0)], m.right_maps[(0, 0)], m._fld), m._fld
+            m.up_maps[(2, 0)], linalg.compose(m.right_maps[(1, 0)], m.right_maps[(0, 0)])
         )
-        assert linalg.mats_equal(comp, step, m._fld)
+        assert linalg.mats_equal(comp, step)
 
 
 class TestIdempotent:
@@ -219,22 +242,6 @@ class TestSplit:
         with pytest.raises(linalg.ConsistencyError, match="idempotent"):
             linalg.split(m, bad)
 
-    def test_split_over_prime_field(self):
-        # idempotent mod 5 only: 6 * 6 = 36 = 6 mod 5
-        e = np.array([[6, 0], [0, 0]], dtype=np.int64)
-        m = linalg.GridModule(
-            eps_values=(0.0, 1.0),
-            sigma_values=(0.0,),
-            dims={(0, 0): 2, (1, 0): 2},
-            right_maps={(0, 0): np.eye(2, dtype=np.int64)},
-            up_maps={},
-            field=5,
-        )
-        phi = linalg.ModuleMorphism(m, m, {(0, 0): e, (1, 0): e})
-        fa, fb = linalg.split(m, phi)
-        assert fa.dims == fb.dims == {(0, 0): 1, (1, 0): 1}
-        assert linalg.split_dims(m, phi) == (fa.dims, fb.dims)
-
     def test_split_dims_equal_full_split(self, full4):
         view, m = full4
         phi = linalg.idempotent_from_peel(view, 3, 2, module=m, dim_budget=BUDGET)
@@ -264,17 +271,6 @@ class TestEndomorphisms:
         with pytest.raises(linalg.BudgetError):
             linalg.endomorphism_space(resid, dim_budget=3)
 
-    def test_prime_field_variant(self):
-        m = linalg.GridModule(
-            eps_values=(0.0, 1.0),
-            sigma_values=(0.0,),
-            dims={(0, 0): 2, (1, 0): 1},
-            right_maps={(0, 0): np.array([[1, 0]], dtype=np.int64)},
-            up_maps={},
-            field=5,
-        )
-        assert len(linalg.endomorphism_space(m, dim_budget=BUDGET)) == 3
-
 
 class TestIndecomposability:
     def test_interval_true(self):
@@ -296,18 +292,6 @@ class TestIndecomposability:
     def test_zero_module_false(self):
         z = linalg.GridModule.zero((0.0,), (0.0,))
         assert linalg.is_indecomposable(z, dim_budget=BUDGET) is False
-
-    def test_rationals_only(self):
-        m = linalg.GridModule(
-            eps_values=(0.0,),
-            sigma_values=(0.0,),
-            dims={(0, 0): 1},
-            right_maps={},
-            up_maps={},
-            field=5,
-        )
-        with pytest.raises(ValueError, match="rationals"):
-            linalg.is_indecomposable(m, dim_budget=BUDGET)
 
 
 class TestBetti:
@@ -340,37 +324,33 @@ class TestBetti:
 class TestExactKernel:
     def test_rank_matches_fraction_path(self):
         rng = np.random.default_rng(13)
-        fld = linalg._field_of("QQ")
         for _ in range(40):
             a = rng.integers(-3, 4, size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
             ia = a.astype(np.int64)
-            assert linalg.mat_rank(ia) == linalg.mat_rank(linalg.as_field_matrix(ia, fld), fld)
+            assert linalg.mat_rank(ia) == linalg.mat_rank(linalg.as_field_matrix(ia))
 
-    def test_prime_field_elimination(self):
-        a = np.array([[1, 2], [3, 1]], dtype=np.int64)
-        gf5 = linalg._field_of(5)
-        assert linalg.mat_rank(a) == 2
-        assert linalg.mat_rank(a, gf5) == 1
-        assert linalg.mat_rank(linalg.as_field_matrix(a, gf5), gf5) == 1
-        null = linalg.mat_nullspace(a, gf5)
+    def test_nullspace(self):
+        full = np.array([[1, 2], [3, 1]], dtype=np.int64)
+        assert linalg.mat_rank(full) == 2
+        assert linalg.mat_nullspace(full).shape == (0, 2)
+        a = np.array([[1, 2], [3, 6]], dtype=np.int64)
+        assert linalg.mat_rank(a) == 1
+        null = linalg.mat_nullspace(a)
         assert null.shape == (1, 2)
-        assert linalg.mats_equal(linalg.compose(a, null.T, gf5), linalg.mat_zero(2, 1, gf5), gf5)
-        assert linalg.mat_nullspace(a, linalg._field_of("QQ")).shape == (0, 2)
+        assert linalg.mats_equal(linalg.compose(a, null.T), linalg.mat_zero(2, 1))
 
     def test_solve_round_trip(self):
-        fld = linalg._field_of("QQ")
-        a = linalg.as_field_matrix(np.array([[1, 0], [1, 2], [0, 1]], dtype=np.int64), fld)
-        x = linalg.as_field_matrix(np.array([[2], [3]], dtype=np.int64), fld)
-        b = linalg.compose(a, x, fld)
-        got = linalg.mat_solve(a, b, fld)
-        assert linalg.mats_equal(got, x, fld)
+        a = linalg.as_field_matrix(np.array([[1, 0], [1, 2], [0, 1]], dtype=np.int64))
+        x = linalg.as_field_matrix(np.array([[2], [3]], dtype=np.int64))
+        b = linalg.compose(a, x)
+        got = linalg.mat_solve(a, b)
+        assert linalg.mats_equal(got, x)
 
     def test_solve_detects_inconsistency(self):
-        fld = linalg._field_of("QQ")
-        a = linalg.as_field_matrix(np.array([[1], [0]], dtype=np.int64), fld)
-        b = linalg.as_field_matrix(np.array([[0], [1]], dtype=np.int64), fld)
+        a = linalg.as_field_matrix(np.array([[1], [0]], dtype=np.int64))
+        b = linalg.as_field_matrix(np.array([[0], [1]], dtype=np.int64))
         with pytest.raises(linalg.ConsistencyError):
-            linalg.mat_solve(a, b, fld)
+            linalg.mat_solve(a, b)
 
     def test_min_poly_of_projection(self):
         big = np.array([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]], dtype=object)
@@ -443,9 +423,8 @@ def test_residual_fixture_file_round_trips(residual4):
     loaded = linalg.GridModule.from_json(raw.read_text())
     assert loaded.dims == resid.dims
     assert loaded.eps_values == resid.eps_values
-    fld = linalg._field_of("QQ")
     for key in resid.right_maps:
-        assert linalg.mats_equal(loaded.right_maps[key], resid.right_maps[key], fld)
+        assert linalg.mats_equal(loaded.right_maps[key], resid.right_maps[key])
     for key in resid.up_maps:
-        assert linalg.mats_equal(loaded.up_maps[key], resid.up_maps[key], fld)
+        assert linalg.mats_equal(loaded.up_maps[key], resid.up_maps[key])
     assert linalg.is_indecomposable(loaded, dim_budget=100000) is True

@@ -82,7 +82,7 @@ def check_peel(sp, fo, ref, rng):
         if len(survivors) > 12:
             survivors = rng.choice(survivors, 12, replace=False)
         for px in survivors:
-            got, got_eps = fo.root_candidates(alive, int(px))
+            got, got_eps = fo.root_scan(alive, int(px))[:2]
             want, want_eps = ref.root_candidates(alive, int(px))
             assert (got is None) == (want is None), px
             if got is not None:
