@@ -5,20 +5,19 @@ grade (free on the surviving clusters) and 0/1 inclusion-induced maps along
 both axes. Everything here is exact, over the rationals. One field suffices:
 the structure maps and the idempotents a peel induces send basis classes to
 basis classes, so they are set maps, and a split along a set map is the same
-over every field. The oracle exists to validate peels independently, so
-ranks and splits go through honest Gaussian elimination rather than
-exploiting the special shape of cluster maps.
+over every field. A peel's split dimensions are the traces of its
+idempotent: the oracle checks each idempotent exactly, and over QQ an
+idempotent's rank is its trace.
 
 Matrices are numpy arrays: plain int64 for the 0/1 structure maps and
 idempotents, dtype object holding ``Fraction`` once fractions can appear. One
-kernel serves every caller: ``compose``, ``mats_equal`` and the elimination
-``_rref`` behind rank, solve and nullspace; integral matrices take
-fraction-free rank. ``GridModule.covering_maps`` is the one walk over the
-structure maps. ``_grade_grid`` alone makes the grade grid, from a distance
-matrix that no one keeps. ``linearize`` records its view and grade bases on
-the module, and the idempotents built on that module read them back. Sizes
-are guarded by an explicit total-dimension budget; exceeding it is an error,
-not a silent fallback.
+kernel serves every caller: ``compose``, ``mats_equal`` and one elimination,
+``_rref``, behind rank, solve and nullspace. ``GridModule.covering_maps`` is
+the one walk over the structure maps. ``_grade_grid`` alone makes the grade
+grid, from a distance matrix that no one keeps. ``linearize`` records its
+view and grade bases on the module, and the idempotents built on that module
+read them back. Sizes are guarded by an explicit total-dimension budget;
+exceeding it is an error, not a silent fallback.
 """
 
 from __future__ import annotations
@@ -125,34 +124,8 @@ def _rref(m: np.ndarray) -> Tuple[np.ndarray, List[int]]:
 
 
 def mat_rank(m: np.ndarray) -> int:
-    """Exact rank; integral matrices go through fraction-free elimination."""
-    if m.dtype != object:
-        return _rank_bareiss(m.tolist())
+    """Exact rank over QQ."""
     return len(_rref(m)[1])
-
-
-def _rank_bareiss(rows: List[List[int]]) -> int:
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    rows = [list(map(int, r)) for r in rows]
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            fi = rows[i][c]
-            rows[i] = [(piv * rows[i][j] - fi * rows[r][j]) // prev for j in range(nc)]
-        prev = piv
-        rank += 1
-        r += 1
-        if r == nr:
-            break
-    return rank
 
 
 def mat_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,14 +270,30 @@ class GridModule:
     @staticmethod
     def from_json(payload: str) -> "GridModule":
         data = json.loads(payload)
+        if not isinstance(data, dict):
+            raise ValueError("a module document must be a JSON object")
         if data.get("field") != "QQ":
             raise ValueError(f"module field must be \"QQ\", got {data.get('field')!r}")
-        dims = {}
-        for k, v in data["dims"].items():
-            i, j = k.split(",")
-            dims[(int(i), int(j))] = int(v)
-
+        for key in ("eps_values", "sigma_values"):
+            vals = data.get(key)
+            if not (isinstance(vals, list) and all(type(v) in (int, float) for v in vals)
+                    and all(a < b for a, b in zip(vals, vals[1:]))):
+                raise ValueError(f"{key} must be an increasing list of numbers")
         ne, ns = len(data["eps_values"]), len(data["sigma_values"])
+        grid = {f"{i},{j}": (i, j) for j in range(ns) for i in range(ne)}
+        keys = {"dims": set(grid), "right_maps": set(), "up_maps": set()}
+        for axis, (i, j), _ in _covering_steps(ne, ns):
+            keys[axis].add(f"{i},{j}")
+        for key, known in keys.items():
+            if not isinstance(data.get(key), dict):
+                raise ValueError(f"{key} must be a JSON object")
+            outside = sorted(set(data[key]) - known)
+            if outside:
+                raise ValueError(f"{key} has no grade {outside[0]!r} on the {ne} x {ns} grid")
+        for k, v in data["dims"].items():
+            if type(v) is not int:
+                raise ValueError(f"dims at {k!r} is not an integer: {v!r}")
+        dims = {grid[k]: v for k, v in data["dims"].items()}
         _require_dims(dims, ne, ns)
         maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
         for axis, src, dst in _covering_steps(ne, ns):
@@ -319,13 +308,8 @@ class GridModule:
             out = np.empty(shape, dtype=object)
             out.ravel()[:] = [_dec_scalar(v, where) for row in rows for v in row]
             maps[axis][src] = out
-        return GridModule(
-            eps_values=tuple(data["eps_values"]),
-            sigma_values=tuple(data["sigma_values"]),
-            dims=dims,
-            right_maps=maps["right_maps"],
-            up_maps=maps["up_maps"],
-        )
+        return GridModule(tuple(data["eps_values"]), tuple(data["sigma_values"]), dims,
+                          maps["right_maps"], maps["up_maps"])
 
     @staticmethod
     def zero(eps_values, sigma_values) -> "GridModule":
@@ -513,12 +497,15 @@ def _idempotent(view: PeelView, module: Optional[GridModule], dim_budget: int, t
 def split_dims(
     module: GridModule, phi: ModuleMorphism
 ) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], int]]:
-    """Grade-wise dimensions of (img(id - phi), img(phi)) by exact rank."""
+    """Grade-wise dimensions of (img(id - phi), img(phi)) for an idempotent
+    phi; raises ConsistencyError unless phi is one. An idempotent's rank is its
+    trace over QQ."""
+    phi.check_idempotent()
     da, db = {}, {}
     for g in module.grades():
         m = phi.mats[g]
-        da[g] = mat_rank(np.eye(len(m), dtype=m.dtype) - m)
-        db[g] = mat_rank(m)
+        db[g] = int(np.trace(m))
+        da[g] = len(m) - db[g]
     return da, db
 
 
@@ -532,10 +519,10 @@ def check_peel_split(before: PeelView, after: PeelView, x: int, root: Optional[i
     Returns the first failure ('' if none) and the next peel's module."""
     if root is None:
         phi = bottom_idempotent(before, module, dim_budget)
-        what, dims = "bottom", {g: mat_rank(m) for g, m in phi.mats.items()}
     else:
         phi = idempotent_from_peel(before, x, root, module, dim_budget, check_rooted=False)
-        what, (dims, db) = "split", split_dims(phi.source, phi)
+    da, db = split_dims(phi.source, phi)
+    what, dims = ("bottom", db) if root is None else ("split", da)
     eps, sig = phi.source.eps_values, phi.source.sigma_values
     for (i, j), d in dims.items():
         if d != (1 if support.contains(eps[i], sig[j]) else 0):

@@ -196,7 +196,9 @@ class ChainLevels:
         """Positions in px's cluster at scale eps and level j, in chain order."""
         order, gaps, index = self.chain(j)
         k = int(index[px])
-        lo = k - int(np.argmax(gaps[k::-1] > eps))
+        left = gaps[k::-1] > eps
+        t = int(np.argmax(left))
+        lo = k - t if left[t] else 0
         out = gaps[k + 1 :] > eps
         hi = k + int(np.argmax(out)) if out.any() else len(order) - 1
         return order[lo : hi + 1]
@@ -302,7 +304,7 @@ class LeveledMergeForest(ChainLevels):
     def level_index(self, sigma: float) -> int:
         """Largest level with density value <= sigma."""
         j = int(np.searchsorted(self.sigma_levels, sigma, side="right")) - 1
-        if j < 0:
+        if j < 0 or math.isnan(sigma):
             raise QueryError(f"no point has density <= {sigma}")
         return j
 
@@ -401,7 +403,7 @@ class PeelView:
 
     def cluster_at(self, eps: float, sigma: float, x: int) -> FrozenSet[int]:
         """Surviving points in the same component as x at grade (eps, sigma)."""
-        if eps < 0:
+        if not eps >= 0:
             raise QueryError(f"negative scale: {eps}")
         px, j, _ = self._check_present(sigma, x)
         fo = self.forest

@@ -140,13 +140,26 @@ class TestGridModule:
          r"bad entry '1/0' in right_maps at grade \(0, 0\)"),
         (lambda d: d.pop("field"), "module field must be \"QQ\", got None"),
         (lambda d: d.update(field=5), "module field must be \"QQ\", got 5"),
-    ], ids=["one-row", "one-entry-rows", "extra-row", "zero-denominator", "no-field", "prime-field"])
+        (lambda d: [d], "a module document must be a JSON object"),
+        (lambda d: d.pop("dims"), "dims must be a JSON object"),
+        (lambda d: d.update(eps_values=None), "eps_values must be an increasing list of numbers"),
+        (lambda d: d.update(right_maps=None), "right_maps must be a JSON object"),
+        (lambda d: d.update(dims={"0": 2, "1,0": 2}), "dims has no grade '0' on the 2 x 1 grid"),
+        (lambda d: d["dims"].update({"1,0": 1.5}), "dims at '1,0' is not an integer: 1.5"),
+        (lambda d: d["dims"].update({"1,0": True}), "dims at '1,0' is not an integer: True"),
+        (lambda d: d.update(eps_values=["a", "b"]), "eps_values must be an increasing list"),
+        (lambda d: d.update(eps_values=[1.0, 0.0]), "eps_values must be an increasing list"),
+        (lambda d: d["right_maps"].update({"1,0": [["1", "0"], ["0", "1"]]}),
+         "right_maps has no grade '1,0' on the 2 x 1 grid"),
+    ], ids=["one-row", "one-entry-rows", "extra-row", "zero-denominator", "no-field", "prime-field",
+            "list", "no-dims", "null-eps", "null-right-maps", "dims-key-0", "fractional-dim",
+            "bool-dim", "string-eps", "decreasing-eps", "map-outside-grid"])
     def test_malformed_json_rejected(self, edit, match):
         doc = self.two_by_two_doc()
         assert linalg.GridModule.from_json(json.dumps(doc)).dims == {(0, 0): 2, (1, 0): 2}
-        edit(doc)
+        replaced = edit(doc)  # an edit returns a list to replace the whole document
         with pytest.raises(ValueError, match=match):
-            linalg.GridModule.from_json(json.dumps(doc))
+            linalg.GridModule.from_json(json.dumps(replaced if isinstance(replaced, list) else doc))
 
     def test_map_between_composes(self, full4):
         _, m = full4
@@ -249,6 +262,37 @@ class TestSplit:
         fa, fb = linalg.split(m, phi)
         assert da == fa.dims and db == fb.dims
 
+    def test_split_dims_are_ranks_on_random_peels(self):
+        # every peel's idempotent and the last view's bottom idempotent: the
+        # split dimensions are the exact ranks of id - phi and phi per grade
+        rng = np.random.default_rng(31)
+        checked = 0
+        for t in range(12):
+            sp = random_space(rng, n=int(rng.integers(2, 9)), mode=("random", "ties")[t % 2],
+                              duplicates=(t % 3 == 0))
+            fo = pset.LeveledMergeForest(sp)
+            view = pset.fresh_view(fo)
+            phis = []
+            for r in rooted.peel_all(sp, forest=fo).records:
+                if r.root is not None:
+                    phis.append(linalg.idempotent_from_peel(view, r.generator, r.root,
+                                                            dim_budget=BUDGET))
+                    view = view.restrict(r.generator, r.root)
+            phis.append(linalg.bottom_idempotent(view, dim_budget=BUDGET))
+            for phi in phis:
+                da, db = linalg.split_dims(phi.source, phi)
+                for g, m in phi.mats.items():
+                    assert da[g] == linalg.mat_rank(np.eye(len(m), dtype=np.int64) - m), (t, g)
+                    assert db[g] == linalg.mat_rank(m), (t, g)
+                    checked += 1
+        assert checked > 4000
+
+    def test_split_dims_rejects_a_non_idempotent(self):
+        m = chain_module([2], [])
+        twice = linalg.ModuleMorphism(m, m, {(0, 0): 2 * np.eye(2, dtype=np.int64)})
+        with pytest.raises(linalg.ConsistencyError, match="idempotent"):
+            linalg.split_dims(m, twice)
+
 
 class TestEndomorphisms:
     def test_interval_has_scalar_endomorphisms_only(self):
@@ -323,11 +367,12 @@ class TestBetti:
 
 class TestExactKernel:
     def test_rank_matches_fraction_path(self):
+        import sympy
+
         rng = np.random.default_rng(13)
         for _ in range(40):
             a = rng.integers(-3, 4, size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-            ia = a.astype(np.int64)
-            assert linalg.mat_rank(ia) == linalg.mat_rank(linalg.as_field_matrix(ia))
+            assert linalg.mat_rank(a.astype(np.int64)) == sympy.Matrix(a.tolist()).rank()
 
     def test_nullspace(self):
         full = np.array([[1, 2], [3, 1]], dtype=np.int64)

@@ -108,13 +108,25 @@ class TestClusterOracle:
             fo = pset.LeveledMergeForest(sp)
             v = pset.fresh_view(fo)
             f = sp.density
-            dm, es = sp.distance_matrix(), eps_grid(fo)
+            dm, es = sp.distance_matrix(), [*eps_grid(fo), math.inf]
             for sigma in fo.sigma_levels:
                 active = [i for i in range(sp.n) if f[i] <= sigma]
                 for eps in es:
                     comp = bfs_components(dm, active, eps)
                     for x in active:
                         assert v.cluster_at(eps, sigma, x) == comp[x]
+
+    @pytest.mark.parametrize("query, match", [
+        (lambda v: v.cluster_at(math.nan, 3.0, 0), "negative scale: nan"),
+        (lambda v: v.cluster_at(1.0, math.nan, 0), "no point has density <= nan"),
+        (lambda v: v.first_merge_scale(math.nan, 0), "no point has density <= nan"),
+        (lambda v: v.forest.ultrametric(math.nan, 0, 1), "no point has density <= nan"),
+        (lambda v: v.forest.level_index(math.nan), "no point has density <= nan"),
+    ], ids=["cluster_at-eps", "cluster_at-sigma", "first_merge_scale", "ultrametric", "level_index"])
+    def test_nan_query_rejected(self, forest4, query, match):
+        # a NaN sigma read the top level and a NaN eps gave a singleton
+        with pytest.raises(pset.QueryError, match=match):
+            query(pset.fresh_view(forest4))
 
     def test_restricted_view_matches_filtered_bfs(self):
         rng = np.random.default_rng(11)
