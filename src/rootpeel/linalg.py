@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -341,7 +342,8 @@ class ModuleMorphism:
 
     source: GridModule
     target: GridModule
-    mats: Dict[Tuple[int, int], np.ndarray]
+    mats: Mapping[Tuple[int, int], np.ndarray]
+    _idempotent_kept: bool = field(default=False, init=False, repr=False, compare=False)
 
     def check_natural(self) -> None:
         src, dst = self.source, self.target
@@ -355,11 +357,18 @@ class ModuleMorphism:
                 )
 
     def check_idempotent(self) -> None:
+        """Raise ConsistencyError unless every map squares to itself. A pass
+        is kept when the maps are read-only (a read-only mapping of read-only
+        matrices, as ``_idempotent`` makes them), which cannot change after it."""
+        if self._idempotent_kept:
+            return
         if self.source.dims != self.target.dims:
             raise ConsistencyError("idempotency only makes sense for endomorphisms")
         for g, m in self.mats.items():
             if not mats_equal(compose(m, m), m):
                 raise ConsistencyError(f"morphism is not idempotent at grade index {g}")
+        self._idempotent_kept = isinstance(self.mats, MappingProxyType) and not any(
+            m.flags.writeable for m in self.mats.values())
 
 
 # -- linearization -----------------------------------------------------------------
@@ -477,15 +486,16 @@ def _idempotent(view: PeelView, module: Optional[GridModule], dim_budget: int, t
     """The endomorphism of ``view``'s linearization that sends, at each grade
     of level j, the class of each basis representative ``rep`` to the class of
     ``target(j, labels, rep)``; raises ConsistencyError unless it is natural
-    and idempotent."""
+    and idempotent. Its maps are read-only, so the idempotency check is kept."""
     module, bases = _peel_module(view, module, dim_budget)
     mats: Dict[Tuple[int, int], np.ndarray] = {}
     for (i, j), (labels, basis) in bases.items():
         mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
         for col, rep in enumerate(basis):
             mat[basis[target(j, labels, rep)], col] = 1
+        mat.setflags(write=False)
         mats[(i, j)] = mat
-    phi = ModuleMorphism(module, module, mats)
+    phi = ModuleMorphism(module, module, MappingProxyType(mats))
     phi.check_natural()
     phi.check_idempotent()
     return phi

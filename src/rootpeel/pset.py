@@ -11,9 +11,12 @@ single-linkage hierarchy of each level determines the whole bifiltration.
 Queries read a level through its *chain*: the level's points in an order
 where every cluster is contiguous, plus the merge scale between neighbors.
 Two points merge at the largest gap between them, and the cluster of a point
-at eps is the run around it with gaps <= eps. The build inserts the points
-one at a time in canonical order, each with its distances to those before
-it, and keeps the chain of every level as the insertion passes its last point.
+at eps is the run around it with gaps <= eps. The first level's chain comes
+from its minimum spanning tree (Prim's, in the space): the tree's edges,
+sorted by length, are its single-linkage merges (``chain_of_merges``). The
+build inserts only the later points, one at a time in canonical order, each
+with its distances to those before it, and keeps the chain of every level as
+the insertion passes its last point.
 
 A ``PeelView`` layers a set of removed generators over the immutable forest.
 Removed points still provide connectivity (the underlying graphs never
@@ -95,15 +98,47 @@ def _insert(order: np.ndarray, gaps: np.ndarray, q: int, r: np.ndarray):
     return np.concatenate(([q], order[idx])), new_gaps
 
 
+def find_set(parent: List[int], a: int) -> int:
+    """Representative of a's set in the union-find forest ``parent``; halves
+    the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def chain_of_merges(n: int, merges: Iterable[Tuple[float, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Chain of positions ``0..n-1`` from merges (scale, a, b) of positions in
+    nondecreasing scale: clusters are linked runs, and a merge of two clusters
+    appends one's run to the other's at that scale. A merge inside one cluster
+    changes nothing; clusters that never merge follow each other at gap inf."""
+    parent = list(range(n))  # a run's representative is its head
+    tail = list(range(n))
+    after = [-1] * n
+    gap_before = [math.inf] * n
+    for scale, a, b in merges:
+        a, b = find_set(parent, a), find_set(parent, b)
+        if a == b:
+            continue
+        after[tail[a]] = b
+        gap_before[b] = scale
+        tail[a] = tail[b]
+        parent[b] = a
+    order = []
+    for head in (p for p in range(n) if parent[p] == p):
+        while head >= 0:
+            order.append(head)
+            head = after[head]
+    return np.array(order, dtype=np.intp), np.array([gap_before[p] for p in order])
+
+
 def _level_chains(
-    rows: Iterator[np.ndarray], level_sizes: np.ndarray
+    order: np.ndarray, gaps: np.ndarray, rows: Iterator[np.ndarray], level_sizes: np.ndarray
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Insert points 0, 1, ... one at a time, each with its row of distances
-    to the points before it, drawn from ``rows``; yields the chain of each
+    """Insert points len(order), len(order) + 1, ... one at a time into the
+    chain (order, gaps) of the points before them, each with its row of
+    distances to those points, drawn from ``rows``; yields the chain of each
     level, the first ``level_sizes[j]`` points, as the insertion passes it."""
-    next(rows)  # point 0 has no points before it
-    order = np.zeros(1, dtype=np.intp)
-    gaps = np.full(1, np.inf)
     for size in level_sizes:
         for q in range(len(order), int(size)):
             order, gaps = _insert(order, gaps, q, _attach(gaps, next(rows)[order]))
@@ -136,15 +171,6 @@ def _nearest_marked(order: np.ndarray, alive: np.ndarray, k: int, step: int) -> 
         t += step * width
         width *= 2
     return -1
-
-
-def find_set(parent: List[int], a: int) -> int:
-    """Representative of a's set in the union-find forest ``parent``; halves
-    the path on the way."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
 
 
 def _steps(lo: int, hi: int, f: Callable[[int], float]) -> Iterator[Tuple[int, float]]:
@@ -274,9 +300,10 @@ class ChainLevels:
 class LeveledMergeForest(ChainLevels):
     """Immutable merge structure of an augmented metric space, one level per
     density: level ``j`` holds the canonical prefix of size ``level_sizes[j]``
-    and its chain. The build's ``space.nearest_sweep`` makes no distance
-    matrix and leaves each position's nearest other position ``nn_pos``
-    (distance ties to the lower position) and its distance ``nn_dist``."""
+    and its chain. The build's ``space.spanning_tree`` over level 0 and
+    ``space.nearest_sweep`` over the later positions make no distance matrix
+    and leave each position's nearest other position ``nn_pos`` (distance
+    ties to the lower position) and its distance ``nn_dist``."""
 
     def __init__(self, space: AugmentedMetricSpace):
         f = space.require_density()
@@ -290,9 +317,14 @@ class LeveledMergeForest(ChainLevels):
         level_sizes = np.searchsorted(self.f_by_pos, self.sigma_levels, side="right")
         self.nn_pos = np.zeros(space.n, dtype=np.intp)
         self.nn_dist = np.full(space.n, np.inf)
+        m = int(level_sizes[0])
         try:
+            lo, hi, w = space.spanning_tree(self.perm[:m], self.nn_pos, self.nn_dist)
+            by = np.argsort(w, kind="stable")
+            order, gaps = chain_of_merges(m, zip(w[by].tolist(), lo[by].tolist(), hi[by].tolist()))
+            rows = space.nearest_sweep(self.perm, self.nn_pos, self.nn_dist, start=m)
             super().__init__(
-                _level_chains(space.nearest_sweep(self.perm, self.nn_pos, self.nn_dist), level_sizes),
+                _level_chains(order, gaps, rows, level_sizes),
                 np.searchsorted(self.sigma_levels, self.f_by_pos),
             )
         except MemoryError:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .pset import ChainLevels, LeveledMergeForest, PeelView, QueryError, find_set, fresh_view
+from .pset import ChainLevels, LeveledMergeForest, PeelView, QueryError, chain_of_merges, fresh_view
 from .space import AugmentedMetricSpace, is_point
 
 
@@ -465,46 +465,34 @@ def elder_barcode_1d(
     (birth, first merge grade with an older surviving cluster), and the oldest
     point of each component gets an infinite bar.
 
-    The merges become a chain over positions in (birth, index) order, peeled
-    by the same general rounds that ``peel_all`` runs: O(n) memory.
+    The merges become a chain over positions in (birth, index) order
+    (``pset.chain_of_merges``), peeled by the same general rounds that
+    ``peel_all`` runs: O(n) memory.
     """
     births = [float(b) for b in births]
     n = len(births)
+    if any(math.isnan(b) for b in births):
+        raise ValueError("births must not be NaN")
     if n == 0:
         return []
     order = sorted(range(n), key=lambda i: (births[i], i))
     pos_of = {x: p for p, x in enumerate(order)}
 
-    # clusters as linked runs of positions; a merge appends one run to another
-    parent = list(range(n))
-    tail = list(range(n))
-    after = [-1] * n
-    gap_before = [math.inf] * n
+    by_pos = []
     last = -math.inf
     for scale, i, j in merges:
         scale = float(scale)
         if not (is_point(i, n) and is_point(j, n)):
             raise ValueError(f"merge ({scale}, {i}, {j}) names a point outside 0..{n - 1}")
+        if math.isnan(scale):
+            raise ValueError(f"merge ({scale}, {i}, {j}) has a NaN grade")
         if scale < last:
             raise ValueError("merge grades must be nondecreasing")
         if scale < max(births[i], births[j]):
             raise ValueError(f"merge ({scale}, {i}, {j}) precedes a birth")
         last = scale
-        a, b = find_set(parent, pos_of[i]), find_set(parent, pos_of[j])
-        if a == b:
-            continue
-        after[tail[a]] = b
-        gap_before[b] = scale
-        tail[a] = tail[b]
-        parent[b] = a
-
-    chain = []
-    for head in (p for p in range(n) if parent[p] == p):
-        while head >= 0:
-            chain.append(head)
-            head = after[head]
-    gaps = np.array([gap_before[p] for p in chain])  # a run's head has inf
-    levels = ChainLevels([(np.array(chain), gaps)], np.zeros(n, dtype=np.intp))
+        by_pos.append((scale, pos_of[i], pos_of[j]))
+    levels = ChainLevels([chain_of_merges(n, by_pos)], np.zeros(n, dtype=np.intp))
     alive = np.ones(n, dtype=bool)
     bars = [(births[order[px]], levels.merge_scale(0, px, z)) for px, z in _general_rounds(levels, alive)]
     bars.append((births[order[0]], math.inf))

@@ -126,12 +126,15 @@ class AugmentedMetricSpace:
             return self._dist[np.ix_(rows, cols)]
         return _distances(self._cols[:, rows], self._cols[:, cols])
 
-    def nearest_sweep(self, order: np.ndarray, nn: np.ndarray, nn_dist: np.ndarray) -> Iterator[np.ndarray]:
-        """For k = 0, 1, ..., the distances from ``order[k]`` to ``order[:k]``,
-        the matrix's doubles, read from the input matrix or computed by
-        ``distances``' formula; ``nn[k]``, ``nn_dist[k]`` (``nn_dist`` given
-        as inf) end as the sweep index of order[k]'s nearest other point (distance ties to the
-        lower index) and its distance.
+    def nearest_sweep(self, order: np.ndarray, nn: np.ndarray, nn_dist: np.ndarray,
+                      start: int = 0) -> Iterator[np.ndarray]:
+        """For k = start, start + 1, ..., the distances from ``order[k]`` to
+        ``order[:k]``, the matrix's doubles, read from the input matrix or
+        computed by ``distances``' formula; ``nn[k]``, ``nn_dist[k]``
+        (``nn_dist`` given as inf from ``start`` on, and the map of
+        ``order[:start]`` among themselves before it) end as the sweep index
+        of order[k]'s nearest other point (distance ties to the lower index)
+        and its distance.
 
         Rows come in blocks of about ``_BLOCK`` distances, from each block's
         rows to every point up to its last row. Before a block's rows are
@@ -140,7 +143,7 @@ class AugmentedMetricSpace:
         moving only to a strictly closer one. So the map is complete once the
         last row is handed out, even if the caller stops pulling there."""
         cols = None if self.points is None else self._cols[:, order]
-        for k0, k1 in _row_blocks(len(order)):
+        for k0, k1 in _row_blocks(len(order), start):
             if cols is None:
                 block = self._dist[np.ix_(order[k0:k1], order[:k1])]
             else:
@@ -156,6 +159,63 @@ class AugmentedMetricSpace:
             nn_dist[closer] = dist[closer]
             for i in range(k1 - k0):
                 yield block[i, : k0 + i]
+
+    def spanning_tree(self, order: np.ndarray, nn: np.ndarray,
+                      nn_dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Prim's minimum spanning tree of the points ``order`` (one or more):
+        its edges as index arrays into ``order`` and their lengths, (a, b, w),
+        in the order Prim adds them. ``nn[k]``, ``nn_dist[k]`` for
+        k < len(order) become the index of order[k]'s nearest other point
+        among them (distance ties to the lower index) and its distance (0 and
+        inf for one point).
+
+        Each step computes one row, the distances from the new tree vertex to
+        the points not yet in the tree, as ``nearest_sweep`` computes them, so
+        each unordered pair is computed once. The points outside the tree are
+        kept compacted: a joining point's slot takes the last one's. A point's
+        nearest neighbor is the nearer of its nearest tree vertex when it
+        joins (``near``, which moves on a tie only to a lower index) and the
+        nearest point of its own row.
+        """
+        m = len(order)
+        rest = np.arange(1, m)  # indices outside the tree, compacted
+        best = np.full(m - 1, np.inf)  # each one's distance to the tree
+        near = np.zeros(m - 1, dtype=np.intp)  # and its nearest tree vertex
+        if self.points is None:
+            ids = order[1:].copy()
+        else:
+            cols = self._cols[:, order[1:]]
+            col = self._cols[:, order[:1]]
+        a, b = np.empty(m - 1, dtype=np.intp), np.empty(m - 1, dtype=np.intp)
+        w = np.empty(m - 1)
+        v, v_near, v_best = 0, 0, math.inf
+        for r in range(m - 1, 0, -1):
+            if self.points is None:
+                row = self._dist[order[v], ids[:r]]
+            else:
+                row = _distances(col, cols[:, :r])[0]
+            k = int(row.argmin())
+            if row[k] <= v_best:
+                t = int(rest[:r][row == row[k]].min())
+                if row[k] < v_best or t < v_near:
+                    v_near, v_best = t, float(row[k])
+            nn[v], nn_dist[v] = v_near, v_best
+            hit = (row <= best[:r]).nonzero()[0]
+            hit = hit[(row[hit] < best[hit]) | (near[hit] > v)]
+            best[hit] = row[hit]
+            near[hit] = v
+            i = int(best[:r].argmin())
+            v, v_near, v_best = int(rest[i]), int(near[i]), float(best[i])
+            a[m - 1 - r], b[m - 1 - r], w[m - 1 - r] = v_near, v, v_best
+            last = r - 1
+            if self.points is None:
+                ids[i] = ids[last]
+            else:
+                col = cols[:, i : i + 1].copy()
+                cols[:, i] = cols[:, last]
+            rest[i], best[i], near[i] = rest[last], best[last], near[last]
+        nn[v], nn_dist[v] = v_near, v_best
+        return a, b, w
 
     def distance(self, i: int, j: int) -> float:
         if not (is_point(i, self.n) and is_point(j, self.n)):
@@ -193,10 +253,11 @@ def canonical_order(space: AugmentedMetricSpace) -> np.ndarray:
 _BLOCK = 1 << 18  # distances per block of rows computed at once
 
 
-def _row_blocks(n: int) -> Iterator[Tuple[int, int]]:
-    """The sweep's blocks of rows [k0, k1) of n: each holds r = k1 - k0 rows
-    against the k1 columns up to its last row, r * k1 <= _BLOCK (or r = 1)."""
-    k0 = 0
+def _row_blocks(n: int, start: int = 0) -> Iterator[Tuple[int, int]]:
+    """The sweep's blocks of rows [k0, k1) of n from ``start``: each holds
+    r = k1 - k0 rows against the k1 columns up to its last row,
+    r * k1 <= _BLOCK (or r = 1)."""
+    k0 = start
     while k0 < n:
         k1 = min(n, k0 + max(1, int((math.sqrt(k0 * k0 + 4 * _BLOCK) - k0) / 2)))
         yield k0, k1

@@ -293,6 +293,43 @@ class TestSplit:
         with pytest.raises(linalg.ConsistencyError, match="idempotent"):
             linalg.split_dims(m, twice)
 
+    def test_each_record_checks_its_idempotent_once(self, monkeypatch):
+        # one compose(m, m) per grade of the record's module; the idempotent's
+        # builder and split_dims each checked it (two per grade)
+        squares = []
+        compose = linalg.compose
+
+        def counting(a, b):
+            squares.append(a is b)
+            return compose(a, b)
+
+        monkeypatch.setattr(linalg, "compose", counting)
+        rng = np.random.default_rng(101)
+        records = 0
+        for t in range(4):
+            sp = random_space(rng, n=8, mode=("random", "ties")[t % 2], duplicates=(t == 3))
+            fo = pset.LeveledMergeForest(sp)
+            view = pset.fresh_view(fo)
+            for r in rooted.peel_all(sp, forest=fo).records:
+                after = view if r.root is None else view._restrict_unchecked(r.generator, r.root)
+                module = linalg.linearize(view, dim_budget=BUDGET)
+                squares.clear()
+                why, _ = linalg.check_peel_split(view, after, r.generator, r.root, r.support,
+                                                 module, BUDGET)
+                assert why == ""
+                assert sum(squares) == len(module.dims), (t, r.generator)
+                view, records = after, records + 1
+        assert records >= 16
+
+    def test_a_writable_morphism_is_checked_again(self):
+        # the kept verdict needs read-only maps: a writable one can change
+        m = chain_module([2], [])
+        phi = linalg.ModuleMorphism(m, m, {(0, 0): np.eye(2, dtype=np.int64)})
+        phi.check_idempotent()
+        phi.mats[(0, 0)][0, 0] = 2
+        with pytest.raises(linalg.ConsistencyError, match="idempotent"):
+            phi.check_idempotent()
+
 
 class TestEndomorphisms:
     def test_interval_has_scalar_endomorphisms_only(self):

@@ -391,6 +391,18 @@ class TestElderBarcode:
         with pytest.raises(ValueError, match="precedes"):
             rooted.elder_barcode_1d([0, 5], [(1.0, 0, 1)])
 
+    def test_nan_merge_grade_rejected(self):
+        # the rounds' level bisection never ended on a NaN merge scale
+        with pytest.raises(ValueError, match="NaN grade"):
+            rooted.elder_barcode_1d([0, 0], [(math.nan, 0, 1)])
+        with pytest.raises(ValueError, match="NaN grade"):
+            rooted.elder_barcode_1d([0, 0, 0], [(1.0, 0, 1), (math.nan, 1, 2)])
+
+    def test_nan_birth_rejected(self):
+        # it gave the bar (nan, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            rooted.elder_barcode_1d([0, math.nan], [(1.0, 0, 1)])
+
     @pytest.mark.parametrize("i, j", [(0, 5), (-1, 1), (2, 0)])
     def test_merge_index_out_of_range_rejected(self, i, j):
         with pytest.raises(ValueError, match="outside"):

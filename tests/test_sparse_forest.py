@@ -5,7 +5,9 @@ with ``dense_reference.DenseForest``, which keeps one merge-scale matrix per
 level and scans every level.
 """
 
+import copy
 import gc
+import hashlib
 import math
 import tracemalloc
 import weakref
@@ -13,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import bfs_components, eps_grid
+from conftest import bfs_components, elder_oracle, eps_grid, random_one_param
 from dense_reference import DenseForest, scale_row
 from rootpeel import pset, rooted, space
 from rootpeel.experiment import SamplerConfig, sample
@@ -208,6 +210,107 @@ def test_sweep_across_many_blocks_matches_the_matrix(kind):
     # the build stops pulling rows after the last point
     assert pset.LeveledMergeForest(sp.with_density(np.zeros(n))).nn_pos.tolist() == want.tolist()
     assert nn_dist.tobytes() == dm[np.arange(n), want].tobytes()
+
+
+def insertion_forest(fo):
+    """``fo`` rebuilt with every point but the first inserted (``_attach`` and
+    ``_insert``), level 0 included, and its NN map from the sweep from
+    position 1."""
+    n = fo.n
+    nn, nn_dist = np.zeros(n, dtype=np.intp), np.full(n, np.inf)
+    rows = fo.space.nearest_sweep(fo.perm, nn, nn_dist, start=1)
+    start = np.zeros(1, dtype=np.intp), np.full(1, np.inf)
+    ins = copy.copy(fo)
+    pset.ChainLevels.__init__(ins, pset._level_chains(*start, rows, fo.level_sizes), fo.birth_level)
+    ins.nn_pos, ins.nn_dist = nn, nn_dist
+    return ins
+
+
+def flat_lattice_space(seed, as_matrix=False):
+    """A lattice space of ``lattice_space`` with one density level, as
+    coordinates or as a ``#matrix`` input."""
+    sp = lattice_space(seed)
+    if as_matrix:
+        return AugmentedMetricSpace(dist=sp.distance_matrix(), density=np.zeros(sp.n))
+    return sp.with_density(np.zeros(sp.n))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_spanning_tree_level_zero_matches_insertion(block):
+    # the 216 generator spaces, 54 per block, and 35 lattices per block with
+    # their tied densities, flat, and flat as #matrix input
+    spaces = [seeded_space(seed)[1] for seed in range(block * 54, (block + 1) * 54)]
+    for seed in range(block * 35, (block + 1) * 35):
+        spaces += [lattice_space(seed), flat_lattice_space(seed), flat_lattice_space(seed, True)]
+    for k, sp in enumerate(spaces):
+        fo = pset.LeveledMergeForest(sp)
+        ins = insertion_forest(fo)
+        assert fo.nn_pos.tolist() == ins.nn_pos.tolist(), k
+        assert fo.nn_dist.tobytes() == ins.nn_dist.tobytes(), k
+        if sp.n <= 60:
+            for j in range(fo.num_levels):
+                for px in range(int(fo.level_sizes[j])):
+                    assert scale_row(fo, j, px).tobytes() == scale_row(ins, j, px).tobytes(), (k, j, px)
+        else:
+            rng = np.random.default_rng(k)
+            for _ in range(2000):
+                j = int(rng.integers(fo.num_levels))
+                px, py = rng.integers(0, fo.level_sizes[j], 2)
+                assert fo.merge_scale(j, px, py) == ins.merge_scale(j, px, py), (k, j, px, py)
+        assert rooted.peel_all(sp, forest=fo).to_json() == rooted.peel_all(sp, forest=ins).to_json(), k
+
+
+def test_spanning_tree_of_a_flat_space_at_n1500():
+    # uniform points and points on a 1/30 lattice, where ties are everywhere
+    rng = np.random.default_rng(1500)
+    pts = rng.random((1500, 2))
+    for p in (pts, np.round(pts * 30) / 30):
+        sp = AugmentedMetricSpace(points=p, density=np.zeros(len(p)))
+        fo = pset.LeveledMergeForest(sp)
+        assert fo.num_levels == 1
+        ins = insertion_forest(fo)
+        assert fo.nn_pos.tolist() == ins.nn_pos.tolist()
+        assert fo.nn_dist.tobytes() == ins.nn_dist.tobytes()
+        for px, py in rng.integers(0, sp.n, (2000, 2)):
+            assert fo.merge_scale(0, px, py) == ins.merge_scale(0, px, py)
+        assert rooted.peel_all(sp, forest=fo).to_json() == rooted.peel_all(sp, forest=ins).to_json()
+
+
+def test_chain_of_merges_gives_the_merge_grades():
+    # two positions merge at the grade of the merge that first joins their
+    # clusters, or never (inf)
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        births, merges = random_one_param(rng, max_n=30)
+        n = len(births)
+        want = np.full((n, n), np.inf)
+        np.fill_diagonal(want, 0.0)
+        parent = list(range(n))
+        for scale, i, j in merges:
+            a, b = pset.find_set(parent, i), pset.find_set(parent, j)
+            if a != b:
+                for x in range(n):
+                    for y in range(n):
+                        if pset.find_set(parent, x) == a and pset.find_set(parent, y) == b:
+                            want[x, y] = want[y, x] = scale
+                parent[b] = a
+        levels = pset.ChainLevels([pset.chain_of_merges(n, merges)], np.zeros(n, dtype=np.intp))
+        got = np.array([[levels.merge_scale(0, x, y) for y in range(n)] for x in range(n)])
+        assert np.array_equal(got, want)
+
+
+def test_elder_barcode_bars_are_those_of_the_inline_linked_runs():
+    # bars pinned from the builder that lived inline in elder_barcode_1d: 200
+    # random one-parameter sets and the flat forest of 300 lattice points
+    rng = np.random.default_rng(2024)
+    cases = [random_one_param(rng) for _ in range(200)]
+    pts = np.random.default_rng(7).integers(0, 8, (300, 2)).astype(float)
+    fo = pset.LeveledMergeForest(AugmentedMetricSpace(points=pts, density=np.zeros(300)))
+    cases.append(([0.0] * 300, fo.merge_events(0)))
+    bars = [rooted.elder_barcode_1d(births, merges) for births, merges in cases]
+    assert all(b == elder_oracle(*case) for b, case in zip(bars, cases))
+    digest = hashlib.sha256(repr(bars).encode()).hexdigest()
+    assert digest == "9e4be0d8d14bb624ba880810dfe12d0b68dc33b364a564a7f9ee8d9641b82ddb"
 
 
 @pytest.mark.parametrize("block", range(2))
