@@ -203,15 +203,15 @@ def _cmd_oracle_check(args) -> int:
     space = _load_space(args, need_density=True)
     if space.n > 8:
         raise ValueError(f"oracle replay is desk-scale only: n = {space.n} > 8")
-    records = rooted.trace_records_from_json(_read_text(args.trace), space.n)
     forest = pset.LeveledMergeForest(space)
+    records = rooted.trace_records_from_json(_read_text(args.trace), forest)
     module = None  # the view's linearization, made by the previous record's split check
     for k, (rec, (before, after, support, why)) in enumerate(
             zip(records, rooted.replay_steps(forest, records))):
         if not why:
-            why, module = linalg.check_peel_split(before, after, rec["generator"], rec.get("root"),
+            why, module = linalg.check_peel_split(before, after, rec.generator, rec.root,
                                                   support, module, args.dim_budget)
-        print(f"{'FAIL' if why else 'PASS'} record {k}: generator {rec['generator']} ({rec['reason']})"
+        print(f"{'FAIL' if why else 'PASS'} record {k}: generator {rec.generator} ({rec.reason})"
               + (f" - {why}" if why else ""))
         if why:
             return 2

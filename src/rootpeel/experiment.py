@@ -234,10 +234,14 @@ def run_trials(
     if workers == 1:
         results = [_run_one_trial(j) for j in jobs]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # a pool's imports cost every CLI start
+        # a pool's imports cost every CLI start
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_trial, jobs))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_run_one_trial, jobs))
+        except BrokenProcessPool:  # a worker was killed, by the OOM killer or a signal
+            raise MemoryError("a trial worker process died before it returned its result") from None
     cfg = {
         "sampler": config.kind,
         "dim": config.dim,

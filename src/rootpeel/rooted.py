@@ -348,25 +348,25 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
     return PeelTrace(records=records, final_view=final, n=n, nn=graph)
 
 
-def replay_steps(forest: LeveledMergeForest, records: Iterable[dict]) -> Iterator[tuple]:
-    """Re-apply trace records, dicts as ``trace_records_from_json`` returns
-    them, to a fresh view of ``forest``. Yields per record the views before
-    and after it, the support the peel engine writes for it and the first
-    check it fails ('' if none), and stops after a failure (after is None).
+def replay_steps(forest: LeveledMergeForest, records: Iterable[PeelRecord]) -> Iterator[tuple]:
+    """Re-apply trace records to a fresh view of ``forest``. Yields per record
+    the views before and after it, the support the peel engine writes for it
+    and the first check it fails ('' if none), and stops after a failure
+    (after is None).
 
     A record passes when it is the first bottom record, names the first
     canonical point and has no root; or no bottom record came before it and
-    its root roots its generator on the view; and its support pairs and zero
-    flag are those the peel engine writes. So nothing follows the bottom
-    record, and a prefix of a trace passes (``trace_records_from_json``
-    checks that a document holds its bottom record).
+    its root roots its generator on the view; and its support is the one the
+    peel engine writes. So nothing follows the bottom record, and a prefix of
+    a trace passes (``trace_records_from_json`` checks that a document holds
+    its bottom record).
     """
     view = fresh_view(forest)
     bottom_seen = False
     for rec in records:
-        gen, root = rec["generator"], rec.get("root")
+        gen, root = rec.generator, rec.root
         after, support, why = view, None, ""
-        if rec["reason"] == "bottom":
+        if rec.reason == "bottom":
             if bottom_seen:
                 why = "trace has more than one bottom record"
             elif gen != int(forest.perm[0]):
@@ -384,19 +384,12 @@ def replay_steps(forest: LeveledMergeForest, records: Iterable[dict]) -> Iterato
         else:
             support = _support_unchecked(forest, int(forest.pos_of[gen]), int(forest.pos_of[root]))
             after = view._restrict_unchecked(gen, root)
-        if not why and rec["support"] != _support_pairs(support, forest.sigma_levels):
+        if not why and rec.support != support:
             why = "recorded support differs from the recomputed one"
-        if not why and rec.get("zero_interval") is not support.zero:
-            why = "recorded zero flag differs from the recomputed support"
         yield view, None if why else after, support, why
         if why:
             return
         view = after
-
-
-def _support_pairs(support: IntervalSupport, sigma_levels: Sequence[float]) -> List[list]:
-    """A support's ``[sigma, theta]`` pairs as a trace document holds them."""
-    return [[s, None if math.isinf(t) else t] for s, t in support.pairs(sigma_levels)]
 
 
 def replay(records: Sequence[PeelRecord], forest: LeveledMergeForest) -> PeelView:
@@ -405,10 +398,7 @@ def replay(records: Sequence[PeelRecord], forest: LeveledMergeForest) -> PeelVie
     short of the exact one; returns the final view or raises QueryError
     naming the first record that fails."""
     view = fresh_view(forest)
-    docs = ({"generator": r.generator, "root": r.root, "reason": r.reason,
-             "support": _support_pairs(r.support, forest.sigma_levels), "zero_interval": r.zero_interval}
-            for r in records)
-    for k, (r, (_, after, _, why)) in enumerate(zip(records, replay_steps(forest, docs))):
+    for k, (r, (_, after, _, why)) in enumerate(zip(records, replay_steps(forest, records))):
         if why:
             raise QueryError(f"record {k}: generator {r.generator} ({r.reason}) - {why}")
         view = after
@@ -422,10 +412,25 @@ def _is_grade_pair(p) -> bool:
     return isinstance(p, list) and len(p) == 2 and all(v is None or type(v) in (int, float) for v in p)
 
 
-def trace_records_from_json(payload: str, n: int) -> List[dict]:
-    """Decode a serialized trace of an n-point space into plain record dicts
-    (for replay tools); raises ValueError when the document is malformed, has
-    no bottom record or was computed on a different number of points."""
+def _theta(v) -> float:
+    """A support pair's theta, null as inf; a ValueError unless it is null or
+    a finite number that a double holds exactly."""
+    try:
+        t = math.inf if v is None else float(v)
+    except OverflowError:  # an integer beyond every double
+        t = math.nan
+    if v is not None and not (math.isfinite(t) and t == v):
+        raise ValueError("support thetas must be finite numbers or null")
+    return t
+
+
+def trace_records_from_json(payload: str, forest: LeveledMergeForest) -> List[PeelRecord]:
+    """Decode a serialized trace of ``forest``'s space into its records; raises
+    ValueError when the document is malformed, has no bottom record or was
+    computed on a different number of points, or naming a record that
+    ``PeelTrace.to_json`` cannot write on this forest."""
+    n = forest.n
+    sigmas = [float(s) for s in forest.sigma_levels]
     try:
         data = json.loads(payload)
     except RecursionError:
@@ -434,21 +439,34 @@ def trace_records_from_json(payload: str, n: int) -> List[dict]:
         raise ValueError("not a peel trace document")
     if type(data.get("n")) is not int or data["n"] != n:
         raise ValueError(f"trace is for n = {data.get('n')!r} points, the input has {n}")
+    records = []
     for k, rec in enumerate(data["records"]):
-        if not isinstance(rec, dict):
-            raise ValueError(f"trace record {k} is not an object")
-        if not is_point(rec.get("generator"), n):
-            raise ValueError(f"trace record {k}: generator must be a point index below {n}")
-        if rec.get("root") is not None and not is_point(rec["root"], n):
-            raise ValueError(f"trace record {k}: root must be null or a point index below {n}")
-        if rec.get("reason") not in _REASONS:
-            raise ValueError(f"trace record {k}: reason must be one of {', '.join(_REASONS)}")
-        support = rec.get("support")
-        if not isinstance(support, list) or not all(_is_grade_pair(p) for p in support):
-            raise ValueError(f"trace record {k}: support must be a list of [sigma, theta] pairs")
-    if not any(rec["reason"] == "bottom" for rec in data["records"]):
+        try:
+            if not isinstance(rec, dict):
+                raise ValueError("not an object")
+            if not is_point(rec.get("generator"), n):
+                raise ValueError(f"generator must be a point index below {n}")
+            if rec.get("root") is not None and not is_point(rec["root"], n):
+                raise ValueError(f"root must be null or a point index below {n}")
+            if rec.get("reason") not in _REASONS:
+                raise ValueError(f"reason must be one of {', '.join(_REASONS)}")
+            pairs = rec.get("support")
+            if not isinstance(pairs, list) or not pairs or not all(_is_grade_pair(p) for p in pairs):
+                raise ValueError("support must be a nonempty list of [sigma, theta] pairs")
+            levels = sigmas[-len(pairs):]
+            if [s for s, _ in pairs] != levels:
+                raise ValueError("support sigmas must be the density levels from the birth level up")
+            thetas = [_theta(t) for _, t in pairs]
+            support = IntervalSupport(levels[0], tuple(
+                (s, t) for j, (s, t) in enumerate(zip(levels, thetas)) if j == 0 or t != thetas[j - 1]))
+            if rec.get("zero_interval") is not support.zero:
+                raise ValueError(f"zero_interval must be {str(support.zero).lower()} for this support")
+        except ValueError as e:
+            raise ValueError(f"trace record {k}: {e}") from None
+        records.append(PeelRecord(rec["generator"], rec.get("root"), rec["reason"], support))
+    if not any(r.reason == "bottom" for r in records):
         raise ValueError("trace has no bottom record")
-    return data["records"]
+    return records
 
 
 # -- one-parameter specialization ------------------------------------------------

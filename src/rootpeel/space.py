@@ -129,12 +129,11 @@ class AugmentedMetricSpace:
     def nearest_sweep(self, order: np.ndarray, nn: np.ndarray, nn_dist: np.ndarray,
                       start: int = 0) -> Iterator[np.ndarray]:
         """For k = start, start + 1, ..., the distances from ``order[k]`` to
-        ``order[:k]``, the matrix's doubles, read from the input matrix or
-        computed by ``distances``' formula; ``nn[k]``, ``nn_dist[k]``
-        (``nn_dist`` given as inf from ``start`` on, and the map of
-        ``order[:start]`` among themselves before it) end as the sweep index
-        of order[k]'s nearest other point (distance ties to the lower index)
-        and its distance.
+        ``order[:k]``, the matrix's doubles as ``distances`` gives them;
+        ``nn[k]``, ``nn_dist[k]`` (``nn_dist`` given as inf from ``start`` on,
+        and the map of ``order[:start]`` among themselves before it) end as
+        the sweep index of order[k]'s nearest other point (distance ties to
+        the lower index) and its distance.
 
         Rows come in blocks of about ``_BLOCK`` distances, from each block's
         rows to every point up to its last row. Before a block's rows are
@@ -142,12 +141,8 @@ class AugmentedMetricSpace:
         each earlier point takes its argmin over the block's later rows,
         moving only to a strictly closer one. So the map is complete once the
         last row is handed out, even if the caller stops pulling there."""
-        cols = None if self.points is None else self._cols[:, order]
         for k0, k1 in _row_blocks(len(order), start):
-            if cols is None:
-                block = self._dist[np.ix_(order[k0:k1], order[:k1])]
-            else:
-                block = _distances(cols[:, k0:k1], cols[:, :k1])
+            block = self.distances(order[k0:k1], order[:k1])
             for i in range(k1 - k0):
                 block[i, k0 + i :] = np.inf  # entry (k, j) is masked where k <= j
             nn[k0:k1] = np.argmin(block, axis=1)

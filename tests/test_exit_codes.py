@@ -8,6 +8,8 @@ help and raises SystemExit(0) itself.
 """
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_env
-from rootpeel import cli, pset
+from rootpeel import cli, experiment, pset
 
 NUMBERS = ["0", "1", "-1", "0.5", "3", "1e-300", "1e300", "-1e300", "1e308", "nan", "inf", "x", ""]
 DELIMS = [",", ";", " "]
@@ -183,6 +185,22 @@ def test_out_of_memory_elsewhere(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pset.LeveledMergeForest, "__init__", _no_memory)
     assert run_main(["peel", "--input", "IN", "--density-mode", "random"], tmp_path, b"0\n1\n") == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def _die(job):
+    os._exit(9)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched trial function reaches the workers only by fork")
+def test_a_dead_trial_worker(tmp_path, capsys, monkeypatch):
+    # BrokenProcessPool, a RuntimeError, ended in a traceback and exit 1, as
+    # when the OOM killer takes a worker. ROOTPEEL_THREADS=2 keeps the pool on
+    # one CPU too, so the patched function runs in the workers only
+    monkeypatch.setenv("ROOTPEEL_THREADS", "2")
+    monkeypatch.setattr(experiment, "_run_one_trial", _die)
+    assert run_main(["simulate", "--n", "20", "--trials", "2", "--jobs", "2"], tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: a trial worker process died")
 
 
 @pytest.mark.parametrize("table, tamper", [

@@ -345,12 +345,14 @@ class TestPeelAll:
             rooted.replay([peel, replace(bottom, generator=1)], fo)
 
     def test_json_round_trip_fields(self, line4):
-        trace = rooted.peel_all(line4)
-        recs = rooted.trace_records_from_json(trace.to_json(), line4.n)
-        assert recs[0]["generator"] == 3
-        assert recs[0]["root"] == 2
-        assert recs[0]["support"] == [[3.0, 2.0]]
-        assert recs[1]["support"] == [[0.0, None], [1.0, None], [2.0, None], [3.0, None]]
+        fo = pset.LeveledMergeForest(line4)
+        trace = rooted.peel_all(line4, forest=fo)
+        recs = rooted.trace_records_from_json(trace.to_json(), fo)
+        assert recs[0].generator == 3
+        assert recs[0].root == 2
+        assert recs[0].support == rooted.IntervalSupport(3.0, ((3.0, 2.0),))
+        # the bottom record's four [sigma, null] pairs are one run
+        assert recs[1].support == rooted.IntervalSupport(0.0, ((0.0, math.inf),))
 
 
 class TestElderBarcode:

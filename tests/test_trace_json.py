@@ -1,6 +1,8 @@
 """Differential test of the peel trace writer: ``PeelTrace.to_json`` must give
 the bytes of ``json.dumps(indent=2)`` over the trace's records
-(``dense_reference.reference_trace_json``) on every kind of input."""
+(``dense_reference.reference_trace_json``) on every kind of input, and the
+reader ``trace_records_from_json`` must give back records that write the same
+bytes."""
 
 import numpy as np
 import pytest
@@ -40,7 +42,11 @@ def _space(seed):
 
 def _agree(space):
     trace = rooted.peel_all(space)
-    assert trace.to_json() == reference_trace_json(trace)
+    text = trace.to_json()
+    assert text == reference_trace_json(trace)
+    records = rooted.trace_records_from_json(text, trace.final_view.forest)
+    assert records == trace.records
+    assert rooted.PeelTrace(records, trace.final_view, trace.n).to_json() == text
     return trace
 
 
