@@ -13,8 +13,10 @@ Matrices are numpy arrays: plain int64 for the 0/1 structure maps and
 idempotents, dtype object holding ``Fraction`` once fractions can appear. One
 kernel serves every caller: ``compose``, ``mats_equal`` and one elimination,
 ``_rref``, behind rank, solve and nullspace. ``GridModule.covering_maps`` is
-the one walk over the structure maps. ``_grade_grid`` alone makes the grade
-grid, from a distance matrix that no one keeps. ``linearize`` records its
+the one walk over the structure maps. ``_grade_grid`` alone makes the full
+grade grid, from a distance matrix that no one keeps; the exact check runs on
+the ``critical_scales``, where clusters change, read off the forest's chains.
+``linearize`` records its
 view and grade bases on the module, and the idempotents built on that module
 read them back. Sizes are guarded by an explicit total-dimension budget;
 exceeding it is an error, not a silent fallback.
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -377,44 +379,54 @@ class ModuleMorphism:
 GradeBases = Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]]
 
 
-def _grade_grid(forest: LeveledMergeForest) -> Tuple[np.ndarray, np.ndarray]:
-    """The full grade grid: every distinct pairwise distance (from a distance
-    matrix made for this call and not kept) and every density level."""
-    return np.unique(forest.space.distance_matrix()), forest.sigma_levels
+def _grade_grid(forest: LeveledMergeForest) -> np.ndarray:
+    """The full grid's scales: every distinct pairwise distance, from a
+    distance matrix made for this call and not kept."""
+    return np.unique(forest.space.distance_matrix())
+
+
+def critical_scales(forest: LeveledMergeForest) -> np.ndarray:
+    """0 and the distinct finite merge scales of every level: the scales
+    where some level's clusters change. On them a linearization is the full
+    grid's with its repeated grades dropped."""
+    gaps = np.concatenate([[0.0]] + [forest.chain(j)[1] for j in range(forest.num_levels)])
+    return np.unique(gaps[np.isfinite(gaps)])
 
 
 def _grade_bases(view: PeelView, eps_values) -> GradeBases:
     """Survivor labels and basis at every grade (eps index, sigma index), over
-    the grade grid's distances ``eps_values``.
+    the scales ``eps_values``.
 
     The labels give each position active at the grade's level the position of
-    its cluster's canonically first survivor. The basis maps each label that a
-    survivor carries, in increasing order, to its column: one basis vector per
-    surviving cluster.
+    its cluster's canonically first survivor, from one label pass per level.
+    The basis maps each survivor that labels itself, in increasing order, to
+    its column: one basis vector per surviving cluster.
     """
     fo = view.forest
     out: GradeBases = {}
     for j in range(fo.num_levels):
         live = np.flatnonzero(view._alive[: int(fo.level_sizes[j])])
-        for i, eps in enumerate(eps_values):
-            labels = fo.cluster_labels(j, eps, view._alive)
-            out[(i, j)] = labels, {int(b): k for k, b in enumerate(np.unique(labels[live]))}
+        for i, labels in enumerate(fo.cluster_labels(j, eps_values, view._alive)):
+            out[(i, j)] = labels, {int(b): k for k, b in enumerate(live[labels[live] == live])}
     return out
 
 
 def grade_dims(view: PeelView) -> Dict[Tuple[int, int], int]:
     """Fiber dimensions of the linearized view at every grade of the full grid."""
-    eps_values, _ = _grade_grid(view.forest)
-    return {g: len(basis) for g, (_, basis) in _grade_bases(view, eps_values).items()}
+    return {g: len(basis) for g, (_, basis) in _grade_bases(view, _grade_grid(view.forest)).items()}
 
 
-def linearize(view: PeelView, dim_budget: int = 64) -> GridModule:
-    """Free module on the surviving clusters of a peel view, over the full grid.
+def linearize(view: PeelView, dim_budget: int = 64,
+              scales: Optional[Sequence[float]] = None) -> GridModule:
+    """Free module on the surviving clusters of a peel view, over the given
+    ascending ``scales`` (the full grid's distances when None) and every
+    density level.
 
     The module records the view and its grade bases, which the idempotents
     built on it read back.
     """
-    eps_values, sigma_values = _grade_grid(view.forest)
+    eps_values = _grade_grid(view.forest) if scales is None else np.asarray(scales, dtype=float)
+    sigma_values = view.forest.sigma_levels
     bases = _grade_bases(view, eps_values)
     dims = {g: len(basis) for g, (_, basis) in bases.items()}
     _check_budget(sum(dims.values()), dim_budget)
@@ -522,24 +534,31 @@ def split_dims(
 def check_peel_split(before: PeelView, after: PeelView, x: int, root: Optional[int], support,
                      module: Optional[GridModule] = None, dim_budget: int = 64) -> Tuple[str, GridModule]:
     """Certify the peel of x toward root, a rooted pair on ``before`` (whose
-    linearization ``module`` is, when given), in exact arithmetic: split along
-    its idempotent, check the split-off factor against ``support`` and the
-    residual against ``after``. With root None, x is the bottom generator and
-    the image of the bottom idempotent is checked against ``support``.
+    linearization ``module`` is, when given; else one on the critical scales),
+    in exact arithmetic: split along its idempotent, check the split-off factor
+    against ``support`` and the residual against ``after``, on the module's
+    scales. A finite threshold of ``support`` must be one of them, as one
+    between two scales is invisible. With root None, x is the bottom generator
+    and the image of the bottom idempotent is checked against ``support``.
     Returns the first failure ('' if none) and the next peel's module."""
+    if module is None:
+        module = linearize(before, dim_budget, critical_scales(before.forest))
+    eps, sig = module.eps_values, module.sigma_values
+    for _, theta in support.breaks:
+        if math.isfinite(theta) and theta not in eps:
+            return f"support threshold {theta!r} is not a scale of the module's grid", module
     if root is None:
         phi = bottom_idempotent(before, module, dim_budget)
     else:
         phi = idempotent_from_peel(before, x, root, module, dim_budget, check_rooted=False)
-    da, db = split_dims(phi.source, phi)
+    da, db = split_dims(module, phi)
     what, dims = ("bottom", db) if root is None else ("split", da)
-    eps, sig = phi.source.eps_values, phi.source.sigma_values
     for (i, j), d in dims.items():
         if d != (1 if support.contains(eps[i], sig[j]) else 0):
-            return f"{what} dimension {d} at grade ({eps[i]}, {sig[j]}) contradicts the support", phi.source
+            return f"{what} dimension {d} at grade ({eps[i]}, {sig[j]}) contradicts the support", module
     if root is None:
-        return "", phi.source
-    residual = linearize(after, dim_budget=dim_budget)
+        return "", module
+    residual = linearize(after, dim_budget, eps)
     if any(db[g] != residual.dims[g] for g in db):
         return "residual factor dimensions differ from the restricted view", residual
     return "", residual

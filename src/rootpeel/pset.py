@@ -152,25 +152,57 @@ def _packed(order: np.ndarray, gaps: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     return order.astype(np.int32), gaps, index
 
 
-def _nearest_marked(order: np.ndarray, alive: np.ndarray, k: int, step: int) -> int:
-    """Chain index of the first position marked in ``alive`` beyond chain
-    index k in direction ``step`` (+1 or -1), or -1; looks in windows of
-    doubling width, since survivors are usually close."""
-    width = 8
-    t = k + step
-    while 0 <= t < len(order):
+_PEEK = 4  # chain steps read one at a time before the walk reads windows
+_WINDOW = 16  # the first window's width; each next one is twice as wide
+
+
+def _walk(order: np.ndarray, gaps: np.ndarray, k: int, step: int, eps: float,
+          alive: Optional[np.ndarray] = None) -> Tuple[int, float, bool]:
+    """Walk the chain from index k in direction ``step`` (+1 or -1) until
+    the next gap exceeds eps, the chain ends, or the walk reaches a position
+    marked in ``alive``: (the index it stops at, the largest gap it crossed,
+    whether that index is marked). The nearest survivor and a run's bound are
+    usually a step or two away, so the first ``_PEEK`` steps are scalar reads,
+    and windows of doubling width follow."""
+    # the chain's last index that way, and gaps[t + cross] lies between t and t + step
+    end, cross = (len(order) - 1, 1) if step > 0 else (0, 0)
+    g, t = -math.inf, k
+    for _ in range(_PEEK):
+        if t == end:
+            return t, g, False
+        gap = gaps.item(t + cross)
+        if gap > eps:
+            return t, g, False
+        if gap > g:
+            g = gap
+        t += step
+        if alive is not None and alive[order[t]]:
+            return t, g, True
+    width = _WINDOW
+    while t != end:
+        # the next steps in walk order: the gaps they cross and the points they reach
         if step > 0:
-            hit = alive[order[t : t + width]]
-            if hit.any():
-                return t + int(np.argmax(hit))
+            b = min(end, t + width)
+            gs, pts = gaps[t + 1 : b + 1], order[t + 1 : b + 1]
         else:
-            lo = max(0, t - width + 1)
-            hit = alive[order[lo : t + 1]]
-            if hit.any():
-                return t - int(np.argmax(hit[::-1]))
-        t += step * width
+            b = max(0, t - width)
+            gs, pts = gaps[b + 1 : t + 1][::-1], order[b:t][::-1]
+        over = gs > eps
+        stop = int(over.argmax())  # argmax, not any(): one call that stops at the first hit
+        if not over[stop]:
+            stop = len(gs)
+        if alive is not None and stop:
+            hit = alive[pts[:stop]]
+            i = int(hit.argmax())
+            if hit[i]:
+                return t + step * (i + 1), max(g, float(np.maximum.reduce(gs[: i + 1]))), True
+        if stop:
+            g = max(g, float(np.maximum.reduce(gs[:stop])))
+        t += step * stop
+        if stop < len(gs):
+            return t, g, False
         width *= 2
-    return -1
+    return t, g, False
 
 
 def _steps(lo: int, hi: int, f: Callable[[int], float]) -> Iterator[Tuple[int, float]]:
@@ -222,47 +254,49 @@ class ChainLevels:
         """Positions in px's cluster at scale eps and level j, in chain order."""
         order, gaps, index = self.chain(j)
         k = int(index[px])
-        left = gaps[k::-1] > eps
-        t = int(np.argmax(left))
-        lo = k - t if left[t] else 0
-        out = gaps[k + 1 :] > eps
-        hi = k + int(np.argmax(out)) if out.any() else len(order) - 1
-        return order[lo : hi + 1]
+        return order[_walk(order, gaps, k, -1, eps)[0] : _walk(order, gaps, k, 1, eps)[0] + 1]
+
+    def _first_merge(self, j: int, alive: np.ndarray, px: int) -> Tuple[float, int, int]:
+        """px's first-merge scale eps at level j with a position marked in
+        ``alive`` (inf when none), and chain indices lo <= hi in px's cluster
+        at eps from which walks at eps reach the cluster's bounds."""
+        order, gaps, index = self.chain(j)
+        k = int(index[px])
+        lo, g, hit = _walk(order, gaps, k, -1, math.inf, alive)
+        eps = g if hit else math.inf
+        hi, g, hit = _walk(order, gaps, k, 1, eps, alive)
+        if hit and g < eps:  # the left walk crossed gaps above g
+            return g, k, hi
+        return eps, lo, hi
 
     def first_merge_at(self, j: int, alive: np.ndarray, px: int) -> float:
         """Smallest scale at which px's cluster at level j holds another
         position marked in ``alive``; inf when none does."""
-        order, gaps, index = self.chain(j)
-        k = int(index[px])
-        eps = math.inf
-        left = _nearest_marked(order, alive, k, -1)
-        if left >= 0:
-            eps = float(gaps[left + 1 : k + 1].max())
-        right = _nearest_marked(order, alive, k, 1)
-        if right >= 0:
-            eps = min(eps, float(gaps[k + 1 : right + 1].max()))
-        return eps
+        return self._first_merge(j, alive, px)[0]
 
-    def cluster_labels(self, j: int, eps: float, alive: np.ndarray) -> np.ndarray:
-        """For each position active at level j, the first position marked in
-        ``alive`` in its cluster at scale eps (0 when the cluster has none)."""
+    def cluster_labels(self, j: int, scales: np.ndarray, alive: np.ndarray) -> np.ndarray:
+        """(len(scales), m) array: for each scale, and each of the m positions
+        active at level j, the first position marked in ``alive`` in its
+        cluster at that scale (0 when the cluster has none)."""
         order, gaps, _ = self.chain(j)
-        run = np.cumsum(gaps > eps) - 1
-        first = np.full(run[-1] + 1, self.n)
-        np.minimum.at(first, run, np.where(alive[order], order, self.n))
+        starts = gaps > np.asarray(scales, dtype=float)[:, None]  # a new run per scale and gap
+        starts[:, 0] = True
+        key = np.where(alive[order], order, self.n)
+        first = np.minimum.reduceat(np.tile(key, len(starts)), np.flatnonzero(starts))
         first[first == self.n] = 0
-        labels = np.empty(len(order), dtype=np.intp)
-        labels[order] = first[run]
+        labels = np.empty(starts.shape, dtype=np.intp)
+        labels[:, order] = first[np.cumsum(starts) - 1].reshape(starts.shape)
         return labels
 
     def root_scan(self, alive: np.ndarray, px: int,
                   limit: Optional[int] = None) -> Tuple[Optional[np.ndarray], float, List[int]]:
-        """Mask over positions ``[0, limit)`` (``limit`` defaults to px) of
-        the positions marked in ``alive`` that root px (None when there is
-        none); px's first-merge scale with a marked position at the lowest
-        level holding one (inf when none was scanned); and marked positions
-        whose unmarking must trigger a rescan: one that attains the
-        first-merge scale at each level the scan visited.
+        """Sorted positions below ``limit`` (``limit`` defaults to px) that
+        are marked in ``alive`` and root px (None when there is none); px's
+        first-merge scale with a marked position at the lowest level holding
+        one (inf when none was scanned); and marked positions whose unmarking
+        must trigger a rescan: the first marked position other than px, in
+        chain order, in px's cluster at its first-merge scale at each level
+        the scan visited.
 
         A candidate lies in px's marked cluster at its first merge scale on
         every level from px's birth upward. For a fixed mask that scale cannot
@@ -271,29 +305,42 @@ class ChainLevels:
         candidate; bisection finds them. While each of these levels keeps one
         marked position at its scale, every level's scale stays as it was and
         the candidates can only shrink, so an empty verdict stands until a
-        watched position goes. px itself may be marked or not.
+        watched position goes. px itself may be marked or not. With no level
+        scanned, every marked position below ``limit`` roots px.
         """
         limit = px if limit is None else limit
-        cand = alive[:limit].copy()
         eps_first = math.inf
         watch: List[int] = []
-        if not cand.any():
+        if not limit or not alive[int(alive[:limit].argmax())]:  # nothing marked below limit
             return None, eps_first, watch
-        levels = _steps(int(self.birth_level[px]), self.num_levels - 1,
-                        lambda j: self.first_merge_at(j, alive, px))
-        for j, eps in levels:
+        cand = None
+        inside = {}
+
+        def first_merge(j: int) -> float:
+            eps, *inside[j] = self._first_merge(j, alive, px)
+            return eps
+
+        for j, eps in _steps(int(self.birth_level[px]), self.num_levels - 1, first_merge):
             if math.isinf(eps):
                 continue
             if math.isinf(eps_first):
                 eps_first = eps
-            members = self.cluster_run(j, px, eps)
-            members = members[alive[members]]
-            watch.append(int(members[members != px][0]))
-            inside = np.zeros(limit, dtype=bool)
-            inside[members[members < limit]] = True
-            cand &= inside
-            if not cand.any():
+            order, gaps, index = self.chain(j)
+            lo, hi = inside[j]
+            lo, hi = _walk(order, gaps, lo, -1, eps)[0], _walk(order, gaps, hi, 1, eps)[0]
+            members = order[lo : hi + 1]
+            members = members[alive[members]]  # px and at least one other
+            watch.append(int(members[1] if members[0] == px else members[0]))
+            if cand is None:
+                cand = np.sort(members.astype(np.intp))
+                cand = cand[: cand.searchsorted(limit)]
+            else:  # the run is contiguous in level j's chain
+                at = index[cand]
+                cand = cand[(at >= lo) & (at <= hi)]
+            if not len(cand):
                 return None, eps_first, watch
+        if cand is None:
+            cand = np.flatnonzero(alive[:limit])
         return cand, eps_first, watch
 
 
@@ -459,7 +506,10 @@ class PeelView:
         if not (self._alive[px] and self._alive[proot]) or proot >= px:
             return False
         cand, _, _ = fo.root_scan(self._alive, px)
-        return cand is not None and bool(cand[proot])
+        if cand is None:
+            return False
+        i = int(np.searchsorted(cand, proot))
+        return i < len(cand) and int(cand[i]) == proot
 
     def restrict(self, x: int, root: int) -> "PeelView":
         """New view with x removed and sent to root; validates rootedness."""

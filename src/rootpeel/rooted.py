@@ -137,7 +137,7 @@ def is_rooted_generator(view: PeelView, x: int) -> Optional[int]:
     if not view._alive[px]:
         raise QueryError(f"point {x} was removed from this view")
     cand, _, _ = fo.root_scan(view._alive, px)
-    return None if cand is None else int(fo.perm[np.argmax(cand)])
+    return None if cand is None else int(fo.perm[cand[0]])
 
 
 def is_rooted_subset(view: PeelView, subset: Sequence[int]) -> Optional[int]:
@@ -159,12 +159,15 @@ def is_rooted_subset(view: PeelView, subset: Sequence[int]) -> Optional[int]:
     others = view._alive.copy()
     others[pos] = False
     limit = int(np.searchsorted(fo.f_by_pos, fo.f_by_pos[pos[0]], side="right"))
-    common = others[:limit]
+    common = None
     for px in pos:
         cand, _, _ = fo.root_scan(others, px, limit)
-        if cand is None or not (common := common & cand).any():
+        if cand is None:
             return None
-    return int(fo.perm[int(np.argmax(common))])
+        common = cand if common is None else np.intersect1d(common, cand, assume_unique=True)
+        if not len(common):
+            return None
+    return int(fo.perm[common[0]])
 
 
 def interval_support(view: PeelView, x: int, root: int) -> IntervalSupport:
@@ -280,27 +283,30 @@ def _general_rounds(levels: ChainLevels, alive: np.ndarray) -> Iterator[Tuple[in
 
     Unrooted verdicts are cached between rounds. A removal can only flip the
     verdict of x when the removed point attained x's first-merge scale at one
-    of the levels x's scan visited, so only those entries are rechecked.
+    of the levels x's scan visited, so only those entries are rechecked. A
+    min-heap holds the survivors whose verdict is not cached (position 0 is
+    never peeled), and a removal pushes its watchers back onto it.
     """
-    cached = np.zeros(levels.n, dtype=bool)
-    cached[0] = True
+    import heapq  # here, so that starting the CLI imports nothing more
+
+    heap = (np.flatnonzero(alive[1:]) + 1).tolist()  # ascending, so already a heap
+    queued = alive.copy()
+    queued[0] = False
     watchers: Dict[int, List[int]] = {}
-    while True:
-        found = None
-        for px in np.flatnonzero(alive & ~cached):
-            cand, _, watch = levels.root_scan(alive, int(px))
-            if cand is not None:
-                found = (int(px), int(np.argmax(cand)))
-                break
-            cached[px] = True
+    while heap:
+        px = heapq.heappop(heap)
+        queued[px] = False
+        cand, _, watch = levels.root_scan(alive, px)
+        if cand is None:
             for z in watch:
-                watchers.setdefault(z, []).append(int(px))
-        if found is None:
-            return
-        px, proot = found
+                watchers.setdefault(z, []).append(px)
+            continue
         alive[px] = False
-        cached[watchers.pop(px, [])] = False
-        yield px, proot
+        for w in watchers.pop(px, []):
+            if alive[w] and not queued[w]:
+                queued[w] = True
+                heapq.heappush(heap, w)
+        yield px, int(cand[0])
 
 
 def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] = None) -> PeelTrace:
@@ -548,4 +554,4 @@ def constant_conqueror(
     if px == 0:
         return int(x)
     cand, _, _ = fo.root_scan(np.arange(fo.n) <= px, px)
-    return None if cand is None else int(fo.perm[np.argmax(cand)])
+    return None if cand is None else int(fo.perm[cand[0]])

@@ -1,0 +1,164 @@
+"""Mutation check: each mutant must make its named tests fail.
+
+Usage, from the root of a checkout:
+
+    python3 tests/mutants.py [NAME ...]
+
+For each mutant (all of them, or those named) the script copies ``src/`` and
+``tests/`` into a temporary directory, applies one text substitution to one
+source file, runs the named tests there with pytest and expects them to fail.
+It prints one line per mutant, ``killed`` or ``SURVIVED``, and exits 1 when a
+mutant survived or its substitution no longer matches the source. Pytest does
+not collect this file (its name does not start with ``test_``), and it is not
+part of the tier-1 run: it takes minutes.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> (source file under src/rootpeel, old text, new text, tests that must fail)
+MUTANTS = {
+    "insert-equal-scale-neighbors": (
+        "pset.py",
+        "same = np.where(idx[1:] == idx[:-1] + 1, np.minimum(gaps[idx[1:]], tail), tail)",
+        "same = tail",
+        ["tests/test_sparse_forest.py::test_level_chains_match_dense_engine"],
+    ),
+    "rounds-watch-nothing": (
+        "rooted.py",
+        "            for z in watch:\n",
+        "            for z in watch[:0]:\n",
+        ["tests/test_sparse_forest.py::test_level_chains_match_dense_engine"],
+    ),
+    "scan-skips-birth-level": (
+        "pset.py",
+        "            if math.isinf(eps):\n                continue\n            if math.isinf(eps_first):",
+        "            if math.isinf(eps) or j == self.birth_level[px]:\n                continue\n"
+        "            if math.isinf(eps_first):",
+        ["tests/test_sparse_forest.py::test_root_scan_matches_dense_engine_on_random_masks"],
+    ),
+    "prim-near-tie-strict": (
+        "space.py",
+        "            if row[k] <= v_best:",
+        "            if row[k] < v_best:",
+        ["tests/test_sparse_forest.py::test_spanning_tree_level_zero_matches_insertion"],
+    ),
+    "prim-near-tie-to-lower-index": (
+        "space.py",
+        "if row[k] < v_best or t < v_near:",
+        "if row[k] < v_best:",
+        ["tests/test_sparse_forest.py::test_spanning_tree_level_zero_matches_insertion"],
+    ),
+    "prim-best-tie-moves-down": (
+        "space.py",
+        "hit = hit[(row[hit] < best[hit]) | (near[hit] > v)]",
+        "hit = hit[row[hit] < best[hit]]",
+        ["tests/test_sparse_forest.py::test_spanning_tree_level_zero_matches_insertion"],
+    ),
+    "sweep-moves-on-ties": (
+        "space.py",
+        "closer = np.flatnonzero(dist < nn_dist[:k1])",
+        "closer = np.flatnonzero(dist <= nn_dist[:k1])",
+        ["tests/test_sparse_forest.py::test_build_sweep_matches_the_matrix"],
+    ),
+    "span-bisect-side": (
+        "rooted.py",
+        "starts = [bisect.bisect_left(sigmas, s) for s, _ in self.breaks]",
+        "starts = [bisect.bisect_right(sigmas, s) for s, _ in self.breaks]",
+        ["tests/test_golden.py"],
+    ),
+    "nn-graph-index-rank": (
+        "rooted.py",
+        "order = space.canonical_order() if space.has_density() else np.arange(space.n)",
+        "order = np.arange(space.n)",
+        ["tests/test_sparse_forest.py::test_build_sweep_matches_the_matrix"],
+    ),
+    "field-matrix-int-zero": (
+        "linalg.py",
+        "out.ravel()[:] = [Fraction(v) for v in m.ravel().tolist()]",
+        "out.ravel()[:] = [Fraction(v) if v else 0 for v in m.ravel().tolist()]",
+        ["tests/test_golden.py"],
+    ),
+    "walk-window-skips-a-step": (
+        "pset.py",
+        "gs, pts = gaps[t + 1 : b + 1], order[t + 1 : b + 1]",
+        "gs, pts = gaps[t + 2 : b + 1], order[t + 2 : b + 1]",
+        ["tests/test_sparse_forest.py::test_walks_past_the_peek_match_bfs"],
+    ),
+    "walk-peek-one-short": (
+        "pset.py",
+        "    for _ in range(_PEEK):\n        if t == end:",
+        "    for _ in range(_PEEK):\n        if t == end - step:",
+        ["tests/test_sparse_forest.py::test_walks_past_the_peek_match_bfs"],
+    ),
+    "run-bound-at-equal-gap": (
+        "pset.py",
+        "        if gap > eps:\n",
+        "        if gap >= eps:\n",
+        ["tests/test_sparse_forest.py::test_walks_past_the_peek_match_bfs"],
+    ),
+    "window-bound-at-equal-gap": (
+        "pset.py",
+        "        over = gs > eps\n",
+        "        over = gs >= eps\n",
+        ["tests/test_sparse_forest.py::test_walks_past_the_peek_match_bfs"],
+    ),
+    "heap-drops-watchers": (
+        "rooted.py",
+        "                heapq.heappush(heap, w)\n",
+        "                pass\n",
+        ["tests/test_sparse_forest.py::test_level_chains_match_dense_engine"],
+    ),
+    "threshold-off-grid-passes": (
+        "linalg.py",
+        "if math.isfinite(theta) and theta not in eps:",
+        "if False:",
+        ["tests/test_linalg.py::test_a_threshold_between_critical_scales_fails"],
+    ),
+}
+
+
+def run(name: str, work: Path) -> str:
+    path, old, new, tests = MUTANTS[name]
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(ROOT / "src", work / "src")
+    shutil.copytree(ROOT / "tests", work / "tests")
+    shutil.copy(ROOT / "pyproject.toml", work)
+    src = work / "src" / "rootpeel" / path
+    text = src.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return f"NO MATCH  {name}: the old text occurs {text.count(old)} times in {path}"
+    src.write_text(text.replace(old, new), encoding="utf-8")
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                          cwd=work, capture_output=True, text=True)
+    took = f"{time.monotonic() - start:5.1f} s"
+    if proc.returncode == 1:
+        return f"killed    {name} ({took}): {' '.join(tests)}"
+    return f"SURVIVED  {name} ({took}, pytest exit {proc.returncode}): {' '.join(tests)}"
+
+
+def main(names) -> int:
+    unknown = sorted(set(names) - set(MUTANTS))
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="rootpeel-mutants-") as tmp:
+        for name in names or MUTANTS:
+            line = run(name, Path(tmp) / "work")
+            print(line, flush=True)
+            failed += not line.startswith("killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

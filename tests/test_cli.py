@@ -394,7 +394,8 @@ def test_only_the_oracle_makes_a_distance_matrix():
 
 
 def test_a_coordinate_space_keeps_no_matrix(ex4, tmp_path, capsys, monkeypatch):
-    # the oracle's matrix was kept on the space, and later distances read it
+    # the oracle's matrix was kept on the space, and later distances read it;
+    # oracle-check now linearizes on the critical scales and makes none
     sp = load_points(Path(ex4).read_text(), density_column="f")
     linalg.linearize(pset.fresh_view(pset.LeveledMergeForest(sp)))
     assert sp._dist is None
@@ -408,7 +409,7 @@ def test_a_coordinate_space_keeps_no_matrix(ex4, tmp_path, capsys, monkeypatch):
     args = ["--input", ex4, "--density-column", "f"]
     assert cli.main(["peel", *args, "--output", str(trace)]) == 0
     assert cli.main(["oracle-check", str(trace), *args]) == 0
-    assert asked and all(s.points is not None and s._dist is None for s in asked)
+    assert asked == []
 
 
 class TestOtherCommands:

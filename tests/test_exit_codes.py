@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_env
-from rootpeel import cli, experiment, pset
+from rootpeel import cli, experiment, pset, rooted
 
 NUMBERS = ["0", "1", "-1", "0.5", "3", "1e-300", "1e300", "-1e300", "1e308", "nan", "inf", "x", ""]
 DELIMS = [",", ";", " "]
@@ -46,23 +46,71 @@ def table_bytes(draw):
     return "\n".join(lines).encode()
 
 
+# the density values a generated table can hold as numbers (NUMBERS, and floats
+# drawn as cells); supports draw their sigmas from them, so some match a level
+LEVELS = [0.0, 1.0, -1.0, 0.5, 3.0]
+
+
+def trace_record(generator, root, support):
+    """A peel-trace record with every field drawn, the zero flag included."""
+    return st.fixed_dictionaries(
+        {"generator": generator, "root": root,
+         "reason": st.sampled_from(["neighborly", "general-rooted", "bottom", "other"]),
+         "zero_interval": st.booleans(),
+         "support": support},
+    )
+
+
 @st.composite
 def trace_bytes(draw):
     """A peel-trace-shaped document with arbitrary fields, other JSON, or raw bytes."""
     point = st.one_of(st.integers(-1, 9), st.none(), st.sampled_from(["0", 1.5, True]))
-    grade = st.lists(st.one_of(st.none(), st.floats(allow_nan=False), st.integers(0, 3)), max_size=3)
-    record = st.fixed_dictionaries(
-        {"generator": point, "root": point,
-         "reason": st.sampled_from(["neighborly", "general-rooted", "bottom", "other"]),
-         "support": st.one_of(st.lists(grade, max_size=4), st.none())},
-    )
+    sigma = st.one_of(st.sampled_from(LEVELS), st.floats(allow_nan=False), st.integers(0, 3))
+    grade = st.lists(st.one_of(st.none(), sigma), max_size=3)
+    support = st.one_of(st.lists(grade, max_size=4), st.none())
     doc = st.one_of(
-        st.fixed_dictionaries({"n": st.integers(0, 9), "records": st.lists(record, max_size=4)}),
+        st.fixed_dictionaries({"n": st.integers(0, 9),
+                               "records": st.lists(trace_record(point, point, support), max_size=4)}),
         st.recursive(st.none() | st.integers() | st.text(max_size=3), lambda c: st.lists(c, max_size=3)),
     )
     if draw(st.booleans()):
         return draw(st.binary(max_size=32))
     return json.dumps(draw(doc)).encode()
+
+
+@st.composite
+def oracle_inputs(draw):
+    """``oracle-check`` of a table of at most 5 points with explicit densities,
+    and a trace document on its n whose supports pair the table's density
+    levels, from the densest drawn one up, with drawn thetas, points in range
+    (a root may be null) and, half the time, the zero flag of its support: the
+    other fields as ``trace_bytes`` draws them, so many traces pass the
+    reader."""
+    n = draw(st.integers(1, 5))
+    xs = draw(st.lists(st.sampled_from(NUMBERS[:5]), min_size=n, max_size=n))
+    fs = draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n))
+    table = "x,f\n" + "".join(f"{x},{f!r}\n" for x, f in zip(xs, fs))
+    levels = sorted(set(fs))
+    point = st.integers(0, n - 1)
+    theta = st.one_of(st.none(), st.sampled_from([0, 0.5, 1, 2.5]), st.floats(allow_nan=False))
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, len(levels)))
+        thetas = sorted(draw(st.lists(theta, min_size=k, max_size=k)), key=_descending)
+        pairs = [[s, t] for s, t in zip(levels[-k:], thetas)]
+        record = draw(trace_record(point, st.one_of(point, st.none()), st.just(pairs)))
+        if draw(st.booleans()):  # a zero flag that fits the support
+            record["zero_interval"] = thetas[0] == 0
+        records.append(record)
+    doc = {"n": n, "records": records}
+    argv = ["oracle-check", "TRACE", "--input", "IN", "--density-column", "f"]
+    return argv, table.encode(), json.dumps(doc).encode()
+
+
+def _descending(t):
+    """Sort key putting null (an infinite theta) first and the rest in
+    decreasing order, so that most drawn supports are staircases."""
+    return (t is not None, -t if t is not None else 0)
 
 
 def options(**choices):
@@ -117,10 +165,27 @@ def tmp(tmp_path_factory):
     return tmp_path_factory.mktemp("exit-codes")
 
 
-@settings(max_examples=150, deadline=None)
-@given(argv=argvs, table=table_bytes(), trace=trace_bytes())
-def test_exit_code_contract(tmp, argv, table, trace):
-    assert run_main(argv, tmp, table, trace) in (0, 1, 2)
+def test_exit_code_contract(tmp, monkeypatch):
+    # every command on drawn argv and bytes; then oracle-check on drawn traces
+    # of small tables, of which some pass the trace reader: count the examples
+    # that reach the replay
+    replays = []
+    steps = rooted.replay_steps
+    monkeypatch.setattr(rooted, "replay_steps", lambda *a: replays.append(a) or steps(*a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=argvs, table=table_bytes(), trace=trace_bytes())
+    def contract(argv, table, trace):
+        assert run_main(argv, tmp, table, trace) in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_inputs())
+    def oracle_contract(case):
+        assert run_main(case[0], tmp, case[1], case[2]) in (0, 1, 2)
+
+    contract()
+    oracle_contract()
+    assert replays
 
 
 # crashes the property found, one named example each

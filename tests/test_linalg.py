@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import random_space
 from rootpeel import linalg, pset, rooted
+from rootpeel.space import AugmentedMetricSpace
 BUDGET = 100000
 NOT_2X2 = r"right_maps at grade \(0, 0\) is not a 2 x 2 matrix"
 
@@ -510,3 +512,120 @@ def test_residual_fixture_file_round_trips(residual4):
     for key in resid.up_maps:
         assert linalg.mats_equal(loaded.up_maps[key], resid.up_maps[key])
     assert linalg.is_indecomposable(loaded, dim_budget=100000) is True
+
+
+# -- the critical grid ------------------------------------------------------------
+
+
+def exact_verdicts(fo, records, full):
+    """``check_peel_split``'s verdict on each record in turn, with the first
+    module linearized on the full grid or left to the check (the critical
+    scales), up to the first failure or the bottom record; a ConsistencyError
+    or a record the view cannot apply is a verdict too."""
+    view = pset.fresh_view(fo)
+    module = linalg.linearize(view, dim_budget=BUDGET) if full else None
+    out = []
+    for r in records:
+        try:
+            after = view if r.root is None else view._restrict_unchecked(r.generator, r.root)
+            why, module = linalg.check_peel_split(view, after, r.generator, r.root, r.support,
+                                                  module, BUDGET)
+        except (linalg.ConsistencyError, pset.QueryError) as e:
+            why = f"raises {e}"
+        out.append(why)
+        if why or r.root is None:
+            return out
+        view = after
+    return out
+
+
+def oracle_spaces(n, kinds):
+    """Seeded n-point spaces: random or tied densities, duplicate points, or
+    ``#matrix`` input (rounded distances, so with ties)."""
+    rng = np.random.default_rng(n)
+    for kind in kinds:
+        sp = random_space(rng, n=n, d=2, mode="ties" if kind == "ties" else "random",
+                          duplicates=kind == "duplicates")
+        if kind == "matrix":
+            sp = AugmentedMetricSpace(dist=np.round(sp.distance_matrix() * 8), density=sp.density)
+        yield kind, sp
+
+
+def with_theta(r, theta):
+    """Record r with its first threshold run moved to ``theta``."""
+    (birth, _), *rest = r.support.breaks
+    rest = [(s, min(t, theta)) for s, t in rest]
+    return replace(r, support=rooted.IntervalSupport(birth, ((birth, theta), *rest)))
+
+
+def tamperings(fo, records, rng):
+    """(name, records) pairs: the trace with a record given another survivor
+    as root, two records swapped, one dropped or repeated, and a theta moved
+    to another critical scale; each at a drawn record before the bottom one."""
+    k = int(rng.integers(len(records) - 1))
+    r = records[k]
+    others = [int(p) for p in fo.perm if int(p) not in (r.generator, r.root)]
+    scales = linalg.critical_scales(fo)
+    yield "root", records[:k] + [replace(r, root=int(rng.choice(others)))] + records[k + 1:]
+    yield "swap", records[:k] + records[k + 1 : k + 2] + [r] + records[k + 2:]
+    yield "drop", records[:k] + records[k + 1:]
+    yield "repeat", records[: k + 1] + records[k:]
+    yield "theta", records[:k] + [with_theta(r, float(rng.choice(scales)))] + records[k + 1:]
+
+
+@pytest.mark.parametrize("n, kinds", [
+    (8, ("random", "ties", "duplicates", "matrix") * 2),
+    (12, ("ties", "duplicates")),
+    (20, ("random", "matrix")),
+])
+def test_critical_grid_verdicts_equal_the_full_grid(n, kinds):
+    rng = np.random.default_rng(n)
+    for kind, sp in oracle_spaces(n, kinds):
+        fo = pset.LeveledMergeForest(sp)
+        records = rooted.peel_all(sp, forest=fo).records
+        assert exact_verdicts(fo, records, full=False) == [""] * len(records), kind
+        if n == 20:  # the full grid at n = 20 takes seconds a trace: a prefix
+            records = records[:3]
+        assert exact_verdicts(fo, records, full=True) == [""] * len(records), kind
+        for name, tampered in tamperings(fo, records, rng) if n < 20 else ():
+            want = exact_verdicts(fo, tampered, full=True)
+            assert exact_verdicts(fo, tampered, full=False) == want, (kind, name)
+
+
+def test_critical_grid_verdicts_on_the_replay_tamperings():
+    # the records test_cli's replay test tampers with, handed to the exact
+    # check as they are
+    from test_cli import SEVEN, TAMPERINGS
+
+    from rootpeel.space import load_points
+
+    sp = load_points(SEVEN, density_column="f")
+    fo = pset.LeveledMergeForest(sp)
+    for name, tamper in TAMPERINGS.items():
+        records = tamper(rooted.peel_all(sp, forest=fo).records)
+        want = exact_verdicts(fo, records, full=True)
+        assert exact_verdicts(fo, records, full=False) == want, name
+
+
+def test_a_threshold_between_critical_scales_fails():
+    # a full grid's distance that is no merge scale, or a point between two
+    # merge scales, looks like its lower scale on the critical grid: the
+    # check names it instead of passing it. The full grid fails it too.
+    rng = np.random.default_rng(5)
+    checked = 0
+    for kind, sp in oracle_spaces(8, ("random", "ties", "duplicates", "matrix") * 2):
+        fo = pset.LeveledMergeForest(sp)
+        records = rooted.peel_all(sp, forest=fo).records
+        scales = linalg.critical_scales(fo)
+        distances = np.setdiff1d(np.unique(sp.distance_matrix()), scales)
+        k = int(rng.integers(len(records) - 1))
+        first = records[k].support.breaks[0][1]
+        for theta in {float(rng.choice(distances)) if len(distances) else None,
+                      float(scales[-2] + scales[-1]) / 2, first / 2 if first else None} - {None}:
+            if theta in scales:
+                continue
+            tampered = records[:k] + [with_theta(records[k], theta)] + records[k + 1:]
+            got = exact_verdicts(fo, tampered, full=False)
+            assert got == [""] * k + [f"support threshold {theta!r} is not a scale of the module's grid"]
+            checked += 1
+    assert checked >= 16

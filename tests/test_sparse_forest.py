@@ -88,7 +88,7 @@ def check_peel(sp, fo, ref, rng):
             want, want_eps = ref.root_candidates(alive, int(px))
             assert (got is None) == (want is None), px
             if got is not None:
-                assert np.array_equal(got, want), px
+                assert got.tolist() == np.flatnonzero(want).tolist(), px
             assert got_eps == want_eps or (math.isinf(got_eps) and math.isinf(want_eps))
         steps.append(len(survivors))
 
@@ -125,6 +125,93 @@ def test_level_chains_match_dense_engine(block):
                 size = int(rng.integers(1, len(survivors) + 1))
                 subset = [int(v) for v in rng.choice(survivors, size, replace=False)]
                 assert rooted.is_rooted_subset(view, subset) == ref.is_rooted_subset(view._alive, subset)
+
+
+def first_merge_scales(fo, ref, alive, px):
+    """px's first-merge scale with a position marked in ``alive`` at every
+    level from its birth up, from the dense reference's rows (inf when the
+    level holds no other marked position)."""
+    out = {}
+    for j in range(int(fo.birth_level[px]), fo.num_levels):
+        m = int(fo.level_sizes[j])
+        others = alive[:m].copy()
+        others[px] = False
+        out[j] = float(ref.levels[j][px][others].min()) if others.any() else math.inf
+    return out
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_root_scan_matches_dense_engine_on_random_masks(block):
+    # any marked set and any px, marked or not, on the 216 generator spaces,
+    # not only the masks along the peel path: 20 scans per space
+    for seed in range(block * 54, (block + 1) * 54):
+        kind, sp = seeded_space(seed)
+        fo = pset.LeveledMergeForest(sp)
+        ref = DenseForest(fo)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            alive = rng.random(fo.n) < rng.uniform(0.05, 0.95)
+            px = int(rng.integers(fo.n))
+            got, got_eps, watch = fo.root_scan(alive, px)
+            want, want_eps = ref.root_candidates(alive.copy(), px)
+            where = (kind, seed, px)
+            assert (got is None) == (want is None), where
+            if got is not None:
+                assert got.dtype == np.intp
+                assert got.tolist() == np.flatnonzero(want).tolist(), where
+            assert got_eps == want_eps, where
+            # one watched position per level the scan visited: the birth level
+            # and each level where the first-merge scale drops, while finite
+            scales = first_merge_scales(fo, ref, alive, px)
+            visited = [j for j, eps in scales.items()
+                       if math.isfinite(eps) and (j == fo.birth_level[px] or eps != scales[j - 1])]
+            assert len(watch) <= len(visited), where
+            if got is not None:
+                assert len(watch) == len(visited), where
+            for j, z in zip(visited, watch):
+                assert alive[z] and z != px, where
+                assert ref.levels[j][px, z] == scales[j], where
+
+
+def line_space(seed, n=40):
+    """n points on a line, some coincident, with one level or a few tied
+    levels: chains long enough that runs and walks pass the scalar peek."""
+    rng = np.random.default_rng(seed)
+    pts = np.sort(rng.random(n))[:, None] * 10
+    pts[rng.integers(0, n, 3)] = pts[rng.integers(0, n, 3)]
+    dens = np.zeros(n) if seed % 2 else rng.integers(0, 3, n).astype(float)
+    return AugmentedMetricSpace(points=pts, density=dens)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walks_past_the_peek_match_bfs(seed):
+    # clusters of up to 40 points and survivors up to 40 chain steps away: the
+    # walk's windows as well as its scalar steps
+    sp = line_space(seed)
+    fo = pset.LeveledMergeForest(sp)
+    ref = DenseForest(fo)
+    dm = sp.distance_matrix()
+    for j, sigma in enumerate(fo.sigma_levels):
+        active = [i for i in range(sp.n) if sp.density[i] <= sigma]
+        for eps in eps_grid(fo):
+            comp = bfs_components(dm, active, eps)
+            for x in active:
+                run = fo.cluster_run(j, fo.position(x), eps)
+                assert frozenset(fo.perm[run].tolist()) == comp[x], (seed, j, eps, x)
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        alive = np.zeros(fo.n, dtype=bool)
+        alive[rng.integers(0, fo.n, int(rng.integers(1, 4)))] = True
+        px = int(rng.integers(fo.n))
+        scales = first_merge_scales(fo, ref, alive, px)
+        for j, eps in scales.items():
+            assert fo.first_merge_at(j, alive, px) == eps, (seed, j, px)
+        got, got_eps, _ = fo.root_scan(alive, px)
+        want, want_eps = ref.root_candidates(alive.copy(), px)
+        assert (got is None) == (want is None), (seed, px)
+        if got is not None:
+            assert got.tolist() == np.flatnonzero(want).tolist(), (seed, px)
+        assert got_eps == want_eps, (seed, px)
 
 
 def lattice_space(seed):
