@@ -6,29 +6,28 @@ both axes. Everything here is exact, over the rationals. One field suffices:
 the structure maps and the idempotents a peel induces send basis classes to
 basis classes, so they are set maps, and a split along a set map is the same
 over every field. A peel's split dimensions are the traces of its
-idempotent: the oracle checks each idempotent exactly, and over QQ an
-idempotent's rank is its trace.
+idempotent: its builder checks naturality, ``split_dims`` checks idempotency
+before it reads a trace, and over QQ an idempotent's rank is its trace.
 
 Matrices are numpy arrays: plain int64 for the 0/1 structure maps and
 idempotents, dtype object holding ``Fraction`` once fractions can appear. One
 kernel serves every caller: ``compose``, ``mats_equal`` and one elimination,
-``_rref``, behind rank, solve and nullspace. ``GridModule.covering_maps`` is
-the one walk over the structure maps. ``_grade_grid`` alone makes the full
-grade grid, from a distance matrix that no one keeps; the exact check runs on
-the ``critical_scales``, where clusters change, read off the forest's chains.
-``linearize`` records its
-view and grade bases on the module, and the idempotents built on that module
-read them back. Sizes are guarded by an explicit total-dimension budget;
-exceeding it is an error, not a silent fallback.
+``_rref``, behind rank, solve, nullspace and the minimal polynomial.
+``GridModule.covering_maps`` is the one walk over the structure maps.
+``_grade_grid`` alone makes the full grade grid, from a distance matrix that
+no one keeps; the exact check runs on the ``critical_scales``, where clusters
+change, read off the forest's chains. ``linearize`` records its view and grade
+bases on the module, and the idempotents built on that module read them back.
+Sizes are guarded by an explicit total-dimension budget, checked on a lower
+bound before any grade is built; exceeding it is an error, not a fallback.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,9 +43,9 @@ class ConsistencyError(ValueError):
     """Raised when a would-be morphism fails idempotency or naturality."""
 
 
-def _check_budget(total: int, dim_budget: int) -> None:
+def _check_budget(total: int, dim_budget: int, bound: str = "") -> None:
     if total > dim_budget:
-        raise BudgetError(f"module has total dimension {total}, over the budget {dim_budget}")
+        raise BudgetError(f"module has total dimension {bound}{total}, over the budget {dim_budget}")
 
 
 # -- matrix kernel ----------------------------------------------------------------
@@ -345,7 +344,6 @@ class ModuleMorphism:
     source: GridModule
     target: GridModule
     mats: Mapping[Tuple[int, int], np.ndarray]
-    _idempotent_kept: bool = field(default=False, init=False, repr=False, compare=False)
 
     def check_natural(self) -> None:
         src, dst = self.source, self.target
@@ -359,18 +357,12 @@ class ModuleMorphism:
                 )
 
     def check_idempotent(self) -> None:
-        """Raise ConsistencyError unless every map squares to itself. A pass
-        is kept when the maps are read-only (a read-only mapping of read-only
-        matrices, as ``_idempotent`` makes them), which cannot change after it."""
-        if self._idempotent_kept:
-            return
+        """Raise ConsistencyError unless every map squares to itself."""
         if self.source.dims != self.target.dims:
             raise ConsistencyError("idempotency only makes sense for endomorphisms")
         for g, m in self.mats.items():
             if not mats_equal(compose(m, m), m):
                 raise ConsistencyError(f"morphism is not idempotent at grade index {g}")
-        self._idempotent_kept = isinstance(self.mats, MappingProxyType) and not any(
-            m.flags.writeable for m in self.mats.values())
 
 
 # -- linearization -----------------------------------------------------------------
@@ -425,8 +417,12 @@ def linearize(view: PeelView, dim_budget: int = 64,
     The module records the view and its grade bases, which the idempotents
     built on it read back.
     """
-    eps_values = _grade_grid(view.forest) if scales is None else np.asarray(scales, dtype=float)
-    sigma_values = view.forest.sigma_levels
+    fo = view.forest
+    eps_values = _grade_grid(fo) if scales is None else np.asarray(scales, dtype=float)
+    sigma_values = fo.sigma_levels
+    # every grade from the densest survivor's birth level up holds its class
+    lowest = fo.num_levels - int(fo.birth_level[np.argmax(view._alive)])
+    _check_budget(len(eps_values) * lowest, dim_budget, "at least ")
     bases = _grade_bases(view, eps_values)
     dims = {g: len(basis) for g, (_, basis) in bases.items()}
     _check_budget(sum(dims.values()), dim_budget)
@@ -497,19 +493,18 @@ def bottom_idempotent(view: PeelView, module: Optional[GridModule] = None,
 def _idempotent(view: PeelView, module: Optional[GridModule], dim_budget: int, target) -> ModuleMorphism:
     """The endomorphism of ``view``'s linearization that sends, at each grade
     of level j, the class of each basis representative ``rep`` to the class of
-    ``target(j, labels, rep)``; raises ConsistencyError unless it is natural
-    and idempotent. Its maps are read-only, so the idempotency check is kept."""
+    ``target(j, labels, rep)``; raises ConsistencyError unless it is natural,
+    the rootedness certificate. Each target class's representative stays put,
+    so it is idempotent by construction; ``split_dims`` and ``split`` check."""
     module, bases = _peel_module(view, module, dim_budget)
     mats: Dict[Tuple[int, int], np.ndarray] = {}
     for (i, j), (labels, basis) in bases.items():
         mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
         for col, rep in enumerate(basis):
             mat[basis[target(j, labels, rep)], col] = 1
-        mat.setflags(write=False)
         mats[(i, j)] = mat
-    phi = ModuleMorphism(module, module, MappingProxyType(mats))
+    phi = ModuleMorphism(module, module, mats)
     phi.check_natural()
-    phi.check_idempotent()
     return phi
 
 
@@ -653,26 +648,18 @@ def _block_matrix(morphism: ModuleMorphism) -> np.ndarray:
 
 
 def _min_poly(big: np.ndarray) -> List[Fraction]:
-    """Monic minimal polynomial over QQ (coefficients low-degree first), found
-    as the first linear dependence among flattened powers."""
-    n = len(big)
-    power = mat_identity(n)
-    ech = []  # (lead index, echelon row, its coefficients in the powers)
-    for k in range(n + 2):
-        vec = power.reshape(-1)
-        coeffs = mat_zero(1, n + 2)[0]
-        coeffs[k] = Fraction(1)
-        for lead, erow, ecoef in ech:
-            if vec[lead] != 0:
-                f = vec[lead] / erow[lead]
-                vec = vec - f * erow
-                coeffs = coeffs - f * ecoef
-        nonzero = np.flatnonzero(vec)
-        if not len(nonzero):
-            return list(coeffs[: k + 1])
-        ech.append((int(nonzero[0]), vec, coeffs))
+    """Monic minimal polynomial over QQ (coefficients low-degree first). The
+    flattened powers I, A, ..., A^k are the columns of one matrix; at the
+    first k whose column is no pivot of its ``_rref``, A^k = sum_i rref[i, k]
+    A^i, so the polynomial is t^k - sum_i rref[i, k] t^i."""
+    power, cols = mat_identity(len(big)), []
+    while True:
+        cols.append(power.reshape(-1))
+        rows, pivots = _rref(np.stack(cols, axis=1))
+        k = len(pivots)
+        if k < len(cols):
+            return list(-rows[:k, k]) + [Fraction(1)]
         power = compose(power, big)
-    raise RuntimeError("minimal polynomial search did not terminate")
 
 
 def is_indecomposable(module: GridModule, dim_budget: int = 64) -> Optional[bool]:
@@ -752,18 +739,10 @@ def betti0_total(module: GridModule, dim_budget: int = 64) -> int:
     _check_budget(module.total_dim(), dim_budget)
     out = 0
     for (i, j) in module.grades():
-        d = module.dims[(i, j)]
-        if d == 0:
-            continue
-        incoming = []
+        incoming = [mat_zero(module.dims[(i, j)], 0)]  # a grade with none: the whole space
         if i > 0:
             incoming.append(as_field_matrix(module.right_maps[(i - 1, j)]))
         if j > 0:
             incoming.append(as_field_matrix(module.up_maps[(i, j - 1)]))
-        incoming = [m for m in incoming if m.shape[1] > 0]
-        if not incoming:
-            out += d
-            continue
-        stacked = np.concatenate(incoming, axis=1)
-        out += d - mat_rank(stacked)
+        out += module.dims[(i, j)] - mat_rank(np.concatenate(incoming, axis=1))
     return out

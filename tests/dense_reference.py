@@ -79,12 +79,13 @@ class DenseForest:
         eps_first = math.inf
         if not cand.any():
             return None, eps_first
+        marked = bool(alive[px])
         for j in range(int(fo.birth_level[px]), fo.num_levels):
             m = int(fo.level_sizes[j])
             row = self.levels[j][px]
             alive[px] = False
             others = row[alive[:m]]
-            alive[px] = True
+            alive[px] = marked
             if not others.size:
                 continue
             mstar = float(others.min())

@@ -123,6 +123,19 @@ MUTANTS = {
         "if False:",
         ["tests/test_linalg.py::test_a_threshold_between_critical_scales_fails"],
     ),
+    "split-dims-unchecked": (
+        "linalg.py",
+        "    phi.check_idempotent()\n    da, db = {}, {}",
+        "    da, db = {}, {}",
+        ["tests/test_linalg.py::TestSplit::test_split_dims_rejects_a_non_idempotent",
+         "tests/test_linalg.py::TestSplit::test_each_record_checks_its_idempotent_once"],
+    ),
+    "min-poly-sign-dropped": (
+        "linalg.py",
+        "return list(-rows[:k, k]) + [Fraction(1)]",
+        "return list(rows[:k, k]) + [Fraction(1)]",
+        ["tests/test_linalg.py::TestExactKernel::test_min_poly_of_projection"],
+    ),
 }
 
 

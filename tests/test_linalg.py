@@ -57,6 +57,19 @@ class TestLinearize:
         with pytest.raises(linalg.BudgetError):
             linalg.linearize(pset.fresh_view(fo), dim_budget=10)
 
+    def test_budget_refused_before_the_label_pass(self, monkeypatch):
+        # n = 160 with random densities has a level per point: building every
+        # grade's labels took seconds and gigabytes before the budget was read
+        sp = random_space(np.random.default_rng(160), n=160, d=2)
+        view = pset.fresh_view(pset.LeveledMergeForest(sp))
+
+        def no_labels(*_):
+            raise AssertionError("grade bases built for an over-budget view")
+
+        monkeypatch.setattr(linalg, "_grade_bases", no_labels)
+        with pytest.raises(linalg.BudgetError, match="at least"):
+            linalg.linearize(view)
+
     def test_basis_reps_are_cluster_minima(self, full4):
         _, m = full4
         eps = list(m.eps_values)
@@ -296,8 +309,8 @@ class TestSplit:
             linalg.split_dims(m, twice)
 
     def test_each_record_checks_its_idempotent_once(self, monkeypatch):
-        # one compose(m, m) per grade of the record's module; the idempotent's
-        # builder and split_dims each checked it (two per grade)
+        # one compose(m, m) per grade of the record's module: the builder
+        # checks naturality only, and split_dims checks idempotency once
         squares = []
         compose = linalg.compose
 
@@ -324,7 +337,7 @@ class TestSplit:
         assert records >= 16
 
     def test_a_writable_morphism_is_checked_again(self):
-        # the kept verdict needs read-only maps: a writable one can change
+        # no verdict is kept on the morphism: each check squares the maps again
         m = chain_module([2], [])
         phi = linalg.ModuleMorphism(m, m, {(0, 0): np.eye(2, dtype=np.int64)})
         phi.check_idempotent()
@@ -441,6 +454,98 @@ class TestExactKernel:
         coeffs = linalg._min_poly(big)
         # t^2 - t, low degree first
         assert coeffs == [Fraction(0), Fraction(-1), Fraction(1)]
+
+    @staticmethod
+    def min_poly_cases():
+        """(name, matrix, its minimal polynomial or None) for seeded rational
+        matrices, each conjugated by a random invertible one: an idempotent, a
+        nilpotent, J with J^2 = 2I, a companion matrix, and block-diagonal
+        matrices of endomorphisms as ``is_indecomposable`` builds them."""
+        rng = np.random.default_rng(59)
+        F = Fraction
+
+        def conjugate(a):
+            n = len(a)
+            while True:
+                p = linalg.as_field_matrix(rng.integers(-3, 4, size=(n, n)))
+                if linalg.mat_rank(p) == n:
+                    break
+            return linalg.compose(linalg.compose(p, a), linalg.mat_solve(p, linalg.mat_identity(n)))
+
+        def diag(*blocks):
+            n = sum(len(b) for b in blocks)
+            out, off = linalg.mat_zero(n, n), 0
+            for b in blocks:
+                out[off: off + len(b), off: off + len(b)] = linalg.as_field_matrix(np.asarray(b))
+                off += len(b)
+            return out
+
+        shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+        j2 = [[0, 2], [1, 0]]
+        lead = [F(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(4)]
+        companion = linalg.mat_zero(4, 4)
+        companion[np.arange(1, 4), np.arange(3)] = F(1)
+        companion[:, 3] = [-c for c in lead]
+        yield "idempotent", conjugate(diag([[1]], [[1]], [[0]], [[0]])), [F(0), F(-1), F(1)]
+        yield "nilpotent", conjugate(diag(shift, [[0]])), [F(0), F(0), F(0), F(1)]
+        yield "j2", conjugate(diag(j2, j2)), [F(-2), F(0), F(1)]
+        yield "companion", conjugate(companion), lead + [F(1)]
+        yield "identity", linalg.mat_identity(3), [F(-1), F(1)]
+        yield "zero", linalg.mat_zero(3, 3), [F(0), F(1)]
+        yield "mixed-blocks", conjugate(diag(shift, j2, [[F(1, 2)]])), None
+        module = chain_module([2, 1, 2], [np.array([[1, 0]]), np.array([[1], [0]])])
+        bigs = [linalg._block_matrix(b) for b in linalg.endomorphism_space(module, BUDGET)]
+        for k in range(4):
+            coefs = rng.integers(-3, 4, size=len(bigs))
+            yield f"endomorphism-{k}", sum(F(int(c)) * b for c, b in zip(coefs, bigs)), None
+
+    def test_min_poly_annihilates_and_is_least(self):
+        for name, big, want in self.min_poly_cases():
+            coeffs = linalg._min_poly(big)
+            assert coeffs[-1] == 1, name
+            if want is not None:
+                assert coeffs == want, name
+            n, deg = len(big), len(coeffs) - 1
+            value = linalg.mat_zero(n, n)
+            for c in reversed(coeffs):  # Horner
+                value = linalg.compose(value, big) + c * linalg.mat_identity(n)
+            assert np.count_nonzero(value) == 0, name
+            powers = [linalg.mat_identity(n)]
+            for _ in range(deg - 1):
+                powers.append(linalg.compose(powers[-1], big))
+            flat = np.stack([p.reshape(-1) for p in powers[:deg]])
+            assert linalg.mat_rank(flat) == deg, name
+
+
+def endomorphism_basis(monkeypatch, *mats):
+    """A one-grade module of dimension 2 whose endomorphism space is made to
+    be the span of the given 2 x 2 matrices; counts the minimal polynomials
+    ``is_indecomposable`` then computes."""
+    module = chain_module([2], [])
+    basis = [linalg.ModuleMorphism(module, module, {(0, 0): np.asarray(m, dtype=np.int64)})
+             for m in mats]
+    monkeypatch.setattr(linalg, "endomorphism_space", lambda m, dim_budget: basis)
+    polys = []
+    min_poly = linalg._min_poly
+    monkeypatch.setattr(linalg, "_min_poly", lambda big: polys.append(big) or min_poly(big))
+    return module, polys
+
+
+class TestIndecomposabilityTail:
+    # neither span splits: each tries its basis and the 24 random combinations,
+    # then the trace form's radical decides
+
+    def test_local_algebra_is_certified_by_the_radical(self, monkeypatch):
+        # span{I, N} with N^2 = 0: the radical is span{N}, of codimension one
+        module, polys = endomorphism_basis(monkeypatch, np.eye(2), [[0, 1], [0, 0]])
+        assert linalg.is_indecomposable(module, dim_budget=BUDGET) is True
+        assert len(polys) > 2 + 16
+
+    def test_a_field_extension_is_left_undecided(self, monkeypatch):
+        # span{I, J} with J^2 = 2I is QQ(sqrt 2): no idempotent, zero radical
+        module, polys = endomorphism_basis(monkeypatch, np.eye(2), [[0, 2], [1, 0]])
+        assert linalg.is_indecomposable(module, dim_budget=BUDGET) is None
+        assert len(polys) > 2 + 16
 
 
 class TestSubsetIdempotents:
