@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pset import LeveledMergeForest, PeelView
+from .pset import LeveledMergeForest, PeelView, distinct
 
 
 class BudgetError(RuntimeError):
@@ -374,7 +374,7 @@ GradeBases = Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]]
 def _grade_grid(forest: LeveledMergeForest) -> np.ndarray:
     """The full grid's scales: every distinct pairwise distance, from a
     distance matrix made for this call and not kept."""
-    return np.unique(forest.space.distance_matrix())
+    return distinct(forest.space.distance_matrix())
 
 
 def critical_scales(forest: LeveledMergeForest) -> np.ndarray:
@@ -382,7 +382,7 @@ def critical_scales(forest: LeveledMergeForest) -> np.ndarray:
     where some level's clusters change. On them a linearization is the full
     grid's with its repeated grades dropped."""
     gaps = np.concatenate([[0.0]] + [forest.chain(j)[1] for j in range(forest.num_levels)])
-    return np.unique(gaps[np.isfinite(gaps)])
+    return distinct(gaps[np.isfinite(gaps)])
 
 
 def _grade_bases(view: PeelView, eps_values) -> GradeBases:

@@ -98,6 +98,13 @@ def _insert(order: np.ndarray, gaps: np.ndarray, q: int, r: np.ndarray):
     return np.concatenate(([q], order[idx])), new_gaps
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending, as ``np.unique`` gives them (the first
+    of each run of the same sort), without its import of ``numpy.ma``."""
+    s = np.sort(values, axis=None)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))] if len(s) else s
+
+
 def find_set(parent: List[int], a: int) -> int:
     """Representative of a's set in the union-find forest ``parent``; halves
     the path on the way."""
@@ -205,7 +212,7 @@ def _walk(order: np.ndarray, gaps: np.ndarray, k: int, step: int, eps: float,
     return t, g, False
 
 
-def _steps(lo: int, hi: int, f: Callable[[int], float]) -> Iterator[Tuple[int, float]]:
+def steps(lo: int, hi: int, f: Callable[[int], float]) -> Iterator[Tuple[int, float]]:
     """(lo, f(lo)), then (j, f(j)) for each j in (lo, hi] where a nonincreasing
     f changes, in increasing j; bisection evaluates f O(changes * log) times."""
     seen = {lo: f(lo)}
@@ -288,31 +295,32 @@ class ChainLevels:
         labels[:, order] = first[np.cumsum(starts) - 1].reshape(starts.shape)
         return labels
 
-    def root_scan(self, alive: np.ndarray, px: int,
-                  limit: Optional[int] = None) -> Tuple[Optional[np.ndarray], float, List[int]]:
+    def root_scan(self, alive: np.ndarray, px: int, limit: Optional[int] = None
+                  ) -> Tuple[Optional[np.ndarray], List[Tuple[int, float]], List[int]]:
         """Sorted positions below ``limit`` (``limit`` defaults to px) that
-        are marked in ``alive`` and root px (None when there is none); px's
-        first-merge scale with a marked position at the lowest level holding
-        one (inf when none was scanned); and marked positions whose unmarking
-        must trigger a rescan: the first marked position other than px, in
-        chain order, in px's cluster at its first-merge scale at each level
-        the scan visited.
+        are marked in ``alive`` and root px (None when there is none); the
+        (level, eps) pairs of px's first-merge scale with a marked position
+        (inf when none) at the levels the scan visited, up to where the
+        candidates ran out; and marked positions whose unmarking must trigger
+        a rescan: the first marked position other than px, in chain order, in
+        px's cluster at its first-merge scale at each finite level visited.
 
         A candidate lies in px's marked cluster at its first merge scale on
         every level from px's birth upward. For a fixed mask that scale cannot
         grow with the level, and while it stays put the cluster only grows,
         so only the birth level and the levels where it drops can exclude a
-        candidate; bisection finds them. While each of these levels keeps one
+        candidate; bisection finds them, and they are the runs of each
+        candidate's merge scale with px. While each of these levels keeps one
         marked position at its scale, every level's scale stays as it was and
         the candidates can only shrink, so an empty verdict stands until a
         watched position goes. px itself may be marked or not. With no level
         scanned, every marked position below ``limit`` roots px.
         """
         limit = px if limit is None else limit
-        eps_first = math.inf
+        runs: List[Tuple[int, float]] = []
         watch: List[int] = []
         if not limit or not alive[int(alive[:limit].argmax())]:  # nothing marked below limit
-            return None, eps_first, watch
+            return None, runs, watch
         cand = None
         inside = {}
 
@@ -320,11 +328,10 @@ class ChainLevels:
             eps, *inside[j] = self._first_merge(j, alive, px)
             return eps
 
-        for j, eps in _steps(int(self.birth_level[px]), self.num_levels - 1, first_merge):
+        for j, eps in steps(int(self.birth_level[px]), self.num_levels - 1, first_merge):
+            runs.append((j, eps))
             if math.isinf(eps):
                 continue
-            if math.isinf(eps_first):
-                eps_first = eps
             order, gaps, index = self.chain(j)
             lo, hi = inside[j]
             lo, hi = _walk(order, gaps, lo, -1, eps)[0], _walk(order, gaps, hi, 1, eps)[0]
@@ -338,10 +345,10 @@ class ChainLevels:
                 at = index[cand]
                 cand = cand[(at >= lo) & (at <= hi)]
             if not len(cand):
-                return None, eps_first, watch
+                return None, runs, watch
         if cand is None:
             cand = np.flatnonzero(alive[:limit])
-        return cand, eps_first, watch
+        return cand, runs, watch
 
 
 class LeveledMergeForest(ChainLevels):
@@ -360,7 +367,7 @@ class LeveledMergeForest(ChainLevels):
         self.pos_of[self.perm] = np.arange(space.n)
         self.f_by_pos = f[self.perm]
 
-        self.sigma_levels = np.unique(f)
+        self.sigma_levels = distinct(f)
         level_sizes = np.searchsorted(self.f_by_pos, self.sigma_levels, side="right")
         self.nn_pos = np.zeros(space.n, dtype=np.intp)
         self.nn_dist = np.full(space.n, np.inf)
@@ -402,14 +409,6 @@ class LeveledMergeForest(ChainLevels):
             absent = x if px >= m else y
             raise QueryError(f"point {absent} is absent at density level {sigma}")
         return self.merge_scale(j, px, py)
-
-    def threshold_runs(self, px: int, f: Callable[[int], float]) -> Tuple[Tuple[float, float], ...]:
-        """(sigma, theta) runs of a threshold ``f(level)`` that cannot grow with
-        the level, from px's birth level up: one run per change."""
-        return tuple(
-            (float(self.sigma_levels[j]), theta)
-            for j, theta in _steps(int(self.birth_level[px]), self.num_levels - 1, f)
-        )
 
     # -- merge events ----------------------------------------------------------
 
@@ -490,7 +489,8 @@ class PeelView:
         return frozenset(int(v) for v in fo.perm[members[self._alive[members]]])
 
     def first_merge_scale(self, sigma: float, x: int) -> Tuple[float, FrozenSet[int]]:
-        """Smallest grid scale at which x's surviving cluster exceeds one point."""
+        """Smallest scale at which x's surviving cluster at density sigma
+        exceeds one point, and that cluster; (inf, {x}) when none does."""
         px, j, _ = self._check_present(sigma, x)
         fo = self.forest
         eps = fo.first_merge_at(j, self._alive, px)
@@ -499,17 +499,19 @@ class PeelView:
         members = fo.cluster_run(j, px, eps)
         return eps, frozenset(int(v) for v in fo.perm[members[self._alive[members]]])
 
-    def rooted_pair_ok(self, x: int, root: int) -> bool:
-        """Whether ``root`` witnesses x as a rooted generator of this view."""
+    def root_runs(self, x: int, root: int) -> Optional[List[Tuple[int, float]]]:
+        """(level, theta) runs of x's merge scale with ``root`` from x's birth
+        level up if ``root`` witnesses x as a rooted generator here, else None."""
         fo = self.forest
         px, proot = fo.position(x), fo.position(root)
         if not (self._alive[px] and self._alive[proot]) or proot >= px:
-            return False
-        cand, _, _ = fo.root_scan(self._alive, px)
-        if cand is None:
-            return False
-        i = int(np.searchsorted(cand, proot))
-        return i < len(cand) and int(cand[i]) == proot
+            return None
+        cand, runs, _ = fo.root_scan(self._alive, px)
+        return runs if cand is not None and proot in cand else None
+
+    def rooted_pair_ok(self, x: int, root: int) -> bool:
+        """Whether ``root`` witnesses x as a rooted generator of this view."""
+        return self.root_runs(x, root) is not None
 
     def restrict(self, x: int, root: int) -> "PeelView":
         """New view with x removed and sent to root; validates rootedness."""

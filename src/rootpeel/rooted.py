@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .pset import ChainLevels, LeveledMergeForest, PeelView, QueryError, chain_of_merges, fresh_view
+from .pset import ChainLevels, LeveledMergeForest, PeelView, QueryError, chain_of_merges, fresh_view, steps
 from .space import AugmentedMetricSpace, is_point
 
 
@@ -173,17 +173,19 @@ def is_rooted_subset(view: PeelView, subset: Sequence[int]) -> Optional[int]:
 def interval_support(view: PeelView, x: int, root: int) -> IntervalSupport:
     """Support of the interval split off by peeling x toward root.
 
-    The threshold at each level is the merge scale of x and root there,
-    evaluated in the full space (removed points keep providing connectivity).
-    An empty support (duplicate points already merged at birth) is flagged.
+    The threshold at each level is the merge scale of x and root there in
+    the full space (removed points keep providing connectivity), read off the
+    scan that certifies the pair. An empty support (duplicates) is flagged.
     """
-    if not view.rooted_pair_ok(x, root):
+    runs = view.root_runs(x, root)
+    if runs is None:
         raise QueryError(f"({x}, {root}) is not a valid rooted pair on this view")
-    return _support_unchecked(view.forest, int(view.forest.pos_of[x]), int(view.forest.pos_of[root]))
+    return _support(view.forest, runs)
 
 
-def _support_unchecked(fo: LeveledMergeForest, px: int, proot: int) -> IntervalSupport:
-    breaks = fo.threshold_runs(px, lambda j: fo.merge_scale(j, px, proot))
+def _support(fo: LeveledMergeForest, runs: Iterable[Tuple[int, float]]) -> IntervalSupport:
+    """The support whose thresholds are the (level, theta) runs."""
+    breaks = tuple((float(fo.sigma_levels[j]), theta) for j, theta in runs)
     return IntervalSupport(breaks[0][0], breaks)
 
 
@@ -276,10 +278,10 @@ def barcode_csv(bars: Sequence[Tuple[float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _general_rounds(levels: ChainLevels, alive: np.ndarray) -> Iterator[Tuple[int, int]]:
+def _general_rounds(levels: ChainLevels, alive: np.ndarray) -> Iterator[tuple]:
     """Repeat: peel the canonically first survivor passing the general
-    criterion, until none passes; marks it removed and yields
-    (position, root position).
+    criterion, until none passes; marks it removed and yields (position,
+    root position, its scan's (level, theta) runs of their merge scale).
 
     Unrooted verdicts are cached between rounds. A removal can only flip the
     verdict of x when the removed point attained x's first-merge scale at one
@@ -296,7 +298,7 @@ def _general_rounds(levels: ChainLevels, alive: np.ndarray) -> Iterator[Tuple[in
     while heap:
         px = heapq.heappop(heap)
         queued[px] = False
-        cand, _, watch = levels.root_scan(alive, px)
+        cand, runs, watch = levels.root_scan(alive, px)
         if cand is None:
             for z in watch:
                 watchers.setdefault(z, []).append(px)
@@ -306,7 +308,7 @@ def _general_rounds(levels: ChainLevels, alive: np.ndarray) -> Iterator[Tuple[in
             if alive[w] and not queued[w]:
                 queued[w] = True
                 heapq.heappush(heap, w)
-        yield px, int(cand[0])
+        yield px, int(cand[0]), runs
 
 
 def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] = None) -> PeelTrace:
@@ -346,8 +348,8 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
                 birth = float(fo.f_by_pos[px])
                 emit(px, proot, "neighborly", IntervalSupport(birth, ((birth, float(fo.nn_dist[px])),)))
 
-        for px, proot in _general_rounds(fo, alive):
-            emit(px, proot, "general-rooted", _support_unchecked(fo, px, proot))
+        for px, proot, runs in _general_rounds(fo, alive):
+            emit(px, proot, "general-rooted", _support(fo, runs))
 
     records.append(PeelRecord(int(fo.perm[0]), None, "bottom", _bottom_support(fo)))
     final = PeelView(fo, alive, removed)
@@ -385,10 +387,10 @@ def replay_steps(forest: LeveledMergeForest, records: Iterable[PeelRecord]) -> I
             why = "record follows the bottom record"
         elif root is None:
             why = "missing root"
-        elif not view.rooted_pair_ok(gen, root):
+        elif (runs := view.root_runs(gen, root)) is None:
             why = "pair fails the rootedness criterion"
         else:
-            support = _support_unchecked(forest, int(forest.pos_of[gen]), int(forest.pos_of[root]))
+            support = _support(forest, runs)
             after = view._restrict_unchecked(gen, root)
         if not why and rec.support != support:
             why = "recorded support differs from the recomputed one"
@@ -518,7 +520,7 @@ def elder_barcode_1d(
         by_pos.append((scale, pos_of[i], pos_of[j]))
     levels = ChainLevels([chain_of_merges(n, by_pos)], np.zeros(n, dtype=np.intp))
     alive = np.ones(n, dtype=bool)
-    bars = [(births[order[px]], levels.merge_scale(0, px, z)) for px, z in _general_rounds(levels, alive)]
+    bars = [(births[order[px]], runs[0][1]) for px, _, runs in _general_rounds(levels, alive)]
     bars.append((births[order[0]], math.inf))
     return sorted(bars)
 
@@ -539,8 +541,8 @@ def staircode(
         raise ValueError("staircodes need an injective density function")
     px = fo.position(x)
     before = np.arange(fo.n) < px
-    breaks = fo.threshold_runs(px, lambda j: fo.first_merge_at(j, before, px))
-    return IntervalSupport(breaks[0][0], breaks)
+    return _support(fo, steps(int(fo.birth_level[px]), fo.num_levels - 1,
+                              lambda j: fo.first_merge_at(j, before, px)))
 
 
 def constant_conqueror(

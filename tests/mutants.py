@@ -40,10 +40,24 @@ MUTANTS = {
     ),
     "scan-skips-birth-level": (
         "pset.py",
-        "            if math.isinf(eps):\n                continue\n            if math.isinf(eps_first):",
+        "            if math.isinf(eps):\n                continue\n            order, gaps, index = self.chain(j)",
         "            if math.isinf(eps) or j == self.birth_level[px]:\n                continue\n"
-        "            if math.isinf(eps_first):",
+        "            order, gaps, index = self.chain(j)",
         ["tests/test_sparse_forest.py::test_root_scan_matches_dense_engine_on_random_masks"],
+    ),
+    "runs-skip-infinite-levels": (
+        "pset.py",
+        "            runs.append((j, eps))\n            if math.isinf(eps):\n                continue\n",
+        "            if math.isinf(eps):\n                continue\n            runs.append((j, eps))\n",
+        ["tests/test_sparse_forest.py::test_elder_barcode_bars_are_those_of_the_inline_linked_runs",
+         "tests/test_sparse_forest.py::test_elder_deaths_are_merge_scales_on_its_chain"],
+    ),
+    "support-from-first-run-only": (
+        "rooted.py",
+        "for j, theta in runs)",
+        "for j, theta in list(runs)[:1])",
+        ["tests/test_golden.py",
+         "tests/test_sparse_forest.py::test_rooted_supports_are_the_merge_scale_runs"],
     ),
     "prim-near-tie-strict": (
         "space.py",

@@ -8,7 +8,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cli_env
 from rootpeel import cli, linalg, pset, rooted
@@ -271,6 +274,109 @@ def test_replay_raises_where_oracle_check_fails(tmp_path, capsys, tamper):
     assert (raised is None) == (tamper is TAMPERINGS["untouched"])
 
 
+@st.composite
+def small_tables(draw):
+    """(table text, extra argv, space) for at most 8 points: random, tied or
+    duplicate-point densities in a density column, or a ``#matrix`` input
+    of rounded distances with explicit tied densities. Every number is
+    written with repr, so the CLI parses the space the test builds."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["random", "ties", "duplicates", "matrix"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.random((n, 2))
+    dens = rng.random(n) if kind == "random" else rng.integers(0, 3, n).astype(float)
+    if kind == "duplicates":
+        k = int(rng.integers(1, n))
+        pts[rng.integers(0, n, k)] = pts[rng.integers(0, n, k)]
+    if kind == "matrix":
+        dist = np.round(AugmentedMetricSpace(points=pts).distance_matrix() * 8)
+        table = f"#matrix {n}\n" + "".join(",".join(map(repr, row)) + "\n" for row in dist.tolist())
+        argv = ["--density-mode", "explicit", "--densities", ",".join(map(repr, dens.tolist()))]
+        return table, argv, AugmentedMetricSpace(dist=dist, density=dens)
+    table = "x,y,f\n" + "".join(f"{x!r},{y!r},{f!r}\n" for (x, y), f in zip(pts.tolist(), dens.tolist()))
+    return table, ["--density-column", "f"], load_points(table, density_column="f")
+
+
+def tampered(draw, records, n, distances):
+    """The records with one drawn tampering: two swapped; one given another
+    survivor as its root; one theta moved to another pairwise distance that
+    keeps the thresholds nonincreasing; or one dropped, repeated or moved."""
+    k = len(records)
+    roots = [(i, p) for i, r in enumerate(records) for p in range(n)
+             if p not in (r.generator, r.root) and p not in {q.generator for q in records[:i]}]
+    thetas = []
+    for i, r in enumerate(records):
+        runs = r.support.breaks
+        for t, (_, theta) in enumerate(runs):
+            hi = runs[t - 1][1] if t else math.inf
+            lo = runs[t + 1][1] if t + 1 < len(runs) else 0.0
+            thetas += [(i, t, d) for d in distances if lo <= d <= hi and d != theta]
+    kinds = ["swap", "drop", "repeat", "move"] + ["root"] * bool(roots) + ["theta"] * bool(thetas)
+    kind = draw(st.sampled_from(kinds))
+    recs = list(records)
+    if kind == "root":
+        i, p = draw(st.sampled_from(roots))
+        recs[i] = replace(recs[i], root=p)
+    elif kind == "theta":
+        i, t, d = draw(st.sampled_from(thetas))
+        runs = list(recs[i].support.breaks)
+        runs[t] = (runs[t][0], d)
+        recs[i] = replace(recs[i], support=rooted.IntervalSupport(recs[i].support.birth_sigma, tuple(runs)))
+    else:
+        i = draw(st.integers(0, k - 1))
+        j = draw(st.integers(0, k - 1).filter(lambda j: j != i))
+        if kind == "swap":
+            recs[i], recs[j] = recs[j], recs[i]
+        elif kind == "drop":
+            del recs[i]
+        elif kind == "repeat":
+            recs.insert(i, recs[i])
+        else:
+            recs.insert(j, recs.pop(i))
+    return kind, recs
+
+
+def test_replay_and_oracle_check_agree_on_tampered_traces(tmp_path_factory, capsys):
+    # oracle-check fails the first record that replay rejects, with the same
+    # message, and its exact check fails no record that replay accepted
+    tmp = tmp_path_factory.mktemp("agreement")
+    kinds = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=small_tables(), data=st.data())
+    def agree(table, data):
+        text, argv, space = table
+        fo = pset.LeveledMergeForest(space)
+        distances = sorted(set(space.distance_matrix()[np.triu_indices(space.n, 1)].tolist()))
+        kind, records = tampered(data.draw, rooted.peel_all(space, fo).records, space.n, distances)
+        kinds.append(kind)
+        doc = rooted.PeelTrace(records, pset.fresh_view(fo), space.n).to_json()
+        (tmp / "in.csv").write_text(text)
+        (tmp / "t.json").write_text(doc)
+        capsys.readouterr()
+        code = cli.main(["oracle-check", str(tmp / "t.json"), "--input", str(tmp / "in.csv"), *argv])
+        out, err = capsys.readouterr()
+        try:
+            read = rooted.trace_records_from_json(doc, fo)
+        except ValueError as e:  # a dropped bottom record
+            assert (code, out, err) == (2, "", f"error: {e}\n")
+            return
+        try:
+            rooted.replay(read, fo)
+            raised = None
+        except pset.QueryError as e:
+            raised = f"FAIL {e}"
+        lines = out.splitlines()
+        assert all(line.startswith("PASS ") for line in lines[:-1]), (kind, lines)
+        if raised:
+            assert (code, lines[-1], err) == (2, raised, ""), kind
+        else:
+            assert (code, err) == (0, "") and len(lines) == len(records), (kind, lines)
+
+    agree()
+    assert len(set(kinds)) == 6, kinds
+
+
 def test_trace_without_a_bottom_record_is_a_data_error(tmp_path, capsys):
     # replay applies a prefix of a trace; a trace document must hold its bottom record
     src = tmp_path / "seven.csv"
@@ -493,6 +599,27 @@ class TestImports:
             "assert cli.main(['b-constant', '3']) == 0\n"
             "assert 'scipy' not in sys.modules, 'a later command imported scipy'\n"
             "assert 'concurrent.futures.process' not in sys.modules, 'a command without a pool imported one'\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
+        assert r.returncode == 0, r.stderr.decode()
+
+    def test_no_command_imports_numpy_ma(self, ex4, tmp_path):
+        # np.unique imports numpy.ma (tens of ms of every start); the forest's
+        # levels, the oracle's critical scales and linearize's full grid take
+        # their distinct values without it
+        trace = str(tmp_path / "t.json")
+        data = f"'--input', {ex4!r}, '--density-column', 'f'"
+        code = (
+            "import sys\n"
+            "from rootpeel import cli, linalg, pset, space\n"
+            f"assert cli.main(['peel', {data}, '--output', {trace!r}]) == 0\n"
+            f"assert cli.main(['barcode', {data}]) == 0\n"
+            f"assert cli.main(['staircode', {data}]) == 0\n"
+            f"assert cli.main(['oracle-check', {trace!r}, {data}]) == 0\n"
+            "assert cli.main(['simulate', '--n', '40', '--trials', '2', '--jobs', '1']) == 0\n"
+            f"sp = space.load_points(open({ex4!r}).read(), density_column='f')\n"
+            "linalg.linearize(pset.fresh_view(pset.LeveledMergeForest(sp)))\n"
+            "assert 'numpy.ma' not in sys.modules, 'a command imported numpy.ma'\n"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env())
         assert r.returncode == 0, r.stderr.decode()

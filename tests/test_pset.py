@@ -15,6 +15,16 @@ def forest4(line4):
 
 
 class TestBuild:
+    def test_distinct_is_np_unique(self):
+        # the same values, signed zeros as np.unique keeps them, and none
+        # from an empty array; np.unique itself imports numpy.ma
+        rng = np.random.default_rng(5)
+        for size in (0, 1, 2, 7, 300):
+            values = rng.integers(-3, 4, size) * rng.choice([0.5, -0.0, 0.0], size)
+            for a in (values, values.reshape(-1, 1), np.abs(values)):
+                got, want = pset.distinct(a), np.unique(a)
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
     def test_grid_of_line_example(self, forest4):
         module = linalg.linearize(pset.fresh_view(forest4))
         assert list(module.eps_values) == [0, 2, 2.5, 3, 4.5, 5, 7.5]

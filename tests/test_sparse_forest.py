@@ -84,12 +84,12 @@ def check_peel(sp, fo, ref, rng):
         if len(survivors) > 12:
             survivors = rng.choice(survivors, 12, replace=False)
         for px in survivors:
-            got, got_eps = fo.root_scan(alive, int(px))[:2]
-            want, want_eps = ref.root_candidates(alive, int(px))
+            got, runs = fo.root_scan(alive, int(px))[:2]
+            want, _ = ref.root_candidates(alive, int(px))
             assert (got is None) == (want is None), px
             if got is not None:
                 assert got.tolist() == np.flatnonzero(want).tolist(), px
-            assert got_eps == want_eps or (math.isinf(got_eps) and math.isinf(want_eps))
+            check_runs(runs, got, first_merge_scales(fo, ref, alive, int(px)), alive[:px].any())
         steps.append(len(survivors))
 
     trace = rooted.peel_all(sp, forest=fo)
@@ -127,6 +127,20 @@ def test_level_chains_match_dense_engine(block):
                 assert rooted.is_rooted_subset(view, subset) == ref.is_rooted_subset(view._alive, subset)
 
 
+def check_runs(runs, cand, scales, marked_below):
+    """A scan's runs are the change points of the first-merge scales from px's
+    birth level up: all of them when it found candidates, else a prefix that
+    holds the birth level whenever a position below px is marked."""
+    want = []
+    for j, eps in scales.items():
+        if not want or eps != want[-1][1]:
+            want.append((j, eps))
+    if cand is not None:
+        assert runs == want
+    else:
+        assert runs == want[: len(runs)] and bool(runs) == bool(marked_below)
+
+
 def first_merge_scales(fo, ref, alive, px):
     """px's first-merge scale with a position marked in ``alive`` at every
     level from its birth up, from the dense reference's rows (inf when the
@@ -152,17 +166,17 @@ def test_root_scan_matches_dense_engine_on_random_masks(block):
         for _ in range(20):
             alive = rng.random(fo.n) < rng.uniform(0.05, 0.95)
             px = int(rng.integers(fo.n))
-            got, got_eps, watch = fo.root_scan(alive, px)
-            want, want_eps = ref.root_candidates(alive.copy(), px)
+            got, runs, watch = fo.root_scan(alive, px)
+            want, _ = ref.root_candidates(alive.copy(), px)
             where = (kind, seed, px)
             assert (got is None) == (want is None), where
             if got is not None:
                 assert got.dtype == np.intp
                 assert got.tolist() == np.flatnonzero(want).tolist(), where
-            assert got_eps == want_eps, where
+            scales = first_merge_scales(fo, ref, alive, px)
+            check_runs(runs, got, scales, alive[:px].any())
             # one watched position per level the scan visited: the birth level
             # and each level where the first-merge scale drops, while finite
-            scales = first_merge_scales(fo, ref, alive, px)
             visited = [j for j, eps in scales.items()
                        if math.isfinite(eps) and (j == fo.birth_level[px] or eps != scales[j - 1])]
             assert len(watch) <= len(visited), where
@@ -206,12 +220,12 @@ def test_walks_past_the_peek_match_bfs(seed):
         scales = first_merge_scales(fo, ref, alive, px)
         for j, eps in scales.items():
             assert fo.first_merge_at(j, alive, px) == eps, (seed, j, px)
-        got, got_eps, _ = fo.root_scan(alive, px)
-        want, want_eps = ref.root_candidates(alive.copy(), px)
+        got, runs, _ = fo.root_scan(alive, px)
+        want, _ = ref.root_candidates(alive.copy(), px)
         assert (got is None) == (want is None), (seed, px)
         if got is not None:
             assert got.tolist() == np.flatnonzero(want).tolist(), (seed, px)
-        assert got_eps == want_eps, (seed, px)
+        check_runs(runs, got, scales, alive[:px].any())
 
 
 def lattice_space(seed):
@@ -398,6 +412,55 @@ def test_elder_barcode_bars_are_those_of_the_inline_linked_runs():
     assert all(b == elder_oracle(*case) for b, case in zip(bars, cases))
     digest = hashlib.sha256(repr(bars).encode()).hexdigest()
     assert digest == "9e4be0d8d14bb624ba880810dfe12d0b68dc33b364a564a7f9ee8d9641b82ddb"
+
+
+def merge_scale_runs(fo, px, proot):
+    """(sigma, theta) runs of px's merge scale with proot, read level by level
+    from px's birth up, equal consecutive thetas merged."""
+    runs = []
+    for j in range(int(fo.birth_level[px]), fo.num_levels):
+        theta = fo.merge_scale(j, px, proot)
+        if not runs or theta != runs[-1][1]:
+            runs.append((float(fo.sigma_levels[j]), theta))
+    return tuple(runs)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_rooted_supports_are_the_merge_scale_runs(block):
+    # every general peel's support, from peel_all and from interval_support on
+    # the view replayed to its record, against the level-by-level merge scales
+    # of generator and root, on the 216 generator spaces
+    for seed in range(block * 54, (block + 1) * 54):
+        kind, sp = seeded_space(seed)
+        fo = pset.LeveledMergeForest(sp)
+        records = rooted.peel_all(sp, forest=fo).records
+        for rec, (before, _, _, why) in zip(records, rooted.replay_steps(fo, records)):
+            assert not why, (kind, seed, rec)
+            if rec.reason != "general-rooted":
+                continue
+            want = merge_scale_runs(fo, fo.position(rec.generator), fo.position(rec.root))
+            where = (kind, seed, rec.generator, rec.root)
+            assert rec.support.breaks == want, where
+            assert rooted.interval_support(before, rec.generator, rec.root).breaks == want, where
+
+
+def test_elder_deaths_are_merge_scales_on_its_chain():
+    # each bar's death is the merge scale of the peeled point and its root on
+    # the chain elder_barcode_1d builds; sets whose clusters never all merge
+    # give infinite deaths beyond the oldest point's
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        births, merges = random_one_param(rng, max_n=30)
+        n = len(births)
+        order = sorted(range(n), key=lambda i: (births[i], i))
+        pos_of = {x: p for p, x in enumerate(order)}
+        chain = pset.chain_of_merges(n, [(float(s), pos_of[i], pos_of[j]) for s, i, j in merges])
+        levels = pset.ChainLevels([chain], np.zeros(n, dtype=np.intp))
+        alive = np.ones(n, dtype=bool)
+        want = [(births[order[px]], levels.merge_scale(0, px, z))
+                for px, z, *_ in rooted._general_rounds(levels, alive)]
+        want.append((births[order[0]], math.inf))
+        assert rooted.elder_barcode_1d(births, merges) == sorted(want)
 
 
 @pytest.mark.parametrize("block", range(2))
