@@ -54,7 +54,7 @@ def build_parser() -> _Parser:
     add_io(sp)
     add_density(sp)
 
-    sp = sub.add_parser("barcode", help="single-linkage elder barcode of the input points")
+    sp = sub.add_parser("barcode", help="single-linkage elder barcode, one bar per peeled point")
     add_io(sp, fmt="csv")
     sp.add_argument("--density-column", help="density column to strip from the coordinates")
 
@@ -153,10 +153,8 @@ def _cmd_nn(args) -> int:
 
 def _cmd_barcode(args) -> int:
     space = _load_space(args, need_density=False)
-    space = space.with_density(np.zeros(space.n))
-    forest = pset.LeveledMergeForest(space)
-    merges = forest.merge_events(0)
-    bars = rooted.elder_barcode_1d([0.0] * space.n, merges)
+    trace = rooted.peel_all(space.with_density(np.zeros(space.n)))
+    bars = sorted((r.support.birth_sigma, r.support.breaks[0][1]) for r in trace)
     if args.format == "csv":
         _emit(args, rooted.barcode_csv(bars))
     else:

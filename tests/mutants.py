@@ -125,6 +125,20 @@ MUTANTS = {
         "        over = gs >= eps\n",
         ["tests/test_sparse_forest.py::test_walks_past_the_peek_match_bfs"],
     ),
+    "rounds-stop-at-first-unrooted": (
+        "rooted.py",
+        "            continue\n        alive[px] = False",
+        "            break\n        alive[px] = False",
+        ["tests/test_acceptance.py::test_criterion_7_monte_carlo_convergence",
+         "tests/test_cli.py::test_barcode_is_the_elder_barcode_of_the_flat_merges"],
+    ),
+    "barcode-death-is-sigma": (
+        "cli.py",
+        "r.support.breaks[0][1]",
+        "r.support.breaks[0][0]",
+        ["tests/test_cli.py::TestOtherCommands::test_barcode",
+         "tests/test_cli.py::test_barcode_is_the_elder_barcode_of_the_flat_merges"],
+    ),
     "heap-drops-watchers": (
         "rooted.py",
         "                heapq.heappush(heap, w)\n",

@@ -186,6 +186,15 @@ def test_criterion_7_monte_carlo_convergence():
         )
         c = ex.c_constant(d)
         assert all(t.peeled_fraction >= c for t in rep.trials)
+        # one density level: the greedy peel is the elder rule and peels every point
+        assert [t.peeled_interval_count for t in rep.trials] == [t.n for t in rep.trials]
+        assert all(t.mutual_pair_count + 1 <= t.peeled_interval_count for t in rep.trials)
+
+    # a level per point; the count sits far above c(d), so the sandwich is the check
+    for d in (1, 2, 3):
+        rep = ex.run_trials(ex.SamplerConfig("uniform", d), "kde", n=2000, trials=4, seed=97 + d)
+        for t in rep.trials:
+            assert t.mutual_pair_count + 1 <= t.peeled_interval_count <= t.n, (d, t)
 
     # peeled counts are certified lower bounds; check the reported properties
     # instead of the instance-dependent published counts
@@ -193,6 +202,7 @@ def test_criterion_7_monte_carlo_convergence():
         row = ex.run_trials(ex.SamplerConfig("mixture", 2), mode, n=100, trials=5, seed=5)
         for t in row.trials:
             assert 2 <= t.peeled_interval_count <= t.n
+            assert t.mutual_pair_count + 1 <= t.peeled_interval_count
             cert = t.peeled_interval_count == t.n
             assert (",yes" in row.to_csv().splitlines()[1 + t.trial]) == cert
     elapsed = time.perf_counter() - t0

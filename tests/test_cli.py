@@ -499,6 +499,72 @@ def test_only_the_oracle_makes_a_distance_matrix():
     assert [name for name, _ in reads if name != "linalg.py"] == []
 
 
+def test_no_module_goes_from_a_chain_to_merges_and_back():
+    # barcode reads its bars off the flat peel; merge_events and
+    # elder_barcode_1d are public API that nothing under src/ runs
+    src = Path(cli.__file__).parent
+    uses = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in ("merge_events", "elder_barcode_1d")
+            or isinstance(node, ast.Name) and node.id == "elder_barcode_1d"]
+    assert uses == []
+
+
+def _rows(pts) -> str:
+    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(pts, dtype=float).tolist())
+
+
+def _tied_matrix(n=50) -> str:
+    # integer distances 1-4: ties everywhere, and not a metric
+    d = np.triu(np.random.default_rng(6).integers(1, 5, (n, n)), 1).astype(float)
+    return f"#matrix {n}\n" + _rows(d + d.T)
+
+
+BARCODE_INPUTS = {
+    "golden-400": lambda: _rows(np.random.default_rng(400).random((400, 2))),  # test_golden's points
+    "uniform-3000": lambda: _rows(np.random.default_rng(2).random((3000, 2))),
+    "uniform-20000": lambda: _rows(np.random.default_rng(3).random((20000, 2))),
+    "lattice-30x30": lambda: _rows(np.stack(np.meshgrid(np.arange(30), np.arange(30)), -1).reshape(-1, 2)),
+    "repeated-200x3": lambda: _rows(np.repeat(np.random.default_rng(4).random((200, 2)), 3, axis=0)),
+    "d9-200": lambda: _rows(np.random.default_rng(5).random((200, 9))),
+    "one-point": lambda: "0.5,0.25\n",
+    "tied-matrix-50": _tied_matrix,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARCODE_INPUTS))
+def test_barcode_is_the_elder_barcode_of_the_flat_merges(name, tmp_path, capsys):
+    # the reference: level 0's merges, made a chain again by elder_barcode_1d
+    text = BARCODE_INPUTS[name]()
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    space = load_points(text)
+    n = space.n
+    merges = pset.LeveledMergeForest(space.with_density(np.zeros(n))).merge_events(0)
+    bars = rooted.elder_barcode_1d([0.0] * n, merges)
+    want = {"csv": rooted.barcode_csv(bars),
+            "json": json.dumps([[b, None if math.isinf(d) else d] for b, d in bars]) + "\n"}
+    for fmt, out in want.items():
+        assert cli.main(["barcode", "--input", str(path), "--format", fmt]) == 0
+        assert capsys.readouterr().out == out, fmt
+    # and on its own: one bar per point, all born at 0, one infinite, and the
+    # finite deaths the single-linkage heights (scipy's condensed matrix is
+    # 1.6 GB at n = 20,000, so the check stops at n = 3000)
+    got = [tuple(map(float, row.split(","))) for row in want["csv"].splitlines()[1:]]
+    assert len(got) == n and {b for b, _ in got} == {0.0}
+    assert [d for _, d in got if math.isinf(d)] == [math.inf]
+    if 1 < n <= 3000:
+        from scipy.cluster.hierarchy import linkage
+        from scipy.spatial.distance import squareform
+
+        heights = linkage(squareform(space.distance_matrix(), checks=False), "single")[:, 2]
+        assert [d for _, d in got[:-1]] == sorted(heights.tolist())
+    if name == "golden-400":
+        from test_golden import BARCODE_SHA, _sha
+
+        assert _sha(want["csv"]) == BARCODE_SHA
+
+
 def test_a_coordinate_space_keeps_no_matrix(ex4, tmp_path, capsys, monkeypatch):
     # the oracle's matrix was kept on the space, and later distances read it;
     # oracle-check now linearizes on the critical scales and makes none
