@@ -15,9 +15,9 @@ kernel serves every caller: ``compose``, ``mats_equal`` and one elimination,
 ``_rref``, behind rank, solve, nullspace and the minimal polynomial.
 ``GridModule.covering_maps`` is the one walk over the structure maps.
 ``_grade_grid`` alone makes the full grade grid, from a distance matrix that
-no one keeps; the exact check runs on the ``critical_scales``, where clusters
-change, read off the forest's chains. ``linearize`` records its view and grade
-bases on the module, and the idempotents built on that module read them back.
+no one keeps; the exact check runs on ``ChainLevels.critical_scales``, where
+clusters change. ``linearize`` records its view and grade bases on the
+module, and the idempotents built on that module read them back.
 Sizes are guarded by an explicit total-dimension budget, checked on a lower
 bound before any grade is built; exceeding it is an error, not a fallback.
 """
@@ -377,14 +377,6 @@ def _grade_grid(forest: LeveledMergeForest) -> np.ndarray:
     return distinct(forest.space.distance_matrix())
 
 
-def critical_scales(forest: LeveledMergeForest) -> np.ndarray:
-    """0 and the distinct finite merge scales of every level: the scales
-    where some level's clusters change. On them a linearization is the full
-    grid's with its repeated grades dropped."""
-    gaps = np.concatenate([[0.0]] + [forest.chain(j)[1] for j in range(forest.num_levels)])
-    return distinct(gaps[np.isfinite(gaps)])
-
-
 def _grade_bases(view: PeelView, eps_values) -> GradeBases:
     """Survivor labels and basis at every grade (eps index, sigma index), over
     the scales ``eps_values``.
@@ -537,7 +529,7 @@ def check_peel_split(before: PeelView, after: PeelView, x: int, root: Optional[i
     and the image of the bottom idempotent is checked against ``support``.
     Returns the first failure ('' if none) and the next peel's module."""
     if module is None:
-        module = linearize(before, dim_budget, critical_scales(before.forest))
+        module = linearize(before, dim_budget, before.forest.critical_scales())
     eps, sig = module.eps_values, module.sigma_values
     for _, theta in support.breaks:
         if math.isfinite(theta) and theta not in eps:

@@ -11,9 +11,9 @@ single-linkage hierarchy of each level determines the whole bifiltration.
 Queries read a level through its *chain*: the level's points in an order
 where every cluster is contiguous, plus the merge scale between neighbors.
 Two points merge at the largest gap between them, and the cluster of a point
-at eps is the run around it with gaps <= eps. The first level's chain comes
-from its minimum spanning tree (Prim's, in the space): the tree's edges,
-sorted by length, are its single-linkage merges (``chain_of_merges``). The
+at eps is the run around it with gaps <= eps. The first level's chain is
+Prim's visiting order (``space.spanning_tree``), each gap the length its point
+joins the tree by: Prim finishes each cluster before it leaves it. The
 build inserts only the later points, one at a time in canonical order, each
 with its distances to those before it, and keeps the chain of every level as
 the insertion passes its last point.
@@ -116,9 +116,9 @@ def find_set(parent: List[int], a: int) -> int:
 
 def chain_of_merges(n: int, merges: Iterable[Tuple[float, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
     """Chain of positions ``0..n-1`` from merges (scale, a, b) of positions in
-    nondecreasing scale: clusters are linked runs, and a merge of two clusters
-    appends one's run to the other's at that scale. A merge inside one cluster
-    changes nothing; clusters that never merge follow each other at gap inf."""
+    nondecreasing scale, for ``rooted.elder_barcode_1d``: a merge of two
+    clusters appends one's run to the other's at that scale, one inside a
+    cluster changes nothing, and clusters that never merge follow at gap inf."""
     parent = list(range(n))  # a run's representative is its head
     tail = list(range(n))
     after = [-1] * n
@@ -251,6 +251,13 @@ class ChainLevels:
         """(order, gaps, index): level j's chain and each position's chain index."""
         return self._chains[j]
 
+    def critical_scales(self) -> np.ndarray:
+        """0 and the distinct finite merge scales of every level: the scales
+        where some level's clusters change. On them a linearization is the full
+        grid's with its repeated grades dropped."""
+        gaps = np.concatenate([[0.0]] + [g for _, g, _ in self._chains])
+        return distinct(gaps[np.isfinite(gaps)])
+
     def merge_scale(self, j: int, px: int, py: int) -> float:
         """Merge scale of positions px and py at level j."""
         _, gaps, index = self.chain(j)
@@ -373,12 +380,10 @@ class LeveledMergeForest(ChainLevels):
         self.nn_dist = np.full(space.n, np.inf)
         m = int(level_sizes[0])
         try:
-            lo, hi, w = space.spanning_tree(self.perm[:m], self.nn_pos, self.nn_dist)
-            by = np.argsort(w, kind="stable")
-            order, gaps = chain_of_merges(m, zip(w[by].tolist(), lo[by].tolist(), hi[by].tolist()))
+            order, w = space.spanning_tree(self.perm[:m], self.nn_pos, self.nn_dist)
             rows = space.nearest_sweep(self.perm, self.nn_pos, self.nn_dist, start=m)
             super().__init__(
-                _level_chains(order, gaps, rows, level_sizes),
+                _level_chains(order, np.concatenate(([np.inf], w)), rows, level_sizes),
                 np.searchsorted(self.sigma_levels, self.f_by_pos),
             )
         except MemoryError:

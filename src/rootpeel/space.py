@@ -156,10 +156,10 @@ class AugmentedMetricSpace:
                 yield block[i, : k0 + i]
 
     def spanning_tree(self, order: np.ndarray, nn: np.ndarray,
-                      nn_dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Prim's minimum spanning tree of the points ``order`` (one or more):
-        its edges as index arrays into ``order`` and their lengths, (a, b, w),
-        in the order Prim adds them. ``nn[k]``, ``nn_dist[k]`` for
+                      nn_dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Prim's minimum spanning tree of the points ``order`` (one or more)
+        as the order it visits them in (indices into ``order``, from 0) and the
+        length each later one joins the tree by. ``nn[k]``, ``nn_dist[k]`` for
         k < len(order) become the index of order[k]'s nearest other point
         among them (distance ties to the lower index) and its distance (0 and
         inf for one point).
@@ -181,7 +181,7 @@ class AugmentedMetricSpace:
         else:
             cols = self._cols[:, order[1:]]
             col = self._cols[:, order[:1]]
-        a, b = np.empty(m - 1, dtype=np.intp), np.empty(m - 1, dtype=np.intp)
+        visit = np.zeros(m, dtype=np.intp)  # the tree's vertices as they join, index 0 first
         w = np.empty(m - 1)
         v, v_near, v_best = 0, 0, math.inf
         for r in range(m - 1, 0, -1):
@@ -201,7 +201,7 @@ class AugmentedMetricSpace:
             near[hit] = v
             i = int(best[:r].argmin())
             v, v_near, v_best = int(rest[i]), int(near[i]), float(best[i])
-            a[m - 1 - r], b[m - 1 - r], w[m - 1 - r] = v_near, v, v_best
+            visit[m - r], w[m - 1 - r] = v, v_best
             last = r - 1
             if self.points is None:
                 ids[i] = ids[last]
@@ -210,7 +210,7 @@ class AugmentedMetricSpace:
                 cols[:, i] = cols[:, last]
             rest[i], best[i], near[i] = rest[last], best[last], near[last]
         nn[v], nn_dist[v] = v_near, v_best
-        return a, b, w
+        return visit, w
 
     def distance(self, i: int, j: int) -> float:
         if not (is_point(i, self.n) and is_point(j, self.n)):

@@ -77,6 +77,20 @@ MUTANTS = {
         "hit = hit[row[hit] < best[hit]]",
         ["tests/test_sparse_forest.py::test_spanning_tree_level_zero_matches_insertion"],
     ),
+    "prim-gap-from-predecessor": (
+        "space.py",
+        "visit[m - r], w[m - 1 - r] = v, v_best",
+        "visit[m - r], w[m - 1 - r] = v, row[i]",
+        ["tests/test_sparse_forest.py::test_spanning_tree_level_zero_matches_insertion"],
+    ),
+    "prim-order-one-late": (
+        "space.py",
+        "            v, v_near, v_best = int(rest[i]), int(near[i]), float(best[i])\n"
+        "            visit[m - r], w[m - 1 - r] = v, v_best\n",
+        "            visit[m - r], w[m - 1 - r] = v, best[i]\n"
+        "            v, v_near, v_best = int(rest[i]), int(near[i]), float(best[i])\n",
+        ["tests/test_sparse_forest.py::test_spanning_tree_level_zero_matches_insertion"],
+    ),
     "sweep-moves-on-ties": (
         "space.py",
         "closer = np.flatnonzero(dist < nn_dist[:k1])",

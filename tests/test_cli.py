@@ -508,6 +508,22 @@ def test_no_module_goes_from_a_chain_to_merges_and_back():
             if isinstance(node, ast.Attribute) and node.attr in ("merge_events", "elder_barcode_1d")
             or isinstance(node, ast.Name) and node.id == "elder_barcode_1d"]
     assert uses == []
+    # the build reads level 0's chain off Prim's visiting order; only the
+    # elder barcode, whose input is merges, makes a chain of merges
+    callers = [(path.name, getattr(top, "name", None)) for path in sorted(src.glob("*.py"))
+               for top in ast.parse(path.read_text(encoding="utf-8")).body for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and "chain_of_merges" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert callers == [("rooted.py", "elder_barcode_1d")]
+
+
+def test_only_pset_reads_a_chain():
+    # ChainLevels answers every question its chains do, critical_scales too
+    src = Path(cli.__file__).parent
+    reads = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("chain", "_chains")]
+    assert [name for name, _ in reads if name != "pset.py"] == []
 
 
 def _rows(pts) -> str:

@@ -670,7 +670,7 @@ def tamperings(fo, records, rng):
     k = int(rng.integers(len(records) - 1))
     r = records[k]
     others = [int(p) for p in fo.perm if int(p) not in (r.generator, r.root)]
-    scales = linalg.critical_scales(fo)
+    scales = fo.critical_scales()
     yield "root", records[:k] + [replace(r, root=int(rng.choice(others)))] + records[k + 1:]
     yield "swap", records[:k] + records[k + 1 : k + 2] + [r] + records[k + 2:]
     yield "drop", records[:k] + records[k + 1:]
@@ -721,7 +721,7 @@ def test_a_threshold_between_critical_scales_fails():
     for kind, sp in oracle_spaces(8, ("random", "ties", "duplicates", "matrix") * 2):
         fo = pset.LeveledMergeForest(sp)
         records = rooted.peel_all(sp, forest=fo).records
-        scales = linalg.critical_scales(fo)
+        scales = fo.critical_scales()
         distances = np.setdiff1d(np.unique(sp.distance_matrix()), scales)
         k = int(rng.integers(len(records) - 1))
         first = records[k].support.breaks[0][1]

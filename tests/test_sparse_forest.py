@@ -336,15 +336,39 @@ def flat_lattice_space(seed, as_matrix=False):
     return sp.with_density(np.zeros(sp.n))
 
 
+def tied_matrix_space(seed, flat):
+    """A #matrix space of 2 to 59 points with symmetric integer distances
+    1-4, ties in every row and the triangle inequality broken, with one
+    density level or three tied ones."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    d = np.triu(rng.integers(1, 5, (n, n)), 1).astype(float)
+    dens = np.zeros(n) if flat else rng.integers(0, 3, n).astype(float)
+    return AugmentedMetricSpace(dist=d + d.T, density=dens)
+
+
 @pytest.mark.parametrize("block", range(4))
 def test_spanning_tree_level_zero_matches_insertion(block):
     # the 216 generator spaces, 54 per block, and 35 lattices per block with
-    # their tied densities, flat, and flat as #matrix input
+    # their tied densities, flat, and flat as #matrix input; and 20 non-metric
+    # integer #matrix spaces per block, flat and with tied densities, where
+    # the flat ones' level 0 must also give scipy's single-linkage heights
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
+
     spaces = [seeded_space(seed)[1] for seed in range(block * 54, (block + 1) * 54)]
     for seed in range(block * 35, (block + 1) * 35):
         spaces += [lattice_space(seed), flat_lattice_space(seed), flat_lattice_space(seed, True)]
+    flat = []
+    for seed in range(block * 20, (block + 1) * 20):
+        flat.append(len(spaces))
+        spaces += [tied_matrix_space(seed, True), tied_matrix_space(seed, False)]
     for k, sp in enumerate(spaces):
         fo = pset.LeveledMergeForest(sp)
+        if k in flat:
+            heights = squareform(cophenet(linkage(squareform(sp.distance_matrix(), checks=False), "single")))
+            got = np.array([scale_row(fo, 0, px) for px in range(fo.n)])
+            assert got.tobytes() == heights[np.ix_(fo.perm, fo.perm)].tobytes(), k
         ins = insertion_forest(fo)
         assert fo.nn_pos.tolist() == ins.nn_pos.tolist(), k
         assert fo.nn_dist.tobytes() == ins.nn_dist.tobytes(), k
