@@ -271,7 +271,10 @@ class GridModule:
 
     @staticmethod
     def from_json(payload: str) -> "GridModule":
-        data = json.loads(payload)
+        try:
+            data = json.loads(payload)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"module document is not JSON: {e}") from None
         if not isinstance(data, dict):
             raise ValueError("a module document must be a JSON object")
         if data.get("field") != "QQ":

@@ -443,6 +443,8 @@ def trace_records_from_json(payload: str, forest: LeveledMergeForest) -> List[Pe
         data = json.loads(payload)
     except RecursionError:
         raise ValueError("trace document is nested too deeply") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"trace is not JSON: {e}") from None
     if not isinstance(data, dict) or not isinstance(data.get("records"), list):
         raise ValueError("not a peel trace document")
     if type(data.get("n")) is not int or data["n"] != n:

@@ -135,25 +135,25 @@ class AugmentedMetricSpace:
         the sweep index of order[k]'s nearest other point (distance ties to
         the lower index) and its distance.
 
-        Rows come in blocks of about ``_BLOCK`` distances, from each block's
-        rows to every point up to its last row. Before a block's rows are
-        yielded, each row takes its argmin over the earlier points, and then
-        each earlier point takes its argmin over the block's later rows,
-        moving only to a strictly closer one. So the map is complete once the
-        last row is handed out, even if the caller stops pulling there."""
-        for k0, k1 in _row_blocks(len(order), start):
-            block = self.distances(order[k0:k1], order[:k1])
-            for i in range(k1 - k0):
-                block[i, k0 + i :] = np.inf  # entry (k, j) is masked where k <= j
-            nn[k0:k1] = np.argmin(block, axis=1)
-            nn_dist[k0:k1] = block[np.arange(k1 - k0), nn[k0:k1]]
-            best = np.argmin(block, axis=0)
-            dist = block[best, np.arange(k1)]
-            closer = np.flatnonzero(dist < nn_dist[:k1])
-            nn[closer] = k0 + best[closer]
-            nn_dist[closer] = dist[closer]
-            for i in range(k1 - k0):
-                yield block[i, : k0 + i]
+        Rows are computed in blocks of about ``_BLOCK`` distances and settle
+        the map one row at a time: before row k is yielded, it takes its
+        argmin over the earlier points, and each earlier point strictly closer
+        to order[k] than to its nearest so far moves to k. So the map is
+        complete once the last row is handed out, even if the caller stops
+        pulling there."""
+        n = len(order)
+        step = max(1, _BLOCK // max(n, 1))
+        for k0 in range(start, n, step):
+            block = self.distances(order[k0 : k0 + step], order[: k0 + step])
+            for k, row in enumerate(block, k0):
+                row = row[:k]
+                if k:
+                    nn[k] = row.argmin()
+                    nn_dist[k] = row[nn[k]]
+                    closer = np.flatnonzero(row < nn_dist[:k])
+                    nn[closer] = k
+                    nn_dist[closer] = row[closer]
+                yield row
 
     def spanning_tree(self, order: np.ndarray, nn: np.ndarray,
                       nn_dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -166,8 +166,9 @@ class AugmentedMetricSpace:
 
         Each step computes one row, the distances from the new tree vertex to
         the points not yet in the tree, as ``nearest_sweep`` computes them, so
-        each unordered pair is computed once. The points outside the tree are
-        kept compacted: a joining point's slot takes the last one's. A point's
+        each unordered pair is computed once. The points outside the tree,
+        ``order[rest]``, are kept compacted: a joining point's slot takes the
+        last one's, and so do their coordinate columns. A point's
         nearest neighbor is the nearer of its nearest tree vertex when it
         joins (``near``, which moves on a tie only to a lower index) and the
         nearest point of its own row.
@@ -176,9 +177,7 @@ class AugmentedMetricSpace:
         rest = np.arange(1, m)  # indices outside the tree, compacted
         best = np.full(m - 1, np.inf)  # each one's distance to the tree
         near = np.zeros(m - 1, dtype=np.intp)  # and its nearest tree vertex
-        if self.points is None:
-            ids = order[1:].copy()
-        else:
+        if self.points is not None:
             cols = self._cols[:, order[1:]]
             col = self._cols[:, order[:1]]
         visit = np.zeros(m, dtype=np.intp)  # the tree's vertices as they join, index 0 first
@@ -186,7 +185,7 @@ class AugmentedMetricSpace:
         v, v_near, v_best = 0, 0, math.inf
         for r in range(m - 1, 0, -1):
             if self.points is None:
-                row = self._dist[order[v], ids[:r]]
+                row = self._dist[order[v], order[rest[:r]]]
             else:
                 row = _distances(col, cols[:, :r])[0]
             k = int(row.argmin())
@@ -203,9 +202,7 @@ class AugmentedMetricSpace:
             v, v_near, v_best = int(rest[i]), int(near[i]), float(best[i])
             visit[m - r], w[m - 1 - r] = v, v_best
             last = r - 1
-            if self.points is None:
-                ids[i] = ids[last]
-            else:
+            if self.points is not None:
                 col = cols[:, i : i + 1].copy()
                 cols[:, i] = cols[:, last]
             rest[i], best[i], near[i] = rest[last], best[last], near[last]
@@ -246,17 +243,6 @@ def canonical_order(space: AugmentedMetricSpace) -> np.ndarray:
 
 
 _BLOCK = 1 << 18  # distances per block of rows computed at once
-
-
-def _row_blocks(n: int, start: int = 0) -> Iterator[Tuple[int, int]]:
-    """The sweep's blocks of rows [k0, k1) of n from ``start``: each holds
-    r = k1 - k0 rows against the k1 columns up to its last row,
-    r * k1 <= _BLOCK (or r = 1)."""
-    k0 = start
-    while k0 < n:
-        k1 = min(n, k0 + max(1, int((math.sqrt(k0 * k0 + 4 * _BLOCK) - k0) / 2)))
-        yield k0, k1
-        k0 = k1
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,13 +4,16 @@ Usage, from the root of a checkout:
 
     python3 tests/mutants.py [NAME ...]
 
-For each mutant (all of them, or those named) the script copies ``src/`` and
-``tests/`` into a temporary directory, applies one text substitution to one
-source file, runs the named tests there with pytest and expects them to fail.
-It prints one line per mutant, ``killed`` or ``SURVIVED``, and exits 1 when a
-mutant survived or its substitution no longer matches the source. Pytest does
-not collect this file (its name does not start with ``test_``), and it is not
-part of the tier-1 run: it takes minutes.
+For each mutant (all of them, or those named) the script copies ``src/``,
+``tests/`` and ``perfbench/`` (which a CLI test reads) into a temporary
+directory, applies one text substitution to one source file, runs the named
+tests there with pytest and expects them to fail. It first runs each set of
+named tests on an unmutated copy: if one fails there, a kill would say nothing
+about its mutant, so it prints ``BROKEN`` and exits 1. Then it prints one line
+per mutant, ``killed`` or ``SURVIVED``, and exits 1 when a mutant survived or
+its substitution no longer matches the source. Pytest does not collect this
+file (its name does not start with ``test_``), and it is not part of the
+tier-1 run: it takes minutes.
 """
 
 from __future__ import annotations
@@ -93,9 +96,21 @@ MUTANTS = {
     ),
     "sweep-moves-on-ties": (
         "space.py",
-        "closer = np.flatnonzero(dist < nn_dist[:k1])",
-        "closer = np.flatnonzero(dist <= nn_dist[:k1])",
+        "closer = np.flatnonzero(row < nn_dist[:k])",
+        "closer = np.flatnonzero(row <= nn_dist[:k])",
         ["tests/test_sparse_forest.py::test_build_sweep_matches_the_matrix"],
+    ),
+    "sweep-own-tie-to-higher": (
+        "space.py",
+        "nn[k] = row.argmin()",
+        "nn[k] = len(row) - 1 - row[::-1].argmin()",
+        ["tests/test_sparse_forest.py::test_build_sweep_matches_the_matrix"],
+    ),
+    "prim-matrix-columns-uncompacted": (
+        "space.py",
+        "order[rest[:r]]",
+        "order[1 : r + 1]",
+        ["tests/test_sparse_forest.py::test_spanning_tree_level_zero_matches_insertion"],
     ),
     "span-bisect-side": (
         "rooted.py",
@@ -165,6 +180,12 @@ MUTANTS = {
         "if False:",
         ["tests/test_linalg.py::test_a_threshold_between_critical_scales_fails"],
     ),
+    "residual-check-off": (
+        "linalg.py",
+        "if any(db[g] != residual.dims[g] for g in db):",
+        "if False:",
+        ["tests/test_linalg.py::TestSplit::test_residual_of_another_view_fails_the_check"],
+    ),
     "split-dims-unchecked": (
         "linalg.py",
         "    phi.check_idempotent()\n    da, db = {}, {}",
@@ -181,24 +202,33 @@ MUTANTS = {
 }
 
 
+def copy_checkout(work: Path) -> None:
+    shutil.rmtree(work, ignore_errors=True)
+    for part in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / part, work / part)
+    shutil.copy(ROOT / "pyproject.toml", work)
+
+
+def pytest(work: Path, tests) -> tuple:
+    """Run ``tests`` in ``work``: pytest's exit code and the time taken."""
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                          cwd=work, capture_output=True, text=True)
+    return proc.returncode, f"{time.monotonic() - start:5.1f} s"
+
+
 def run(name: str, work: Path) -> str:
     path, old, new, tests = MUTANTS[name]
-    shutil.rmtree(work, ignore_errors=True)
-    shutil.copytree(ROOT / "src", work / "src")
-    shutil.copytree(ROOT / "tests", work / "tests")
-    shutil.copy(ROOT / "pyproject.toml", work)
+    copy_checkout(work)
     src = work / "src" / "rootpeel" / path
     text = src.read_text(encoding="utf-8")
     if text.count(old) != 1:
         return f"NO MATCH  {name}: the old text occurs {text.count(old)} times in {path}"
     src.write_text(text.replace(old, new), encoding="utf-8")
-    start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-                          cwd=work, capture_output=True, text=True)
-    took = f"{time.monotonic() - start:5.1f} s"
-    if proc.returncode == 1:
+    code, took = pytest(work, tests)
+    if code == 1:
         return f"killed    {name} ({took}): {' '.join(tests)}"
-    return f"SURVIVED  {name} ({took}, pytest exit {proc.returncode}): {' '.join(tests)}"
+    return f"SURVIVED  {name} ({took}, pytest exit {code}): {' '.join(tests)}"
 
 
 def main(names) -> int:
@@ -206,9 +236,17 @@ def main(names) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    names = names or list(MUTANTS)
     failed = 0
     with tempfile.TemporaryDirectory(prefix="rootpeel-mutants-") as tmp:
-        for name in names or MUTANTS:
+        base = Path(tmp) / "base"
+        copy_checkout(base)
+        for tests in dict.fromkeys(tuple(MUTANTS[name][3]) for name in names):
+            code, took = pytest(base, tests)
+            if code != 0:
+                print(f"BROKEN    unmutated ({took}, pytest exit {code}): {' '.join(tests)}", flush=True)
+                return 1
+        for name in names:
             line = run(name, Path(tmp) / "work")
             print(line, flush=True)
             failed += not line.startswith("killed")

@@ -142,17 +142,19 @@ class TestOracleCheck:
         lambda doc: doc.update(records=5),
         lambda doc: doc["records"][0].update(root=99),
         lambda doc: doc.update(n=5),
+        lambda doc: json.dumps(doc)[:150].encode(),
     ], ids=["missing-support", "generator-99", "generator-string", "records-int",
-            "root-99", "wrong-n"])
+            "root-99", "wrong-n", "truncated"])
     def test_malformed_trace_is_a_data_error(self, ex4, tmp_path, tamper):
         out = tmp_path / "t.json"
         run_cli(["peel", "--input", ex4, "--density-column", "f", "--output", str(out)])
         doc = json.loads(out.read_text())
-        tamper(doc)
-        out.write_text(json.dumps(doc))
+        text = tamper(doc)  # a tamper returns bytes to replace the document's text
+        truncated = isinstance(text, bytes)
+        out.write_bytes(text if truncated else json.dumps(doc).encode())
         r = run_cli(["oracle-check", str(out), "--input", ex4, "--density-column", "f"])
         assert r.returncode == 2
-        assert r.stderr.decode().startswith("error:")
+        assert r.stderr.decode().startswith("error: trace is not JSON: " if truncated else "error:")
         assert b"Traceback" not in r.stderr
 
     def test_record_without_root_fails(self, ex4, tmp_path):

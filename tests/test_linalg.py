@@ -166,15 +166,21 @@ class TestGridModule:
         (lambda d: d.update(eps_values=[1.0, 0.0]), "eps_values must be an increasing list"),
         (lambda d: d["right_maps"].update({"1,0": [["1", "0"], ["0", "1"]]}),
          "right_maps has no grade '1,0' on the 2 x 1 grid"),
+        (lambda d: json.dumps(d)[:40].encode(),
+         "module document is not JSON: Expecting ',' delimiter: line 1 column 41 \\(char 40\\)"),
     ], ids=["one-row", "one-entry-rows", "extra-row", "zero-denominator", "no-field", "prime-field",
             "list", "no-dims", "null-eps", "null-right-maps", "dims-key-0", "fractional-dim",
-            "bool-dim", "string-eps", "decreasing-eps", "map-outside-grid"])
+            "bool-dim", "string-eps", "decreasing-eps", "map-outside-grid", "truncated"])
     def test_malformed_json_rejected(self, edit, match):
         doc = self.two_by_two_doc()
         assert linalg.GridModule.from_json(json.dumps(doc)).dims == {(0, 0): 2, (1, 0): 2}
-        replaced = edit(doc)  # an edit returns a list to replace the whole document
+        replaced = edit(doc)  # an edit returns a list to replace the whole document, bytes its text
+        if isinstance(replaced, bytes):
+            payload = replaced.decode()
+        else:
+            payload = json.dumps(replaced if isinstance(replaced, list) else doc)
         with pytest.raises(ValueError, match=match):
-            linalg.GridModule.from_json(json.dumps(replaced if isinstance(replaced, list) else doc))
+            linalg.GridModule.from_json(payload)
 
     def test_map_between_composes(self, full4):
         _, m = full4
@@ -243,6 +249,16 @@ class TestSplit:
             assert d + fb.dims[(i, j)] == m.dims[(i, j)]
         after = view.restrict(3, 2)
         assert fb.dims == linalg.grade_dims(after)
+
+    def test_residual_of_another_view_fails_the_check(self, full4):
+        # the peel of 3 toward 2 checked against the unpeeled view, and
+        # against the view with 1 peeled instead
+        view, _ = full4
+        support = rooted.interval_support(view, 3, 2)
+        for after in (view, view._restrict_unchecked(1, 0)):
+            why, _ = linalg.check_peel_split(view, after, 3, 2, support, dim_budget=BUDGET)
+            assert why == "residual factor dimensions differ from the restricted view"
+        assert linalg.check_peel_split(view, view.restrict(3, 2), 3, 2, support, dim_budget=BUDGET)[0] == ""
 
     def test_identity_splits_off_everything(self, full4):
         _, m = full4

@@ -267,6 +267,11 @@ def test_build_sweep_matches_the_matrix(block):
         assert fo.nn_dist.tobytes() == square[np.arange(n), fo.nn_pos].tobytes()
 
 
+def sweep_block_starts(n):
+    """The first rows of the blocks the sweep over n points computes at once."""
+    return range(0, n, max(1, space._BLOCK // n))
+
+
 def block_edge_points(kind):
     """3,000 points that the sweep in index order reads in many blocks; each
     block's first point copies the point before it and its second a point of
@@ -275,19 +280,22 @@ def block_edge_points(kind):
     n = 3000
     rng = np.random.default_rng(3000)
     pts = rng.random((n, 2)) if kind == "uniform" else rng.integers(0, 6, (n, 2)).astype(float)
-    for k0, _ in space._row_blocks(n):
+    for k0 in sweep_block_starts(n):
         if k0:
             pts[k0] = pts[k0 - 1]
             pts[k0 + 1] = pts[rng.integers(0, k0 - 1)]
     return pts
 
 
-@pytest.mark.parametrize("kind", ["uniform", "lattice"])
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "#matrix"])
 def test_sweep_across_many_blocks_matches_the_matrix(kind):
-    pts = block_edge_points(kind)
+    # the #matrix kind gives the lattice points' distance matrix as input
+    pts = block_edge_points("lattice" if kind == "#matrix" else kind)
     n = len(pts)
-    assert len(list(space._row_blocks(n))) > 10
+    assert len(sweep_block_starts(n)) > 10
     sp = AugmentedMetricSpace(points=pts)
+    if kind == "#matrix":
+        sp = AugmentedMetricSpace(dist=sp.distance_matrix())
     tracemalloc.start()
     try:
         graph = rooted.nn_graph(sp)
