@@ -189,9 +189,7 @@ def _support(fo: LeveledMergeForest, runs: Iterable[Tuple[int, float]]) -> Inter
     return IntervalSupport(breaks[0][0], breaks)
 
 
-def _bottom_support(fo: LeveledMergeForest) -> IntervalSupport:
-    birth = float(fo.sigma_levels[0])
-    return IntervalSupport(birth, ((birth, math.inf),))
+_BOTTOM_RUNS = ((0, math.inf),)  # the densest point's whole-module interval
 
 
 # -- the peel loop ---------------------------------------------------------------
@@ -228,17 +226,18 @@ class PeelTrace:
 
     def to_json(self) -> str:
         """The trace as ``json.dumps(indent=2)`` writes ``{"n", "records"}``:
-        per record its generator, root, reason, zero flag and support pairs."""
+        per record its generator, root, reason, zero flag and support pairs,
+        each behind its separator in one list of pieces that is joined once."""
         support = staircase_json(self.final_view.forest.sigma_levels, 3)
-        recs = [
-            f'    {{\n      "generator": {r.generator},\n'
-            f'      "root": {"null" if r.root is None else r.root},\n'
-            f'      "reason": "{r.reason}",\n'
-            f'      "zero_interval": {"true" if r.zero_interval else "false"},\n'
-            f'      "support": {support(r.support)}\n    }}'
-            for r in self.records
-        ]
-        return f'{{\n  "n": {self.n},\n  "records": {json_list(recs, 1)}\n}}'
+        parts = [f'{{\n  "n": {self.n},\n  "records": [']
+        for k, r in enumerate(self.records):
+            parts += [",\n" if k else "\n", f'    {{\n      "generator": {r.generator},\n'
+                      f'      "root": {"null" if r.root is None else r.root},\n'
+                      f'      "reason": "{r.reason}",\n'
+                      f'      "zero_interval": {"true" if r.zero_interval else "false"},\n'
+                      f'      "support": {support(r.support)}\n    }}']
+        parts.append("\n  ]\n}" if self.records else "]\n}")
+        return "".join(parts)
 
 
 def json_list(items: Sequence[str], depth: int) -> str:
@@ -345,13 +344,12 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
         for px in np.flatnonzero(fo.nn_pos < np.arange(n)).tolist():
             proot = int(fo.nn_pos[px])
             if alive[proot]:
-                birth = float(fo.f_by_pos[px])
-                emit(px, proot, "neighborly", IntervalSupport(birth, ((birth, float(fo.nn_dist[px])),)))
+                emit(px, proot, "neighborly", _support(fo, [(fo.birth_level[px], float(fo.nn_dist[px]))]))
 
         for px, proot, runs in _general_rounds(fo, alive):
             emit(px, proot, "general-rooted", _support(fo, runs))
 
-    records.append(PeelRecord(int(fo.perm[0]), None, "bottom", _bottom_support(fo)))
+    records.append(PeelRecord(int(fo.perm[0]), None, "bottom", _support(fo, _BOTTOM_RUNS)))
     final = PeelView(fo, alive, removed)
     return PeelTrace(records=records, final_view=final, n=n, nn=graph)
 
@@ -382,7 +380,7 @@ def replay_steps(forest: LeveledMergeForest, records: Iterable[PeelRecord]) -> I
             elif root is not None:
                 why = "bottom record has a root"
             bottom_seen = True
-            support = _bottom_support(forest)
+            support = _support(forest, _BOTTOM_RUNS)
         elif bottom_seen:
             why = "record follows the bottom record"
         elif root is None:
@@ -463,12 +461,12 @@ def trace_records_from_json(payload: str, forest: LeveledMergeForest) -> List[Pe
             pairs = rec.get("support")
             if not isinstance(pairs, list) or not pairs or not all(_is_grade_pair(p) for p in pairs):
                 raise ValueError("support must be a nonempty list of [sigma, theta] pairs")
-            levels = sigmas[-len(pairs):]
-            if [s for s, _ in pairs] != levels:
+            birth = len(sigmas) - len(pairs)
+            if birth < 0 or [s for s, _ in pairs] != sigmas[birth:]:
                 raise ValueError("support sigmas must be the density levels from the birth level up")
             thetas = [_theta(t) for _, t in pairs]
-            support = IntervalSupport(levels[0], tuple(
-                (s, t) for j, (s, t) in enumerate(zip(levels, thetas)) if j == 0 or t != thetas[j - 1]))
+            runs = [(birth + j, t) for j, t in enumerate(thetas) if j == 0 or t != thetas[j - 1]]
+            support = _support(forest, runs)
             if rec.get("zero_interval") is not support.zero:
                 raise ValueError(f"zero_interval must be {str(support.zero).lower()} for this support")
         except ValueError as e:

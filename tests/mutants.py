@@ -193,6 +193,25 @@ MUTANTS = {
         ["tests/test_linalg.py::TestSplit::test_split_dims_rejects_a_non_idempotent",
          "tests/test_linalg.py::TestSplit::test_each_record_checks_its_idempotent_once"],
     ),
+    "neighborly-support-at-root-level": (
+        "rooted.py",
+        "(fo.birth_level[px], float(fo.nn_dist[px]))",
+        "(fo.birth_level[proot], float(fo.nn_dist[px]))",
+        ["tests/test_sparse_forest.py::test_rooted_supports_are_the_merge_scale_runs"],
+    ),
+    "reader-keeps-equal-thetas": (
+        "rooted.py",
+        "for j, t in enumerate(thetas) if j == 0 or t != thetas[j - 1]]",
+        "for j, t in enumerate(thetas)]",
+        ["tests/test_rooted.py::TestPeelAll::test_json_round_trip_fields",
+         "tests/test_rooted.py::TestPeelAll::test_supports_carry_the_levels_own_sigmas"],
+    ),
+    "document-separator-before-first-record": (
+        "rooted.py",
+        'parts += [",\\n" if k else "\\n", ',
+        'parts += [",\\n", ',
+        ["tests/test_golden.py", "tests/test_trace_json.py"],
+    ),
     "min-poly-sign-dropped": (
         "linalg.py",
         "return list(-rows[:k, k]) + [Fraction(1)]",

@@ -432,11 +432,7 @@ def test_trace_reader_rejects_what_the_writer_cannot_write(ex4, tmp_path, capsys
 def test_oracle_check_certifies_the_bottom_record(ex4, tmp_path, monkeypatch, capsys):
     # a bottom support ending at a finite scale passes every replay check, since
     # peel writes what replay recomputes, but not the exact check of its image
-    def bottom_support(fo):
-        birth = float(fo.sigma_levels[0])
-        return rooted.IntervalSupport(birth, ((birth, 2.0),))
-
-    monkeypatch.setattr(rooted, "_bottom_support", bottom_support)
+    monkeypatch.setattr(rooted, "_BOTTOM_RUNS", ((0, 2.0),))
     trace = tmp_path / "t.json"
     args = ["--input", ex4, "--density-column", "f"]
     assert cli.main(["peel", *args, "--output", str(trace)]) == 0
@@ -526,6 +522,17 @@ def test_only_pset_reads_a_chain():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in ("chain", "_chains")]
     assert [name for name, _ in reads if name != "pset.py"] == []
+
+
+def test_only_rooted_support_builds_a_support():
+    # every support is built from its (level, theta) runs, so its sigmas are
+    # the forest's density levels, the doubles the trace prints
+    src = Path(cli.__file__).parent
+    calls = [(path.name, getattr(top, "name", None)) for path in sorted(src.glob("*.py"))
+             for top in ast.parse(path.read_text(encoding="utf-8")).body for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and "IntervalSupport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == [("rooted.py", "_support")]
 
 
 def _rows(pts) -> str:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from conftest import elder_oracle, eps_grid, random_one_param, random_space
 from dense_reference import DenseForest
 from test_sparse_forest import lattice_space
 from rootpeel import pset, rooted
-from rootpeel.space import AugmentedMetricSpace
+from rootpeel.experiment import SamplerConfig, sample
+from rootpeel.space import AugmentedMetricSpace, attach_density
 
 
 @pytest.fixture
@@ -353,6 +355,32 @@ class TestPeelAll:
         assert recs[0].support == rooted.IntervalSupport(3.0, ((3.0, 2.0),))
         # the bottom record's four [sigma, null] pairs are one run
         assert recs[1].support == rooted.IntervalSupport(0.0, ((0.0, math.inf),))
+
+    def test_supports_carry_the_levels_own_sigmas(self):
+        # 0.0 and -0.0 are one level: every support, and the reader's decoding
+        # of the trace, carries that level's double, signed zero included
+        sp = AugmentedMetricSpace(points=[[0.0], [1.0], [3.0], [3.5], [7.0]], density=[0.0, -0.0, 1.0, 0.0, -0.0])
+        fo = pset.LeveledMergeForest(sp)
+        trace = rooted.peel_all(sp, forest=fo)
+        assert [r.reason for r in trace] == ["neighborly"] * 3 + ["general-rooted", "bottom"]
+        for rec in trace:
+            for s, _ in rec.support.breaks:
+                assert repr(s) == repr(float(fo.sigma_levels[np.searchsorted(fo.sigma_levels, s)])), rec
+        back = rooted.trace_records_from_json(trace.to_json(), fo)
+        assert [repr(r.support) for r in back] == [repr(r.support) for r in trace]
+
+    def test_trace_json_holds_its_text_about_twice(self):
+        # the document is one join of its pieces, so at its peak to_json holds
+        # the pieces and the text, not the text a few times over
+        pts = sample(SamplerConfig("mixture", 2, peaks=5, spread=0.05), 300, 1)
+        trace = rooted.peel_all(attach_density(AugmentedMetricSpace(points=pts), "kde"))
+        tracemalloc.start()
+        try:
+            text = trace.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * len(text)
 
 
 class TestElderBarcode:

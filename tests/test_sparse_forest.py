@@ -461,19 +461,25 @@ def merge_scale_runs(fo, px, proot):
 def test_rooted_supports_are_the_merge_scale_runs(block):
     # every general peel's support, from peel_all and from interval_support on
     # the view replayed to its record, against the level-by-level merge scales
-    # of generator and root, on the 216 generator spaces
+    # of generator and root, on the 216 generator spaces; a neighborly peel's
+    # support is one run from its birth level at its neighbour's distance, the
+    # bottom record's one infinite run from level 0
     for seed in range(block * 54, (block + 1) * 54):
         kind, sp = seeded_space(seed)
         fo = pset.LeveledMergeForest(sp)
         records = rooted.peel_all(sp, forest=fo).records
         for rec, (before, _, _, why) in zip(records, rooted.replay_steps(fo, records)):
             assert not why, (kind, seed, rec)
-            if rec.reason != "general-rooted":
-                continue
-            want = merge_scale_runs(fo, fo.position(rec.generator), fo.position(rec.root))
+            px = fo.position(rec.generator)
             where = (kind, seed, rec.generator, rec.root)
+            if rec.reason == "neighborly":
+                want = ((float(fo.sigma_levels[fo.birth_level[px]]), float(fo.nn_dist[px])),)
+            elif rec.reason == "bottom":
+                want = ((float(fo.sigma_levels[0]), math.inf),)
+            else:
+                want = merge_scale_runs(fo, px, fo.position(rec.root))
+                assert rooted.interval_support(before, rec.generator, rec.root).breaks == want, where
             assert rec.support.breaks == want, where
-            assert rooted.interval_support(before, rec.generator, rec.root).breaks == want, where
 
 
 def test_elder_deaths_are_merge_scales_on_its_chain():
