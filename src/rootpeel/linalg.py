@@ -17,7 +17,9 @@ kernel serves every caller: ``compose``, ``mats_equal`` and one elimination,
 ``_grade_grid`` alone makes the full grade grid, from a distance matrix that
 no one keeps; the exact check runs on ``ChainLevels.critical_scales``, where
 clusters change. ``linearize`` records its view and grade bases on the
-module, and the idempotents built on that module read them back.
+module; the idempotent builders take that module alone and read them back.
+A morphism is an endomorphism of one module, which ``split`` and
+``split_dims`` read off it.
 Sizes are guarded by an explicit total-dimension budget, checked on a lower
 bound before any grade is built; exceeding it is an error, not a fallback.
 """
@@ -342,27 +344,23 @@ def _dec_scalar(s: str, where: str) -> Fraction:
 
 @dataclass
 class ModuleMorphism:
-    """Grade-wise linear maps between two modules over the same grid."""
+    """Endomorphism of ``module``: one square matrix per grade, in the
+    module's grade order."""
 
-    source: GridModule
-    target: GridModule
+    module: GridModule
     mats: Mapping[Tuple[int, int], np.ndarray]
 
     def check_natural(self) -> None:
-        src, dst = self.source, self.target
-        for axis, g, h, step in src.covering_maps():
-            lhs = compose(self.mats[h], step)
-            rhs = compose(getattr(dst, axis)[g], self.mats[g])
-            if not mats_equal(lhs, rhs):
+        mod = self.module
+        for axis, g, h, step in mod.covering_maps():
+            if not mats_equal(compose(self.mats[h], step), compose(step, self.mats[g])):
                 raise ConsistencyError(
                     f"naturality fails on the {'scale' if axis == 'right_maps' else 'density'} "
-                    f"step into grade ({src.eps_values[h[0]]}, {src.sigma_values[h[1]]})"
+                    f"step into grade ({mod.eps_values[h[0]]}, {mod.sigma_values[h[1]]})"
                 )
 
     def check_idempotent(self) -> None:
         """Raise ConsistencyError unless every map squares to itself."""
-        if self.source.dims != self.target.dims:
-            raise ConsistencyError("idempotency only makes sense for endomorphisms")
         for g, m in self.mats.items():
             if not mats_equal(compose(m, m), m):
                 raise ConsistencyError(f"morphism is not idempotent at grade index {g}")
@@ -440,65 +438,56 @@ def linearize(view: PeelView, dim_budget: int = 64,
     return module
 
 
-def _peel_module(view: PeelView, module: Optional[GridModule], dim_budget: int):
-    """``module`` (linearized from ``view`` when None) and its grade bases;
-    raises ConsistencyError when it was not linearized from this view."""
-    if module is None:
-        module = linearize(view, dim_budget=dim_budget)
-    source = module._linearized
-    if source is None or source[0].forest is not view.forest or not np.array_equal(
-        source[0]._alive, view._alive
-    ):
-        raise ConsistencyError("the module was not linearized from this peel view")
-    return module, source[1]
+def _peel_view(module: GridModule) -> PeelView:
+    """The view ``module`` was linearized from; raises ConsistencyError for a
+    module that ``linearize`` did not make."""
+    if module._linearized is None:
+        raise ConsistencyError("the module was not linearized from a peel view")
+    return module._linearized[0]
 
 
-def idempotent_from_peel(
-    view: PeelView,
-    x: int,
-    root: int,
-    module: Optional[GridModule] = None,
-    dim_budget: int = 64,
-    check_rooted: bool = True,
-) -> ModuleMorphism:
-    """Matrix realization of the idempotent that sends x's class to root's.
+def idempotent_from_peel(module: GridModule, x: int, root: int,
+                         check_rooted: bool = True) -> ModuleMorphism:
+    """Matrix realization, on the linearization ``module`` of a peel view, of
+    the idempotent that sends x's class to root's.
 
     At each grade, the class whose canonically first surviving member is x
     maps to root's class; every other class stays put. With
     ``check_rooted=False`` the construction is attempted for arbitrary pairs,
-    and naturality fails precisely when the pair is not rooted. A given
-    ``module`` must be ``linearize(view)``'s.
+    and naturality fails precisely when the pair is not rooted.
     """
+    view = _peel_view(module)
     if check_rooted and not view.rooted_pair_ok(x, root):
         raise ConsistencyError(f"({x}, {root}) is not a rooted pair on this view")
     fo = view.forest
     px, proot = fo.position(x), fo.position(root)
-    return _idempotent(view, module, dim_budget, lambda j, labels, rep: (
+    return _idempotent(module, lambda j, labels, rep: (
         int(labels[proot]) if rep == px and proot < fo.level_sizes[j] else rep))
 
 
-def bottom_idempotent(view: PeelView, module: Optional[GridModule] = None,
-                      dim_budget: int = 64) -> ModuleMorphism:
-    """The idempotent collapsing every class onto the densest generator's class."""
+def bottom_idempotent(module: GridModule) -> ModuleMorphism:
+    """The idempotent, on the linearization ``module`` of a peel view,
+    collapsing every class onto the densest generator's class."""
+    view = _peel_view(module)
     if not view.survives(int(view.forest.perm[0])):
         raise ConsistencyError("the densest generator was removed from this view")
-    return _idempotent(view, module, dim_budget, lambda j, labels, rep: int(labels[0]))
+    return _idempotent(module, lambda j, labels, rep: int(labels[0]))
 
 
-def _idempotent(view: PeelView, module: Optional[GridModule], dim_budget: int, target) -> ModuleMorphism:
-    """The endomorphism of ``view``'s linearization that sends, at each grade
-    of level j, the class of each basis representative ``rep`` to the class of
-    ``target(j, labels, rep)``; raises ConsistencyError unless it is natural,
-    the rootedness certificate. Each target class's representative stays put,
-    so it is idempotent by construction; ``split_dims`` and ``split`` check."""
-    module, bases = _peel_module(view, module, dim_budget)
+def _idempotent(module: GridModule, target) -> ModuleMorphism:
+    """The endomorphism of the linearization ``module`` that sends, at each
+    grade of level j, the class of each basis representative ``rep`` to the
+    class of ``target(j, labels, rep)``; raises ConsistencyError unless it is
+    natural, the rootedness certificate. Each target class's representative
+    stays put, so it is idempotent by construction; ``split_dims`` and
+    ``split`` check."""
     mats: Dict[Tuple[int, int], np.ndarray] = {}
-    for (i, j), (labels, basis) in bases.items():
+    for (i, j), (labels, basis) in module._linearized[1].items():
         mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
         for col, rep in enumerate(basis):
             mat[basis[target(j, labels, rep)], col] = 1
         mats[(i, j)] = mat
-    phi = ModuleMorphism(module, module, mats)
+    phi = ModuleMorphism(module, mats)
     phi.check_natural()
     return phi
 
@@ -506,16 +495,13 @@ def _idempotent(view: PeelView, module: Optional[GridModule], dim_budget: int, t
 # -- splitting ----------------------------------------------------------------------
 
 
-def split_dims(
-    module: GridModule, phi: ModuleMorphism
-) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], int]]:
+def split_dims(phi: ModuleMorphism) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], int]]:
     """Grade-wise dimensions of (img(id - phi), img(phi)) for an idempotent
-    phi; raises ConsistencyError unless phi is one. An idempotent's rank is its
-    trace over QQ."""
+    phi of its module, in the module's grade order; raises ConsistencyError
+    unless phi is one. An idempotent's rank is its trace over QQ."""
     phi.check_idempotent()
     da, db = {}, {}
-    for g in module.grades():
-        m = phi.mats[g]
+    for g, m in phi.mats.items():
         db[g] = int(np.trace(m))
         da[g] = len(m) - db[g]
     return da, db
@@ -523,25 +509,30 @@ def split_dims(
 
 def check_peel_split(before: PeelView, after: PeelView, x: int, root: Optional[int], support,
                      module: Optional[GridModule] = None, dim_budget: int = 64) -> Tuple[str, GridModule]:
-    """Certify the peel of x toward root, a rooted pair on ``before`` (whose
-    linearization ``module`` is, when given; else one on the critical scales),
-    in exact arithmetic: split along its idempotent, check the split-off factor
-    against ``support`` and the residual against ``after``, on the module's
-    scales. A finite threshold of ``support`` must be one of them, as one
-    between two scales is invisible. With root None, x is the bottom generator
-    and the image of the bottom idempotent is checked against ``support``.
-    Returns the first failure ('' if none) and the next peel's module."""
+    """Certify the peel of x toward root, a rooted pair on ``before``, in
+    exact arithmetic: split ``before``'s linearization (``module`` when given,
+    which raises ConsistencyError unless it was linearized from ``before``;
+    else one on the critical scales) along the peel's idempotent, check the
+    split-off factor against ``support`` and the residual against ``after``,
+    on the module's scales. A finite threshold of ``support`` must be one of
+    them, as one between two scales is invisible. With root None, x is the
+    bottom generator and the image of the bottom idempotent is checked
+    against ``support``. Returns the first failure ('' if none) and the next
+    peel's module."""
     if module is None:
         module = linearize(before, dim_budget, before.forest.critical_scales())
+    view = _peel_view(module)
+    if view.forest is not before.forest or not np.array_equal(view._alive, before._alive):
+        raise ConsistencyError("the module was not linearized from this peel view")
     eps, sig = module.eps_values, module.sigma_values
     for _, theta in support.breaks:
         if math.isfinite(theta) and theta not in eps:
             return f"support threshold {theta!r} is not a scale of the module's grid", module
     if root is None:
-        phi = bottom_idempotent(before, module, dim_budget)
+        phi = bottom_idempotent(module)
     else:
-        phi = idempotent_from_peel(before, x, root, module, dim_budget, check_rooted=False)
-    da, db = split_dims(module, phi)
+        phi = idempotent_from_peel(module, x, root, check_rooted=False)
+    da, db = split_dims(phi)
     what, dims = ("bottom", db) if root is None else ("split", da)
     for (i, j), d in dims.items():
         if d != (1 if support.contains(eps[i], sig[j]) else 0):
@@ -554,8 +545,9 @@ def check_peel_split(before: PeelView, after: PeelView, x: int, root: Optional[i
     return "", residual
 
 
-def split(module: GridModule, phi: ModuleMorphism) -> Tuple[GridModule, GridModule]:
-    """Decompose along an idempotent: (img(id - phi), img(phi)).
+def split(phi: ModuleMorphism) -> Tuple[GridModule, GridModule]:
+    """Decompose phi's module along the idempotent phi: (img(id - phi),
+    img(phi)).
 
     Bases are pivot columns of the two projections; induced structure maps are
     solved exactly, which certifies that each factor is closed under the
@@ -563,6 +555,7 @@ def split(module: GridModule, phi: ModuleMorphism) -> Tuple[GridModule, GridModu
     """
     phi.check_idempotent()
     phi.check_natural()
+    module = phi.module
 
     bases_a: Dict[Tuple[int, int], np.ndarray] = {}
     bases_b: Dict[Tuple[int, int], np.ndarray] = {}
@@ -625,13 +618,13 @@ def endomorphism_space(module: GridModule, dim_budget: int = 64) -> List[ModuleM
         for g in module.grades():
             d = module.dims[g]
             mats[g] = vec[offsets[g]: offsets[g] + d * d].reshape(d, d)
-        out.append(ModuleMorphism(module, module, mats))
+        out.append(ModuleMorphism(module, mats))
     return out
 
 
 def _block_matrix(morphism: ModuleMorphism) -> np.ndarray:
     """Faithful block-diagonal matrix of an endomorphism over all grades."""
-    module = morphism.source
+    module = morphism.module
     total = module.total_dim()
     big = mat_zero(total, total)
     off = 0

@@ -186,6 +186,12 @@ MUTANTS = {
         "if False:",
         ["tests/test_linalg.py::TestSplit::test_residual_of_another_view_fails_the_check"],
     ),
+    "peel-split-module-unchecked": (
+        "linalg.py",
+        "if view.forest is not before.forest or not np.array_equal(view._alive, before._alive):",
+        "if False:",
+        ["tests/test_linalg.py::TestSplit::test_module_of_another_view_is_refused"],
+    ),
     "split-dims-unchecked": (
         "linalg.py",
         "    phi.check_idempotent()\n    da, db = {}, {}",

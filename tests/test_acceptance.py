@@ -61,8 +61,8 @@ def test_criterion_2_residual_module_oracle():
     fo = pset.LeveledMergeForest(sp)
     view = pset.fresh_view(fo).restrict(3, 2)
     module = linalg.linearize(view, dim_budget=BUDGET)
-    psi = linalg.bottom_idempotent(view, module=module, dim_budget=BUDGET)
-    resid, bottom = linalg.split(module, psi)
+    psi = linalg.bottom_idempotent(module)
+    resid, bottom = linalg.split(psi)
 
     eps = list(module.eps_values)
     sig = list(module.sigma_values)
@@ -103,10 +103,8 @@ def test_criterion_3_split_replay_on_random_spaces():
             if r.reason == "bottom":
                 continue
             module = linalg.linearize(view, dim_budget=BUDGET)
-            phi = linalg.idempotent_from_peel(
-                view, r.generator, r.root, module=module, dim_budget=BUDGET
-            )
-            da, db = linalg.split_dims(module, phi)
+            phi = linalg.idempotent_from_peel(module, r.generator, r.root)
+            da, db = linalg.split_dims(phi)
             after = view._restrict_unchecked(r.generator, r.root)
             resid_dims = linalg.grade_dims(after)
             for (i, j), d in da.items():
@@ -114,7 +112,7 @@ def test_criterion_3_split_replay_on_random_spaces():
                 assert d == (1 if inside else 0), (t, r.generator, i, j)
                 assert db[(i, j)] == resid_dims[(i, j)], (t, r.generator, i, j)
             if checked % 25 == 0:
-                fa, fb = linalg.split(module, phi)
+                fa, fb = linalg.split(phi)
                 assert fa.dims == da and fb.dims == db
                 full_splits += 1
             checked += 1

@@ -137,19 +137,18 @@ def _oracle_digest(space):
     out = []
     for k, rec in enumerate(trace.records[:-1]):
         module = linalg.linearize(view, dim_budget=ORACLE_BUDGET)
-        phi = linalg.idempotent_from_peel(view, rec.generator, rec.root, module=module,
-                                          dim_budget=ORACLE_BUDGET)
+        phi = linalg.idempotent_from_peel(module, rec.generator, rec.root)
         out.append(module.to_json())
         out += [_mat_text(phi.mats[g]) for g in module.grades()]
-        da, db = linalg.split_dims(module, phi)
+        da, db = linalg.split_dims(phi)
         out.append(repr((sorted(da.items()), sorted(db.items()))))
         if k % 3 == 0:
-            out += [f.to_json() for f in linalg.split(module, phi)]
+            out += [f.to_json() for f in linalg.split(phi)]
         view = view.restrict(rec.generator, rec.root)
     module = linalg.linearize(view, dim_budget=ORACLE_BUDGET)
-    psi = linalg.bottom_idempotent(view, module=module, dim_budget=ORACLE_BUDGET)
+    psi = linalg.bottom_idempotent(module)
     out += [_mat_text(psi.mats[g]) for g in module.grades()]
-    resid, bottom = linalg.split(module, psi)
+    resid, bottom = linalg.split(psi)
     out += [resid.to_json(), bottom.to_json()]
     out.append(repr(len(linalg.endomorphism_space(resid, dim_budget=ORACLE_BUDGET))))
     out.append(repr(linalg.is_indecomposable(resid, dim_budget=ORACLE_BUDGET)))

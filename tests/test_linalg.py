@@ -26,8 +26,8 @@ def residual4(line4):
     fo = pset.LeveledMergeForest(line4)
     view = pset.fresh_view(fo).restrict(3, 2)
     module = linalg.linearize(view, dim_budget=BUDGET)
-    psi = linalg.bottom_idempotent(view, module=module, dim_budget=BUDGET)
-    resid, bottom = linalg.split(module, psi)
+    psi = linalg.bottom_idempotent(module)
+    resid, bottom = linalg.split(psi)
     return resid, bottom
 
 
@@ -193,8 +193,8 @@ class TestGridModule:
 
 class TestIdempotent:
     def test_matrix_at_birth_grade(self, full4):
-        view, m = full4
-        phi = linalg.idempotent_from_peel(view, 3, 2, module=m, dim_budget=BUDGET)
+        _, m = full4
+        phi = linalg.idempotent_from_peel(m, 3, 2)
         eps = list(m.eps_values)
         sig = list(m.sigma_values)
         g = (eps.index(0.0), sig.index(3.0))
@@ -206,42 +206,38 @@ class TestIdempotent:
 
     def test_identity_morphism_is_idempotent(self, full4):
         _, m = full4
-        ident = linalg.ModuleMorphism(
-            m, m, {g: np.eye(m.dims[g], dtype=np.int64) for g in m.grades()}
-        )
+        ident = linalg.ModuleMorphism(m, {g: np.eye(m.dims[g], dtype=np.int64) for g in m.grades()})
         ident.check_natural()
         ident.check_idempotent()
 
     def test_unrooted_pair_rejected(self, full4):
-        view, m = full4
+        _, m = full4
         with pytest.raises(linalg.ConsistencyError, match="rooted"):
-            linalg.idempotent_from_peel(view, 1, 0, module=m, dim_budget=BUDGET)
+            linalg.idempotent_from_peel(m, 1, 0)
 
-    def test_module_of_another_view_rejected(self, full4):
-        view, _ = full4
-        others = [
-            linalg.linearize(view.restrict(3, 2), dim_budget=BUDGET),
-            chain_module([1, 1], [np.array([[1]])]),
-        ]
-        for other in others:
-            with pytest.raises(linalg.ConsistencyError, match="not linearized from this peel view"):
-                linalg.idempotent_from_peel(view, 3, 2, module=other, dim_budget=BUDGET)
-            with pytest.raises(linalg.ConsistencyError, match="not linearized from this peel view"):
-                linalg.bottom_idempotent(view, module=other, dim_budget=BUDGET)
+    @pytest.mark.parametrize("made", [
+        lambda m: chain_module([1, 1], [np.array([[1]])]),
+        lambda m: linalg.GridModule.from_json(m.to_json()),  # the document drops the view
+        lambda m: linalg.split(linalg.idempotent_from_peel(m, 3, 2))[0],
+    ], ids=["by-hand", "json-round-trip", "split-factor"])
+    def test_a_module_linearize_did_not_make_is_refused(self, full4, made):
+        other = made(full4[1])
+        with pytest.raises(linalg.ConsistencyError, match="not linearized from a peel view"):
+            linalg.idempotent_from_peel(other, 3, 2)
+        with pytest.raises(linalg.ConsistencyError, match="not linearized from a peel view"):
+            linalg.bottom_idempotent(other)
 
     def test_forced_unrooted_pair_breaks_naturality(self, full4):
-        view, m = full4
+        _, m = full4
         with pytest.raises(linalg.ConsistencyError, match=r"naturality.*2\.5, 3\.0"):
-            linalg.idempotent_from_peel(
-                view, 1, 0, module=m, dim_budget=BUDGET, check_rooted=False
-            )
+            linalg.idempotent_from_peel(m, 1, 0, check_rooted=False)
 
 
 class TestSplit:
     def test_peel_factor_is_the_support_interval(self, full4, line4):
         view, m = full4
-        phi = linalg.idempotent_from_peel(view, 3, 2, module=m, dim_budget=BUDGET)
-        fa, fb = linalg.split(m, phi)
+        phi = linalg.idempotent_from_peel(m, 3, 2)
+        fa, fb = linalg.split(phi)
         sup = rooted.interval_support(view, 3, 2)
         for (i, j), d in fa.dims.items():
             inside = sup.contains(m.eps_values[i], m.sigma_values[j])
@@ -260,37 +256,43 @@ class TestSplit:
             assert why == "residual factor dimensions differ from the restricted view"
         assert linalg.check_peel_split(view, view.restrict(3, 2), 3, 2, support, dim_budget=BUDGET)[0] == ""
 
+    def test_module_of_another_view_is_refused(self, full4):
+        view, _ = full4
+        after = view.restrict(3, 2)
+        support = rooted.interval_support(view, 3, 2)
+        with pytest.raises(linalg.ConsistencyError, match="not linearized from this peel view"):
+            linalg.check_peel_split(view, after, 3, 2, support,
+                                    module=linalg.linearize(after, dim_budget=BUDGET))
+
     def test_identity_splits_off_everything(self, full4):
         _, m = full4
-        ident = linalg.ModuleMorphism(
-            m, m, {g: np.eye(m.dims[g], dtype=np.int64) for g in m.grades()}
-        )
-        fa, fb = linalg.split(m, ident)
+        ident = linalg.ModuleMorphism(m, {g: np.eye(m.dims[g], dtype=np.int64) for g in m.grades()})
+        fa, fb = linalg.split(ident)
         assert all(d == 0 for d in fa.dims.values())
         assert fb.dims == m.dims
 
     def test_zero_splits_off_nothing(self, full4):
         _, m = full4
         zero = linalg.ModuleMorphism(
-            m, m, {g: np.zeros((m.dims[g], m.dims[g]), dtype=np.int64) for g in m.grades()}
+            m, {g: np.zeros((m.dims[g], m.dims[g]), dtype=np.int64) for g in m.grades()}
         )
-        fa, fb = linalg.split(m, zero)
+        fa, fb = linalg.split(zero)
         assert fa.dims == m.dims
         assert all(d == 0 for d in fb.dims.values())
 
     def test_non_idempotent_rejected(self):
         m = chain_module([2, 2], [np.eye(2, dtype=int)])
         bad = linalg.ModuleMorphism(
-            m, m, {(0, 0): np.array([[0, 1], [0, 0]]), (1, 0): np.array([[0, 1], [0, 0]])}
+            m, {(0, 0): np.array([[0, 1], [0, 0]]), (1, 0): np.array([[0, 1], [0, 0]])}
         )
         with pytest.raises(linalg.ConsistencyError, match="idempotent"):
-            linalg.split(m, bad)
+            linalg.split(bad)
 
     def test_split_dims_equal_full_split(self, full4):
-        view, m = full4
-        phi = linalg.idempotent_from_peel(view, 3, 2, module=m, dim_budget=BUDGET)
-        da, db = linalg.split_dims(m, phi)
-        fa, fb = linalg.split(m, phi)
+        _, m = full4
+        phi = linalg.idempotent_from_peel(m, 3, 2)
+        da, db = linalg.split_dims(phi)
+        fa, fb = linalg.split(phi)
         assert da == fa.dims and db == fb.dims
 
     def test_split_dims_are_ranks_on_random_peels(self):
@@ -306,12 +308,12 @@ class TestSplit:
             phis = []
             for r in rooted.peel_all(sp, forest=fo).records:
                 if r.root is not None:
-                    phis.append(linalg.idempotent_from_peel(view, r.generator, r.root,
-                                                            dim_budget=BUDGET))
+                    module = linalg.linearize(view, dim_budget=BUDGET)
+                    phis.append(linalg.idempotent_from_peel(module, r.generator, r.root))
                     view = view.restrict(r.generator, r.root)
-            phis.append(linalg.bottom_idempotent(view, dim_budget=BUDGET))
+            phis.append(linalg.bottom_idempotent(linalg.linearize(view, dim_budget=BUDGET)))
             for phi in phis:
-                da, db = linalg.split_dims(phi.source, phi)
+                da, db = linalg.split_dims(phi)
                 for g, m in phi.mats.items():
                     assert da[g] == linalg.mat_rank(np.eye(len(m), dtype=np.int64) - m), (t, g)
                     assert db[g] == linalg.mat_rank(m), (t, g)
@@ -320,9 +322,9 @@ class TestSplit:
 
     def test_split_dims_rejects_a_non_idempotent(self):
         m = chain_module([2], [])
-        twice = linalg.ModuleMorphism(m, m, {(0, 0): 2 * np.eye(2, dtype=np.int64)})
+        twice = linalg.ModuleMorphism(m, {(0, 0): 2 * np.eye(2, dtype=np.int64)})
         with pytest.raises(linalg.ConsistencyError, match="idempotent"):
-            linalg.split_dims(m, twice)
+            linalg.split_dims(twice)
 
     def test_each_record_checks_its_idempotent_once(self, monkeypatch):
         # one compose(m, m) per grade of the record's module: the builder
@@ -355,7 +357,7 @@ class TestSplit:
     def test_a_writable_morphism_is_checked_again(self):
         # no verdict is kept on the morphism: each check squares the maps again
         m = chain_module([2], [])
-        phi = linalg.ModuleMorphism(m, m, {(0, 0): np.eye(2, dtype=np.int64)})
+        phi = linalg.ModuleMorphism(m, {(0, 0): np.eye(2, dtype=np.int64)})
         phi.check_idempotent()
         phi.mats[(0, 0)][0, 0] = 2
         with pytest.raises(linalg.ConsistencyError, match="idempotent"):
@@ -538,7 +540,7 @@ def endomorphism_basis(monkeypatch, *mats):
     be the span of the given 2 x 2 matrices; counts the minimal polynomials
     ``is_indecomposable`` then computes."""
     module = chain_module([2], [])
-    basis = [linalg.ModuleMorphism(module, module, {(0, 0): np.asarray(m, dtype=np.int64)})
+    basis = [linalg.ModuleMorphism(module, {(0, 0): np.asarray(m, dtype=np.int64)})
              for m in mats]
     monkeypatch.setattr(linalg, "endomorphism_space", lambda m, dim_budget: basis)
     polys = []
@@ -583,7 +585,7 @@ class TestSubsetIdempotents:
                     rep = int(labels[pw])
                 mat[basis[rep], col] = 1
             mats[(i, j)] = mat
-        return linalg.ModuleMorphism(module, module, mats)
+        return linalg.ModuleMorphism(module, mats)
 
     def test_found_subsets_induce_valid_idempotents(self):
         from conftest import random_space as rspace
@@ -602,7 +604,7 @@ class TestSubsetIdempotents:
             phi = self.subset_morphism(view, module, members, witness)
             phi.check_natural()
             phi.check_idempotent()
-            da, db = linalg.split_dims(module, phi)
+            da, db = linalg.split_dims(phi)
             assert all(
                 da[g] + db[g] == module.dims[g] for g in module.grades()
             )
@@ -750,3 +752,14 @@ def test_a_threshold_between_critical_scales_fails():
             assert got == [""] * k + [f"support threshold {theta!r} is not a scale of the module's grid"]
             checked += 1
     assert checked >= 16
+
+
+def test_readme_library_tour_runs(capsys):
+    # the README's python block, as a reader would paste it
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(tour, "README.md", "exec"), {"__name__": "readme"})
+    assert "intervals certified" in capsys.readouterr().out
