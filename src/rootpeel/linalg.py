@@ -26,7 +26,6 @@ bound before any grade is built; exceeding it is an error, not a fallback.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,13 +170,6 @@ def _covering_steps(ne: int, ns: int):
             yield "up_maps", (i, j), (i, j + 1)
 
 
-def _require_dims(dims, ne: int, ns: int) -> None:
-    for j in range(ns):
-        for i in range(ne):
-            if (i, j) not in dims:
-                raise ValueError(f"missing dimension at grade {(i, j)}")
-
-
 @dataclass
 class GridModule:
     """Functor from the grade grid to vector spaces over the rationals.
@@ -210,22 +202,14 @@ class GridModule:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    @property
-    def basis_reps(self) -> Optional[Dict[Tuple[int, int], Tuple[int, ...]]]:
-        """Original index of each basis vector's cluster representative, per
-        grade; None unless the module was linearized from a peel view."""
-        if self._linearized is None:
-            return None
-        view, bases = self._linearized
-        perm = view.forest.perm
-        return {g: tuple(int(perm[p]) for p in basis) for g, (_, basis) in bases.items()}
-
     def __post_init__(self):
         ne, ns = len(self.eps_values), len(self.sigma_values)
         for (i, j), d in self.dims.items():
             if not (0 <= i < ne and 0 <= j < ns) or d < 0:
                 raise ValueError(f"bad dimension entry at {(i, j)}: {d}")
-        _require_dims(self.dims, ne, ns)
+        for g in self.grades():
+            if g not in self.dims:
+                raise ValueError(f"missing dimension at grade {g}")
         for axis, src, dst, m in self.covering_maps():
             if m is None:
                 raise ValueError(f"missing {axis} entry at grade {src}")
@@ -239,107 +223,6 @@ class GridModule:
                     raise ValueError(
                         f"structure square at eps index {i}, sigma index {j} does not commute"
                     )
-
-    def map_between(self, src: Tuple[int, int], dst: Tuple[int, int]) -> np.ndarray:
-        """Composite structure map src -> dst for comparable grades."""
-        (i0, j0), (i1, j1) = src, dst
-        if i1 < i0 or j1 < j0:
-            raise ValueError("map_between needs src <= dst")
-        m: Optional[np.ndarray] = None
-        for i in range(i0, i1):
-            step = self.right_maps[(i, j0)]
-            m = step if m is None else compose(step, m)
-        for j in range(j0, j1):
-            step = self.up_maps[(i1, j)]
-            m = step if m is None else compose(step, m)
-        if m is None:
-            return mat_identity(self.dims[src])
-        return m
-
-    def to_json(self) -> str:
-        def enc(m):
-            mo = as_field_matrix(m)
-            return [[_enc_scalar(v) for v in row] for row in mo]
-
-        payload = {
-            "field": "QQ",
-            "eps_values": list(self.eps_values),
-            "sigma_values": list(self.sigma_values),
-            "dims": {f"{i},{j}": d for (i, j), d in sorted(self.dims.items())},
-            "right_maps": {f"{i},{j}": enc(m) for (i, j), m in sorted(self.right_maps.items())},
-            "up_maps": {f"{i},{j}": enc(m) for (i, j), m in sorted(self.up_maps.items())},
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(payload: str) -> "GridModule":
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"module document is not JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise ValueError("a module document must be a JSON object")
-        if data.get("field") != "QQ":
-            raise ValueError(f"module field must be \"QQ\", got {data.get('field')!r}")
-        for key in ("eps_values", "sigma_values"):
-            vals = data.get(key)
-            if not (isinstance(vals, list) and all(type(v) in (int, float) for v in vals)
-                    and all(a < b for a, b in zip(vals, vals[1:]))):
-                raise ValueError(f"{key} must be an increasing list of numbers")
-        ne, ns = len(data["eps_values"]), len(data["sigma_values"])
-        grid = {f"{i},{j}": (i, j) for j in range(ns) for i in range(ne)}
-        keys = {"dims": set(grid), "right_maps": set(), "up_maps": set()}
-        for axis, (i, j), _ in _covering_steps(ne, ns):
-            keys[axis].add(f"{i},{j}")
-        for key, known in keys.items():
-            if not isinstance(data.get(key), dict):
-                raise ValueError(f"{key} must be a JSON object")
-            outside = sorted(set(data[key]) - known)
-            if outside:
-                raise ValueError(f"{key} has no grade {outside[0]!r} on the {ne} x {ns} grid")
-        for k, v in data["dims"].items():
-            if type(v) is not int:
-                raise ValueError(f"dims at {k!r} is not an integer: {v!r}")
-        dims = {grid[k]: v for k, v in data["dims"].items()}
-        _require_dims(dims, ne, ns)
-        maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
-        for axis, src, dst in _covering_steps(ne, ns):
-            rows = data[axis].get(f"{src[0]},{src[1]}")
-            if rows is None:
-                continue  # the constructor names the missing map
-            where = f"{axis} at grade {src}"
-            shape = (dims[dst], dims[src])
-            if not isinstance(rows, list) or len(rows) != shape[0] or any(
-                    not isinstance(row, list) or len(row) != shape[1] for row in rows):
-                raise ValueError(f"{where} is not a {shape[0]} x {shape[1]} matrix")
-            out = np.empty(shape, dtype=object)
-            out.ravel()[:] = [_dec_scalar(v, where) for row in rows for v in row]
-            maps[axis][src] = out
-        return GridModule(tuple(data["eps_values"]), tuple(data["sigma_values"]), dims,
-                          maps["right_maps"], maps["up_maps"])
-
-    @staticmethod
-    def zero(eps_values, sigma_values) -> "GridModule":
-        ne, ns = len(eps_values), len(sigma_values)
-        dims = {(i, j): 0 for j in range(ns) for i in range(ne)}
-        right = {(i, j): np.zeros((0, 0), dtype=np.int64) for j in range(ns) for i in range(ne - 1)}
-        up = {(i, j): np.zeros((0, 0), dtype=np.int64) for j in range(ns - 1) for i in range(ne)}
-        return GridModule(tuple(eps_values), tuple(sigma_values), dims, right, up)
-
-
-def _enc_scalar(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(int(v))
-
-
-def _dec_scalar(s: str, where: str) -> Fraction:
-    """An ``"num/den"`` or ``"num"`` entry of the matrix ``where``."""
-    try:
-        num, _, den = s.partition("/")
-        return Fraction(int(num), int(den or 1))
-    except (AttributeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"bad entry {s!r} in {where}") from None
 
 
 @dataclass

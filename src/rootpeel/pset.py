@@ -258,12 +258,6 @@ class ChainLevels:
         gaps = np.concatenate([[0.0]] + [g for _, g, _ in self._chains])
         return distinct(gaps[np.isfinite(gaps)])
 
-    def merge_scale(self, j: int, px: int, py: int) -> float:
-        """Merge scale of positions px and py at level j."""
-        _, gaps, index = self.chain(j)
-        a, b = sorted((int(index[px]), int(index[py])))
-        return float(gaps[a + 1 : b + 1].max()) if a < b else 0.0
-
     def cluster_run(self, j: int, px: int, eps: float) -> np.ndarray:
         """Positions in px's cluster at scale eps and level j, in chain order."""
         order, gaps, index = self.chain(j)
@@ -405,16 +399,6 @@ class LeveledMergeForest(ChainLevels):
             raise QueryError(f"point index out of range: {x}")
         return int(self.pos_of[x])
 
-    def ultrametric(self, sigma: float, x: int, y: int) -> float:
-        """Merge scale of x and y in the single-linkage hierarchy at level sigma."""
-        px, py = self.position(x), self.position(y)
-        j = self.level_index(sigma)
-        m = self.level_sizes[j]
-        if px >= m or py >= m:
-            absent = x if px >= m else y
-            raise QueryError(f"point {absent} is absent at density level {sigma}")
-        return self.merge_scale(j, px, py)
-
     # -- merge events ----------------------------------------------------------
 
     def merge_events(self, level: int) -> List[Tuple[float, int, int]]:
@@ -460,19 +444,12 @@ class PeelView:
         self._alive = np.ones(forest.n, dtype=bool) if alive is None else alive
         self.removed: Dict[int, int] = {} if removed is None else removed
 
-    @property
-    def root_of(self) -> Dict[int, int]:
-        return dict(self.removed)
-
     def survives(self, x: int) -> bool:
         return bool(self._alive[self.forest.position(x)])
 
     def survivors(self) -> List[int]:
         """Surviving original indices, in canonical order."""
         return [int(v) for v in self.forest.perm[self._alive]]
-
-    def survivor_count(self) -> int:
-        return int(np.count_nonzero(self._alive))
 
     def _check_present(self, sigma: float, x: int) -> Tuple[int, int, int]:
         fo = self.forest

@@ -66,6 +66,11 @@ def scale_row(fo, j, px):
     return row
 
 
+def merge_scale(fo, j, px, py):
+    """Merge scale of positions px and py at level j, off the same chain."""
+    return float(scale_row(fo, j, px)[py])
+
+
 class DenseForest:
     """The queries of the old engine over a forest's positions and levels."""
 

@@ -3,6 +3,7 @@ import functools
 import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootpeel
 from conftest import cli_env
 from rootpeel import cli, linalg, pset, rooted
 from rootpeel.space import AugmentedMetricSpace, load_points
@@ -470,6 +472,54 @@ def test_cli_reads_no_private_name_of_another_module():
               for a in node.names]
     assert [(line, name) for line, name in names
             if name.startswith("_") and not name.endswith("__")] == []
+
+
+# functions that nothing under src/ calls and no document names, kept for a reason
+KEPT_UNCALLED = {
+    "PeelView.restrict": "the checked peel step that the oracle tests drive",
+    "PeelView.survivors": "a view's surviving points, what a peel leaves for the tests to read",
+    "_Parser.error": "an argparse override, called by argparse",
+}
+
+
+def test_src_defines_only_what_it_calls_or_documents():
+    # every function or method under src/ has a caller there, is exported,
+    # is named in README's code, or is wrapped by the benchmark tracer
+    root = Path(__file__).resolve().parents[1]
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "src" / "rootpeel").glob("*.py"))]
+    refs = [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```python\n(.*?)```", readme, re.DOTALL) + re.findall(r"`([^`\n]+)`", readme)
+    documented = {word for text in code for word in re.findall(r"\w+", text)}
+    install = next(node for node in ast.parse((root / "perfbench" / "traced.py").read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    patched = {node.elts[1].value for node in ast.walk(install)
+               if isinstance(node, ast.Tuple) and len(node.elts) == 3
+               and isinstance(node.elts[1], ast.Constant) and isinstance(node.elts[1].value, str)}
+
+    def defs(body, owner=""):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from defs(node.body, f"{node.name}.")
+            elif isinstance(node, ast.FunctionDef):
+                yield f"{owner}{node.name}", node
+                yield from defs(node.body, f"{owner}{node.name}.")
+
+    uncalled = []
+    for tree in trees:
+        for qualname, node in defs(tree.body):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            called = any(id(r) not in inside and name == (r.id if isinstance(r, ast.Name) else r.attr)
+                         for r in refs)
+            if not (called or name in rootpeel.__all__ or name in documented or name in patched
+                    or qualname in KEPT_UNCALLED):
+                uncalled.append(qualname)
+    assert not uncalled, f"no caller under src/, not exported, documented or traced: {uncalled}"
 
 
 def test_only_the_trace_reader_names_the_record_fields():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bfs_components, eps_grid, random_space
-from dense_reference import dense_levels, position_distances, scale_row
+from dense_reference import dense_levels, merge_scale, position_distances, scale_row
 from rootpeel import linalg, pset, rooted
 from rootpeel.space import AugmentedMetricSpace
 
@@ -84,30 +84,23 @@ class TestBuild:
 class TestUltrametric:
     def test_line_example_values(self, forest4):
         fo = forest4
-        assert fo.ultrametric(3.0, 0, 3) == 3.0
-        assert fo.ultrametric(1.0, 0, 1) == 7.5
-        assert fo.ultrametric(3.0, 2, 2) == 0.0
 
-    def test_absent_point_rejected(self, forest4):
-        fo = forest4
-        with pytest.raises(pset.QueryError, match="absent"):
-            fo.ultrametric(1.0, 0, 3)
+        def u(sigma, x, y):
+            return merge_scale(fo, fo.level_index(sigma), fo.position(x), fo.position(y))
+
+        assert u(3.0, 0, 3) == 3.0
+        assert u(1.0, 0, 1) == 7.5
+        assert u(3.0, 2, 2) == 0.0
 
     def test_strong_triangle_inequality(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
             sp = random_space(rng, mode="random", duplicates=True)
             fo = pset.LeveledMergeForest(sp)
-            for j, sigma in enumerate(fo.sigma_levels):
-                m = int(fo.level_sizes[j])
-                pts = fo.perm[:m]
-                for x in pts:
-                    for y in pts:
-                        for z in pts:
-                            uxz = fo.ultrametric(sigma, x, z)
-                            uxy = fo.ultrametric(sigma, x, y)
-                            uyz = fo.ultrametric(sigma, y, z)
-                            assert uxz <= max(uxy, uyz) + 0
+            for j in range(fo.num_levels):
+                u = np.array([scale_row(fo, j, px) for px in range(int(fo.level_sizes[j]))])
+                # u[x, z] <= max(u[x, y], u[y, z]) for every x, y, z
+                assert np.all(u[:, None, :] <= np.maximum(u[:, :, None], u[None, :, :]))
 
 
 class TestClusterOracle:
@@ -130,9 +123,8 @@ class TestClusterOracle:
         (lambda v: v.cluster_at(math.nan, 3.0, 0), "negative scale: nan"),
         (lambda v: v.cluster_at(1.0, math.nan, 0), "no point has density <= nan"),
         (lambda v: v.first_merge_scale(math.nan, 0), "no point has density <= nan"),
-        (lambda v: v.forest.ultrametric(math.nan, 0, 1), "no point has density <= nan"),
         (lambda v: v.forest.level_index(math.nan), "no point has density <= nan"),
-    ], ids=["cluster_at-eps", "cluster_at-sigma", "first_merge_scale", "ultrametric", "level_index"])
+    ], ids=["cluster_at-eps", "cluster_at-sigma", "first_merge_scale", "level_index"])
     def test_nan_query_rejected(self, forest4, query, match):
         # a NaN sigma read the top level and a NaN eps gave a singleton
         with pytest.raises(pset.QueryError, match=match):
@@ -220,7 +212,7 @@ class TestRestrict:
         v = pset.fresh_view(fo)
         v2 = v.restrict(3, 2)
         assert not v2.survives(3)
-        assert v2.root_of == {3: 2}
+        assert v2.removed == {3: 2}
         # connectivity through the removed point is preserved
         assert v2.cluster_at(2.5, 3.0, 1) == {1, 2}
 
@@ -279,13 +271,10 @@ class TestRestrict:
 
 @pytest.mark.parametrize("call", [
     lambda fo, v: v.survives(-1),
-    lambda fo, v: fo.ultrametric(3.0, -1, 0),
     lambda fo, v: rooted.is_rooted_subset(v, [-1]),
     lambda fo, v: v.restrict(fo.n, 0),
-    lambda fo, v: fo.ultrametric(3.0, fo.n, 0),
     lambda fo, v: rooted.is_rooted_subset(v, [fo.n]),
-], ids=["survives(-1)", "ultrametric(-1)", "is_rooted_subset(-1)",
-        "restrict(n)", "ultrametric(n)", "is_rooted_subset(n)"])
+], ids=["survives(-1)", "is_rooted_subset(-1)", "restrict(n)", "is_rooted_subset(n)"])
 def test_point_index_out_of_range_is_a_query_error(forest4, call):
     fo = forest4
     with pytest.raises(pset.QueryError, match="out of range"):

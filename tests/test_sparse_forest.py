@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import bfs_components, elder_oracle, eps_grid, random_one_param
-from dense_reference import DenseForest, scale_row
+from dense_reference import DenseForest, merge_scale, scale_row
 from rootpeel import pset, rooted, space
 from rootpeel.experiment import SamplerConfig, sample
 from rootpeel.space import AugmentedMetricSpace, attach_density
@@ -50,16 +50,9 @@ def seeded_space(seed):
 
 
 def check_levels(fo, ref):
-    small = fo.n <= 12
-    for j, sigma in enumerate(fo.sigma_levels):
-        m = int(fo.level_sizes[j])
-        for px in range(m):
+    for j in range(fo.num_levels):
+        for px in range(int(fo.level_sizes[j])):
             assert np.array_equal(scale_row(fo, j, px), ref.levels[j][px]), (j, px)
-        if small:
-            for px in range(m):
-                for py in range(m):
-                    got = fo.ultrametric(sigma, int(fo.perm[px]), int(fo.perm[py]))
-                    assert got == ref.levels[j][px, py]
         assert fo.merge_events(j) == ref.merge_events(j), j
 
 
@@ -389,7 +382,7 @@ def test_spanning_tree_level_zero_matches_insertion(block):
             for _ in range(2000):
                 j = int(rng.integers(fo.num_levels))
                 px, py = rng.integers(0, fo.level_sizes[j], 2)
-                assert fo.merge_scale(j, px, py) == ins.merge_scale(j, px, py), (k, j, px, py)
+                assert merge_scale(fo, j, px, py) == merge_scale(ins, j, px, py), (k, j, px, py)
         assert rooted.peel_all(sp, forest=fo).to_json() == rooted.peel_all(sp, forest=ins).to_json(), k
 
 
@@ -405,7 +398,7 @@ def test_spanning_tree_of_a_flat_space_at_n1500():
         assert fo.nn_pos.tolist() == ins.nn_pos.tolist()
         assert fo.nn_dist.tobytes() == ins.nn_dist.tobytes()
         for px, py in rng.integers(0, sp.n, (2000, 2)):
-            assert fo.merge_scale(0, px, py) == ins.merge_scale(0, px, py)
+            assert merge_scale(fo, 0, px, py) == merge_scale(ins, 0, px, py)
         assert rooted.peel_all(sp, forest=fo).to_json() == rooted.peel_all(sp, forest=ins).to_json()
 
 
@@ -428,7 +421,7 @@ def test_chain_of_merges_gives_the_merge_grades():
                             want[x, y] = want[y, x] = scale
                 parent[b] = a
         levels = pset.ChainLevels([pset.chain_of_merges(n, merges)], np.zeros(n, dtype=np.intp))
-        got = np.array([[levels.merge_scale(0, x, y) for y in range(n)] for x in range(n)])
+        got = np.array([scale_row(levels, 0, x) for x in range(n)])
         assert np.array_equal(got, want)
 
 
@@ -451,7 +444,7 @@ def merge_scale_runs(fo, px, proot):
     from px's birth up, equal consecutive thetas merged."""
     runs = []
     for j in range(int(fo.birth_level[px]), fo.num_levels):
-        theta = fo.merge_scale(j, px, proot)
+        theta = merge_scale(fo, j, px, proot)
         if not runs or theta != runs[-1][1]:
             runs.append((float(fo.sigma_levels[j]), theta))
     return tuple(runs)
@@ -495,7 +488,7 @@ def test_elder_deaths_are_merge_scales_on_its_chain():
         chain = pset.chain_of_merges(n, [(float(s), pos_of[i], pos_of[j]) for s, i, j in merges])
         levels = pset.ChainLevels([chain], np.zeros(n, dtype=np.intp))
         alive = np.ones(n, dtype=bool)
-        want = [(births[order[px]], levels.merge_scale(0, px, z))
+        want = [(births[order[px]], merge_scale(levels, 0, px, z))
                 for px, z, *_ in rooted._general_rounds(levels, alive)]
         want.append((births[order[0]], math.inf))
         assert rooted.elder_barcode_1d(births, merges) == sorted(want)
