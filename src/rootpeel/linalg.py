@@ -14,9 +14,9 @@ idempotents, dtype object holding ``Fraction`` once fractions can appear. One
 kernel serves every caller: ``compose``, ``mats_equal`` and one elimination,
 ``_rref``, behind rank, solve, nullspace and the minimal polynomial.
 ``GridModule.covering_maps`` is the one walk over the structure maps.
-``_grade_grid`` alone makes the full grade grid, from a distance matrix that
-no one keeps; the exact check runs on ``ChainLevels.critical_scales``, where
-clusters change. ``linearize`` records its view and grade bases on the
+The grade grid is ``ChainLevels.critical_scales`` (where clusters change)
+times the density levels unless a caller passes other scales; no distance
+matrix is made. ``linearize`` records its view and grade bases on the
 module; the idempotent builders take that module alone and read them back.
 A morphism is an endomorphism of one module, which ``split`` and
 ``split_dims`` read off it.
@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pset import LeveledMergeForest, PeelView, distinct
+from .pset import PeelView
 
 
 class BudgetError(RuntimeError):
@@ -255,12 +255,6 @@ class ModuleMorphism:
 GradeBases = Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, int]]]
 
 
-def _grade_grid(forest: LeveledMergeForest) -> np.ndarray:
-    """The full grid's scales: every distinct pairwise distance, from a
-    distance matrix made for this call and not kept."""
-    return distinct(forest.space.distance_matrix())
-
-
 def _grade_bases(view: PeelView, eps_values) -> GradeBases:
     """Survivor labels and basis at every grade (eps index, sigma index), over
     the scales ``eps_values``.
@@ -280,21 +274,22 @@ def _grade_bases(view: PeelView, eps_values) -> GradeBases:
 
 
 def grade_dims(view: PeelView) -> Dict[Tuple[int, int], int]:
-    """Fiber dimensions of the linearized view at every grade of the full grid."""
-    return {g: len(basis) for g, (_, basis) in _grade_bases(view, _grade_grid(view.forest)).items()}
+    """Fiber dimensions of the linearized view at every grade: the critical
+    scales times the density levels."""
+    return {g: len(basis) for g, (_, basis) in _grade_bases(view, view.forest.critical_scales()).items()}
 
 
 def linearize(view: PeelView, dim_budget: int = 64,
               scales: Optional[Sequence[float]] = None) -> GridModule:
     """Free module on the surviving clusters of a peel view, over the given
-    ascending ``scales`` (the full grid's distances when None) and every
+    ascending ``scales`` (the forest's critical scales when None) and every
     density level.
 
     The module records the view and its grade bases, which the idempotents
     built on it read back.
     """
     fo = view.forest
-    eps_values = _grade_grid(fo) if scales is None else np.asarray(scales, dtype=float)
+    eps_values = fo.critical_scales() if scales is None else np.asarray(scales, dtype=float)
     sigma_values = fo.sigma_levels
     # every grade from the densest survivor's birth level up holds its class
     lowest = fo.num_levels - int(fo.birth_level[np.argmax(view._alive)])
@@ -403,7 +398,7 @@ def check_peel_split(before: PeelView, after: PeelView, x: int, root: Optional[i
     against ``support``. Returns the first failure ('' if none) and the next
     peel's module."""
     if module is None:
-        module = linearize(before, dim_budget, before.forest.critical_scales())
+        module = linearize(before, dim_budget)
     view = _peel_view(module)
     if view.forest is not before.forest or not np.array_equal(view._alive, before._alive):
         raise ConsistencyError("the module was not linearized from this peel view")

@@ -83,18 +83,17 @@ def _insert(order: np.ndarray, gaps: np.ndarray, q: int, r: np.ndarray):
 
     Put q first and the old points after it by r, stably. Points within eps of
     q form a prefix, and an old cluster that q does not reach has one r value
-    and stays contiguous. Neighbors with different r merge at the larger one
-    (it is also at most their old scale); neighbors with equal r merge at that
-    r, or below it if they were old neighbors with a smaller gap.
+    and stays contiguous. Each point merges with the one before it at its own
+    r, or at their old gap if they were old neighbors and that is smaller,
+    which by the ultrametric inequality needs equal r.
     """
     idx = np.argsort(r, kind="stable")
     rs = r[idx]
     tail = rs[1:]
-    same = np.where(idx[1:] == idx[:-1] + 1, np.minimum(gaps[idx[1:]], tail), tail)
     new_gaps = np.empty(len(r) + 1)
     new_gaps[0] = np.inf
     new_gaps[1] = rs[0]
-    new_gaps[2:] = np.where(rs[:-1] < tail, tail, same)
+    new_gaps[2:] = np.where(idx[1:] == idx[:-1] + 1, np.minimum(gaps[idx[1:]], tail), tail)
     return np.concatenate(([q], order[idx])), new_gaps
 
 

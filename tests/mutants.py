@@ -31,8 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = {
     "insert-equal-scale-neighbors": (
         "pset.py",
-        "same = np.where(idx[1:] == idx[:-1] + 1, np.minimum(gaps[idx[1:]], tail), tail)",
-        "same = tail",
+        "np.minimum(gaps[idx[1:]], tail)",
+        "tail",
         ["tests/test_sparse_forest.py::test_level_chains_match_dense_engine"],
     ),
     "rounds-watch-nothing": (
@@ -173,6 +173,13 @@ MUTANTS = {
         "                heapq.heappush(heap, w)\n",
         "                pass\n",
         ["tests/test_sparse_forest.py::test_level_chains_match_dense_engine"],
+    ),
+    "linearize-default-full-grid": (
+        "linalg.py",
+        "fo.critical_scales() if scales is None",
+        "np.unique(fo.space.distance_matrix()) if scales is None",
+        ["tests/test_linalg.py::test_default_grid_refuses_without_a_distance_matrix",
+         "tests/test_cli.py::test_no_module_makes_a_distance_matrix"],
     ),
     "threshold-off-grid-passes": (
         "linalg.py",

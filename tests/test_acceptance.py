@@ -60,7 +60,7 @@ def test_criterion_2_residual_module_oracle():
     sp = _line4()
     fo = pset.LeveledMergeForest(sp)
     view = pset.fresh_view(fo).restrict(3, 2)
-    module = linalg.linearize(view, dim_budget=BUDGET)
+    module = linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo))
     psi = linalg.bottom_idempotent(module)
     resid, bottom = linalg.split(psi)
 

@@ -537,14 +537,14 @@ def test_only_the_trace_reader_names_the_record_fields():
     assert found == []
 
 
-def test_only_the_oracle_makes_a_distance_matrix():
-    # README: only the exact oracle's grade grid makes one; every other layer
-    # reads rows from the coordinates
+def test_no_module_makes_a_distance_matrix():
+    # README: every layer reads rows from the coordinates, and the exact
+    # oracle's grade grid is the critical scales, read off the chains
     src = Path(cli.__file__).parent
     reads = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "distance_matrix"]
-    assert [name for name, _ in reads if name != "linalg.py"] == []
+    assert reads == []
 
 
 def test_no_module_goes_from_a_chain_to_merges_and_back():

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import eps_grid
 from rootpeel import cli, linalg, pset, rooted
 from rootpeel.space import AugmentedMetricSpace, load_points
 
@@ -158,7 +159,7 @@ def _oracle_digest(space):
     view = pset.fresh_view(fo)
     out = []
     for k, rec in enumerate(trace.records[:-1]):
-        module = linalg.linearize(view, dim_budget=ORACLE_BUDGET)
+        module = linalg.linearize(view, dim_budget=ORACLE_BUDGET, scales=eps_grid(fo))
         phi = linalg.idempotent_from_peel(module, rec.generator, rec.root)
         out.append(module_json(module))
         out += [_mat_text(phi.mats[g]) for g in module.grades()]
@@ -167,7 +168,7 @@ def _oracle_digest(space):
         if k % 3 == 0:
             out += [module_json(f) for f in linalg.split(phi)]
         view = view.restrict(rec.generator, rec.root)
-    module = linalg.linearize(view, dim_budget=ORACLE_BUDGET)
+    module = linalg.linearize(view, dim_budget=ORACLE_BUDGET, scales=eps_grid(fo))
     psi = linalg.bottom_idempotent(module)
     out += [_mat_text(psi.mats[g]) for g in module.grades()]
     resid, bottom = linalg.split(psi)

@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_space
+from conftest import eps_grid, random_space
 from test_golden import module_json
 from rootpeel import linalg, pset, rooted
 from rootpeel.space import AugmentedMetricSpace
@@ -24,7 +25,7 @@ def residual4(line4):
     off the whole-module interval induced by the densest point."""
     fo = pset.LeveledMergeForest(line4)
     view = pset.fresh_view(fo).restrict(3, 2)
-    module = linalg.linearize(view, dim_budget=BUDGET)
+    module = linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo))
     psi = linalg.bottom_idempotent(module)
     resid, bottom = linalg.split(psi)
     return resid, bottom
@@ -81,15 +82,35 @@ class TestLinearize:
         assert module.dims == linalg.grade_dims(view)
 
 
-    def test_one_distance_matrix_per_linearize(self, line4, monkeypatch):
-        # the grade grid was built twice: once by linearize, once by _grade_bases
+    def test_linearize_makes_no_distance_matrix(self, line4, monkeypatch):
+        # the default grid was every pairwise distance, off a distance matrix;
+        # it is now the critical scales, read off the chains
         view = pset.fresh_view(pset.LeveledMergeForest(line4))
         asked = []
         make = type(line4).distance_matrix
         monkeypatch.setattr(type(line4), "distance_matrix",
                             lambda self: asked.append(self) or make(self))
         linalg.linearize(view, dim_budget=BUDGET)
-        assert len(asked) == 1
+        linalg.grade_dims(view)
+        assert asked == []
+
+
+@pytest.mark.parametrize("levels", [1, 10], ids=["flat", "ties"])
+def test_default_grid_refuses_without_a_distance_matrix(levels):
+    # the full grid's matrix of 3,000 points is 69 MiB, and linearize made it
+    # before it read the budget; the critical scales come off the chains
+    rng = np.random.default_rng(3000)
+    sp = AugmentedMetricSpace(points=rng.random((3000, 2)),
+                              density=rng.integers(0, levels, 3000).astype(float))
+    view = pset.fresh_view(pset.LeveledMergeForest(sp))
+    tracemalloc.start()
+    try:
+        with pytest.raises(linalg.BudgetError):
+            linalg.linearize(view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 class TestGridModule:
@@ -247,10 +268,11 @@ class TestSplit:
             phis = []
             for r in rooted.peel_all(sp, forest=fo).records:
                 if r.root is not None:
-                    module = linalg.linearize(view, dim_budget=BUDGET)
+                    module = linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo))
                     phis.append(linalg.idempotent_from_peel(module, r.generator, r.root))
                     view = view.restrict(r.generator, r.root)
-            phis.append(linalg.bottom_idempotent(linalg.linearize(view, dim_budget=BUDGET)))
+            phis.append(linalg.bottom_idempotent(
+                linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo))))
             for phi in phis:
                 da, db = linalg.split_dims(phi)
                 for g, m in phi.mats.items():
@@ -579,7 +601,7 @@ def exact_verdicts(fo, records, full):
     scales), up to the first failure or the bottom record; a ConsistencyError
     or a record the view cannot apply is a verdict too."""
     view = pset.fresh_view(fo)
-    module = linalg.linearize(view, dim_budget=BUDGET) if full else None
+    module = linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo)) if full else None
     out = []
     for r in records:
         try:

@@ -26,9 +26,12 @@ class TestBuild:
                 assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     def test_grid_of_line_example(self, forest4):
+        # the default grid is the critical scales; the full grid adds 5, the
+        # distance of points 1 and 3, which is no merge scale
         module = linalg.linearize(pset.fresh_view(forest4))
-        assert list(module.eps_values) == [0, 2, 2.5, 3, 4.5, 5, 7.5]
+        assert list(module.eps_values) == [0, 2, 2.5, 3, 4.5, 7.5]
         assert list(module.sigma_values) == [0, 1, 2, 3]
+        assert list(eps_grid(forest4)) == [0, 2, 2.5, 3, 4.5, 5, 7.5]
 
     def test_level_rows_match_hand_clustering(self, forest4):
         fo = forest4
