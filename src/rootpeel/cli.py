@@ -207,8 +207,10 @@ def _cmd_oracle_check(args) -> int:
     for k, (rec, (before, after, support, why)) in enumerate(
             zip(records, rooted.replay_steps(forest, records))):
         if not why:
-            why, module = linalg.check_peel_split(before, after, rec.generator, rec.root,
-                                                  support, module, args.dim_budget)
+            if module is None:
+                module = linalg.linearize(before, args.dim_budget)
+            why, module = linalg.check_peel_split(module, after, rec.generator, rec.root,
+                                                  support, args.dim_budget)
         print(f"{'FAIL' if why else 'PASS'} record {k}: generator {rec.generator} ({rec.reason})"
               + (f" - {why}" if why else ""))
         if why:

@@ -17,7 +17,8 @@ kernel serves every caller: ``compose``, ``mats_equal`` and one elimination,
 The grade grid is ``ChainLevels.critical_scales`` (where clusters change)
 times the density levels unless a caller passes other scales; no distance
 matrix is made. ``linearize`` records its view and grade bases on the
-module; the idempotent builders take that module alone and read them back.
+module; the idempotent builders, and ``check_peel_split``, take that module
+alone and read them back.
 A morphism is an endomorphism of one module, which ``split`` and
 ``split_dims`` read off it.
 Sizes are guarded by an explicit total-dimension budget, checked on a lower
@@ -385,23 +386,17 @@ def split_dims(phi: ModuleMorphism) -> Tuple[Dict[Tuple[int, int], int], Dict[Tu
     return da, db
 
 
-def check_peel_split(before: PeelView, after: PeelView, x: int, root: Optional[int], support,
-                     module: Optional[GridModule] = None, dim_budget: int = 64) -> Tuple[str, GridModule]:
-    """Certify the peel of x toward root, a rooted pair on ``before``, in
-    exact arithmetic: split ``before``'s linearization (``module`` when given,
-    which raises ConsistencyError unless it was linearized from ``before``;
-    else one on the critical scales) along the peel's idempotent, check the
+def check_peel_split(module: GridModule, after: PeelView, x: int, root: Optional[int], support,
+                     dim_budget: int = 64) -> Tuple[str, GridModule]:
+    """Certify the peel of x toward root, a rooted pair on the view ``module``
+    was linearized from, in exact arithmetic: split ``module`` along the
+    peel's idempotent, whose builder reads the view off it, check the
     split-off factor against ``support`` and the residual against ``after``,
     on the module's scales. A finite threshold of ``support`` must be one of
     them, as one between two scales is invisible. With root None, x is the
     bottom generator and the image of the bottom idempotent is checked
     against ``support``. Returns the first failure ('' if none) and the next
-    peel's module."""
-    if module is None:
-        module = linearize(before, dim_budget)
-    view = _peel_view(module)
-    if view.forest is not before.forest or not np.array_equal(view._alive, before._alive):
-        raise ConsistencyError("the module was not linearized from this peel view")
+    peel's module: ``after``'s linearization on the same scales."""
     eps, sig = module.eps_values, module.sigma_values
     for _, theta in support.breaks:
         if math.isfinite(theta) and theta not in eps:
@@ -449,13 +444,7 @@ def split(phi: ModuleMorphism) -> Tuple[GridModule, GridModule]:
         dims = {g: b.shape[1] for g, b in bases.items()}
         maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
         for axis, src, dst, step in module.covering_maps():
-            img = compose(step, bases[src])
-            if dims[dst] == 0:
-                if np.count_nonzero(img):
-                    raise ConsistencyError(f"factor is not closed under the map {src} -> {dst}")
-                maps[axis][src] = np.zeros((0, dims[src]), dtype=np.int64)
-            else:
-                maps[axis][src] = mat_solve(bases[dst], img)
+            maps[axis][src] = mat_solve(bases[dst], compose(step, bases[src]))
         return GridModule(module.eps_values, module.sigma_values, dims,
                           maps["right_maps"], maps["up_maps"])
 

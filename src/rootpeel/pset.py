@@ -18,17 +18,18 @@ build inserts only the later points, one at a time in canonical order, each
 with its distances to those before it, and keeps the chain of every level as
 the insertion passes its last point.
 
-A ``PeelView`` layers a set of removed generators over the immutable forest.
-Removed points still provide connectivity (the underlying graphs never
-change); they are only filtered out of reported clusters. This is precisely
-the persistent set obtained by restricting to the image of the idempotent
-endomorphism that sends each removed generator to its recorded root.
+A ``PeelView`` is the immutable forest and a survivor mask. Removed points
+still provide connectivity (the underlying graphs never change); they are
+only filtered out of reported clusters. This is precisely the persistent set
+obtained by restricting to the image of the idempotent endomorphism that
+sends each removed generator to its root, whatever that root was, so a view
+keeps no roots: they are on the trace's records.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -263,23 +264,16 @@ class ChainLevels:
         k = int(index[px])
         return order[_walk(order, gaps, k, -1, eps)[0] : _walk(order, gaps, k, 1, eps)[0] + 1]
 
-    def _first_merge(self, j: int, alive: np.ndarray, px: int) -> Tuple[float, int, int]:
-        """px's first-merge scale eps at level j with a position marked in
-        ``alive`` (inf when none), and chain indices lo <= hi in px's cluster
-        at eps from which walks at eps reach the cluster's bounds."""
-        order, gaps, index = self.chain(j)
-        k = int(index[px])
-        lo, g, hit = _walk(order, gaps, k, -1, math.inf, alive)
-        eps = g if hit else math.inf
-        hi, g, hit = _walk(order, gaps, k, 1, eps, alive)
-        if hit and g < eps:  # the left walk crossed gaps above g
-            return g, k, hi
-        return eps, lo, hi
-
     def first_merge_at(self, j: int, alive: np.ndarray, px: int) -> float:
         """Smallest scale at which px's cluster at level j holds another
-        position marked in ``alive``; inf when none does."""
-        return self._first_merge(j, alive, px)[0]
+        position marked in ``alive``; inf when none does. The right walk is
+        bounded by the left one's scale."""
+        order, gaps, index = self.chain(j)
+        k = int(index[px])
+        _, g, hit = _walk(order, gaps, k, -1, math.inf, alive)
+        eps = g if hit else math.inf
+        _, g, hit = _walk(order, gaps, k, 1, eps, alive)
+        return g if hit else eps
 
     def cluster_labels(self, j: int, scales: np.ndarray, alive: np.ndarray) -> np.ndarray:
         """(len(scales), m) array: for each scale, and each of the m positions
@@ -309,8 +303,10 @@ class ChainLevels:
         every level from px's birth upward. For a fixed mask that scale cannot
         grow with the level, and while it stays put the cluster only grows,
         so only the birth level and the levels where it drops can exclude a
-        candidate; bisection finds them, and they are the runs of each
-        candidate's merge scale with px. While each of these levels keeps one
+        candidate; bisection on ``first_merge_at`` finds them, and they are
+        the runs of each candidate's merge scale with px. At each level it
+        visits, the scan walks px's cluster from px at that level's scale; it
+        keeps nothing between levels. While each of these levels keeps one
         marked position at its scale, every level's scale stays as it was and
         the candidates can only shrink, so an empty verdict stands until a
         watched position goes. px itself may be marked or not. With no level
@@ -322,28 +318,21 @@ class ChainLevels:
         if not limit or not alive[int(alive[:limit].argmax())]:  # nothing marked below limit
             return None, runs, watch
         cand = None
-        inside = {}
-
-        def first_merge(j: int) -> float:
-            eps, *inside[j] = self._first_merge(j, alive, px)
-            return eps
-
-        for j, eps in steps(int(self.birth_level[px]), self.num_levels - 1, first_merge):
+        for j, eps in steps(int(self.birth_level[px]), self.num_levels - 1,
+                            lambda j: self.first_merge_at(j, alive, px)):
             runs.append((j, eps))
             if math.isinf(eps):
                 continue
-            order, gaps, index = self.chain(j)
-            lo, hi = inside[j]
-            lo, hi = _walk(order, gaps, lo, -1, eps)[0], _walk(order, gaps, hi, 1, eps)[0]
-            members = order[lo : hi + 1]
-            members = members[alive[members]]  # px and at least one other
+            run = self.cluster_run(j, px, eps)
+            members = run[alive[run]]  # px and at least one other
             watch.append(int(members[1] if members[0] == px else members[0]))
             if cand is None:
                 cand = np.sort(members.astype(np.intp))
                 cand = cand[: cand.searchsorted(limit)]
             else:  # the run is contiguous in level j's chain
+                index = self.chain(j)[2]
                 at = index[cand]
-                cand = cand[(at >= lo) & (at <= hi)]
+                cand = cand[(at >= index[run[0]]) & (at <= index[run[-1]])]
             if not len(cand):
                 return None, runs, watch
         if cand is None:
@@ -430,18 +419,18 @@ class LeveledMergeForest(ChainLevels):
 
 
 class PeelView:
-    """A merge forest restricted to the surviving generators.
+    """A merge forest restricted to the surviving generators: the forest and
+    a survivor mask over its positions, nothing else.
 
     Cheap value type: ``restrict`` copies one boolean array. Connectivity is
     always evaluated in the full space, so clusters of survivors may be held
-    together by removed points.
+    together by removed points. Where each removed point went is the trace's
+    record, not the view's.
     """
 
-    def __init__(self, forest: LeveledMergeForest, alive: Optional[np.ndarray] = None,
-                 removed: Optional[Dict[int, int]] = None):
+    def __init__(self, forest: LeveledMergeForest, alive: Optional[np.ndarray] = None):
         self.forest = forest
         self._alive = np.ones(forest.n, dtype=bool) if alive is None else alive
-        self.removed: Dict[int, int] = {} if removed is None else removed
 
     def survives(self, x: int) -> bool:
         return bool(self._alive[self.forest.position(x)])
@@ -450,21 +439,20 @@ class PeelView:
         """Surviving original indices, in canonical order."""
         return [int(v) for v in self.forest.perm[self._alive]]
 
-    def _check_present(self, sigma: float, x: int) -> Tuple[int, int, int]:
+    def _check_present(self, sigma: float, x: int) -> Tuple[int, int]:
         fo = self.forest
         px = fo.position(x)
         if not self._alive[px]:
             raise QueryError(f"point {x} was removed from this view")
         if fo.f_by_pos[px] > sigma:
             raise QueryError(f"point {x} has density {fo.f_by_pos[px]} > sigma {sigma}")
-        j = fo.level_index(sigma)
-        return px, j, int(fo.level_sizes[j])
+        return px, fo.level_index(sigma)
 
     def cluster_at(self, eps: float, sigma: float, x: int) -> FrozenSet[int]:
         """Surviving points in the same component as x at grade (eps, sigma)."""
         if not eps >= 0:
             raise QueryError(f"negative scale: {eps}")
-        px, j, _ = self._check_present(sigma, x)
+        px, j = self._check_present(sigma, x)
         fo = self.forest
         members = fo.cluster_run(j, px, eps)
         return frozenset(int(v) for v in fo.perm[members[self._alive[members]]])
@@ -472,7 +460,7 @@ class PeelView:
     def first_merge_scale(self, sigma: float, x: int) -> Tuple[float, FrozenSet[int]]:
         """Smallest scale at which x's surviving cluster at density sigma
         exceeds one point, and that cluster; (inf, {x}) when none does."""
-        px, j, _ = self._check_present(sigma, x)
+        px, j = self._check_present(sigma, x)
         fo = self.forest
         eps = fo.first_merge_at(j, self._alive, px)
         if math.isinf(eps):
@@ -507,12 +495,10 @@ class PeelView:
             raise QueryError(f"root {root} does not survive")
         alive = self._alive.copy()
         alive[self.forest.position(x)] = False
-        removed = dict(self.removed)
-        removed[int(x)] = int(root)
-        return PeelView(self.forest, alive, removed)
+        return PeelView(self.forest, alive)
 
     def __repr__(self):
-        return f"PeelView(n={self.forest.n}, removed={len(self.removed)})"
+        return f"PeelView(n={self.forest.n}, survivors={int(self._alive.sum())})"
 
 
 def fresh_view(forest: LeveledMergeForest) -> PeelView:

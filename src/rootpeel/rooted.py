@@ -328,14 +328,11 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
     fo = forest
     n = fo.n
     alive = np.ones(n, dtype=bool)
-    removed: Dict[int, int] = {}
     records: List[PeelRecord] = []
 
     def emit(px: int, proot: int, reason: str, support: IntervalSupport):
-        gen, root = int(fo.perm[px]), int(fo.perm[proot])
-        records.append(PeelRecord(gen, root, reason, support))
+        records.append(PeelRecord(int(fo.perm[px]), int(fo.perm[proot]), reason, support))
         alive[px] = False
-        removed[gen] = root
 
     graph = _graph(fo.perm[fo.nn_pos[fo.pos_of]]) if n >= 2 else None
     if graph is not None:
@@ -350,8 +347,7 @@ def peel_all(space: AugmentedMetricSpace, forest: Optional[LeveledMergeForest] =
             emit(px, proot, "general-rooted", _support(fo, runs))
 
     records.append(PeelRecord(int(fo.perm[0]), None, "bottom", _support(fo, _BOTTOM_RUNS)))
-    final = PeelView(fo, alive, removed)
-    return PeelTrace(records=records, final_view=final, n=n, nn=graph)
+    return PeelTrace(records=records, final_view=PeelView(fo, alive), n=n, nn=graph)
 
 
 def replay_steps(forest: LeveledMergeForest, records: Iterable[PeelRecord]) -> Iterator[tuple]:

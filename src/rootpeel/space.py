@@ -209,11 +209,6 @@ class AugmentedMetricSpace:
         nn[v], nn_dist[v] = v_near, v_best
         return visit, w
 
-    def distance(self, i: int, j: int) -> float:
-        if not (is_point(i, self.n) and is_point(j, self.n)):
-            raise IndexError(f"point index out of range: ({i}, {j})")
-        return float(self.distances([i], [j])[0, 0])
-
     # -- densities and order -----------------------------------------------
 
     def has_density(self) -> bool:

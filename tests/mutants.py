@@ -43,9 +43,15 @@ MUTANTS = {
     ),
     "scan-skips-birth-level": (
         "pset.py",
-        "            if math.isinf(eps):\n                continue\n            order, gaps, index = self.chain(j)",
+        "            if math.isinf(eps):\n                continue\n            run = self.cluster_run(j, px, eps)",
         "            if math.isinf(eps) or j == self.birth_level[px]:\n                continue\n"
-        "            order, gaps, index = self.chain(j)",
+        "            run = self.cluster_run(j, px, eps)",
+        ["tests/test_sparse_forest.py::test_root_scan_matches_dense_engine_on_random_masks"],
+    ),
+    "first-merge-ignores-the-right-walk": (
+        "pset.py",
+        "        return g if hit else eps\n",
+        "        return eps\n",
         ["tests/test_sparse_forest.py::test_root_scan_matches_dense_engine_on_random_masks"],
     ),
     "runs-skip-infinite-levels": (
@@ -192,12 +198,6 @@ MUTANTS = {
         "if any(db[g] != residual.dims[g] for g in db):",
         "if False:",
         ["tests/test_linalg.py::TestSplit::test_residual_of_another_view_fails_the_check"],
-    ),
-    "peel-split-module-unchecked": (
-        "linalg.py",
-        "if view.forest is not before.forest or not np.array_equal(view._alive, before._alive):",
-        "if False:",
-        ["tests/test_linalg.py::TestSplit::test_module_of_another_view_is_refused"],
     ),
     "split-dims-unchecked": (
         "linalg.py",

@@ -147,7 +147,7 @@ def test_criterion_4_count_invariants_on_1000_spaces():
         assert len(trace) >= 2
         bottoms = [r for r in trace.records if r.reason == "bottom"]
         assert len(bottoms) == 1 and bottoms[0].root is None
-        assert bottoms[0].generator not in trace.final_view.removed
+        assert trace.final_view.survives(bottoms[0].generator)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     assert min(sizes) == 2 and max(sizes) == 200

@@ -209,20 +209,12 @@ class TestSplit:
     def test_residual_of_another_view_fails_the_check(self, full4):
         # the peel of 3 toward 2 checked against the unpeeled view, and
         # against the view with 1 peeled instead
-        view, _ = full4
+        view, module = full4
         support = rooted.interval_support(view, 3, 2)
         for after in (view, view._restrict_unchecked(1, 0)):
-            why, _ = linalg.check_peel_split(view, after, 3, 2, support, dim_budget=BUDGET)
+            why, _ = linalg.check_peel_split(module, after, 3, 2, support, dim_budget=BUDGET)
             assert why == "residual factor dimensions differ from the restricted view"
-        assert linalg.check_peel_split(view, view.restrict(3, 2), 3, 2, support, dim_budget=BUDGET)[0] == ""
-
-    def test_module_of_another_view_is_refused(self, full4):
-        view, _ = full4
-        after = view.restrict(3, 2)
-        support = rooted.interval_support(view, 3, 2)
-        with pytest.raises(linalg.ConsistencyError, match="not linearized from this peel view"):
-            linalg.check_peel_split(view, after, 3, 2, support,
-                                    module=linalg.linearize(after, dim_budget=BUDGET))
+        assert linalg.check_peel_split(module, view.restrict(3, 2), 3, 2, support, dim_budget=BUDGET)[0] == ""
 
     def test_identity_splits_off_everything(self, full4):
         _, m = full4
@@ -308,8 +300,8 @@ class TestSplit:
                 after = view if r.root is None else view._restrict_unchecked(r.generator, r.root)
                 module = linalg.linearize(view, dim_budget=BUDGET)
                 squares.clear()
-                why, _ = linalg.check_peel_split(view, after, r.generator, r.root, r.support,
-                                                 module, BUDGET)
+                why, _ = linalg.check_peel_split(module, after, r.generator, r.root, r.support,
+                                                 BUDGET)
                 assert why == ""
                 assert sum(squares) == len(module.dims), (t, r.generator)
                 view, records = after, records + 1
@@ -597,17 +589,17 @@ def test_residual_fixture_file_round_trips(residual4):
 
 def exact_verdicts(fo, records, full):
     """``check_peel_split``'s verdict on each record in turn, with the first
-    module linearized on the full grid or left to the check (the critical
-    scales), up to the first failure or the bottom record; a ConsistencyError
-    or a record the view cannot apply is a verdict too."""
+    module linearized on the full grid or on the critical scales, up to the
+    first failure or the bottom record; a ConsistencyError or a record the
+    view cannot apply is a verdict too."""
     view = pset.fresh_view(fo)
-    module = linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo)) if full else None
+    module = linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo) if full else None)
     out = []
     for r in records:
         try:
             after = view if r.root is None else view._restrict_unchecked(r.generator, r.root)
-            why, module = linalg.check_peel_split(view, after, r.generator, r.root, r.support,
-                                                  module, BUDGET)
+            why, module = linalg.check_peel_split(module, after, r.generator, r.root, r.support,
+                                                  BUDGET)
         except (linalg.ConsistencyError, pset.QueryError) as e:
             why = f"raises {e}"
         out.append(why)

@@ -142,7 +142,6 @@ class TestClusterOracle:
 
             trace = peel_all(sp, forest=fo)
             view = trace.final_view
-            removed = set(view.removed)
             f = sp.density
             survivors = set(view.survivors())
             dm, es = sp.distance_matrix(), eps_grid(fo)
@@ -151,7 +150,7 @@ class TestClusterOracle:
                 for eps in es:
                     comp = bfs_components(dm, active, eps)
                     for x in active:
-                        if x in removed:
+                        if x not in survivors:
                             continue
                         assert view.cluster_at(eps, sigma, x) == comp[x] & survivors
 
@@ -215,7 +214,6 @@ class TestRestrict:
         v = pset.fresh_view(fo)
         v2 = v.restrict(3, 2)
         assert not v2.survives(3)
-        assert v2.removed == {3: 2}
         # connectivity through the removed point is preserved
         assert v2.cluster_at(2.5, 3.0, 1) == {1, 2}
 

