@@ -17,8 +17,9 @@ kernel serves every caller: ``compose``, ``mats_equal`` and one elimination,
 The grade grid is ``ChainLevels.critical_scales`` (where clusters change)
 times the density levels unless a caller passes other scales; no distance
 matrix is made. ``linearize`` records its view and grade bases on the
-module; the idempotent builders, and ``check_peel_split``, take that module
-alone and read them back.
+module; ``idempotent_from_peel``, one builder for every trace record
+(generator, root or None for the bottom), and ``check_peel_split`` take that
+module alone and read them back.
 A morphism is an endomorphism of one module, which ``split`` and
 ``split_dims`` read off it.
 Sizes are guarded by an explicit total-dimension budget, checked on a lower
@@ -317,49 +318,40 @@ def linearize(view: PeelView, dim_budget: int = 64,
     return module
 
 
-def _peel_view(module: GridModule) -> PeelView:
-    """The view ``module`` was linearized from; raises ConsistencyError for a
-    module that ``linearize`` did not make."""
-    if module._linearized is None:
-        raise ConsistencyError("the module was not linearized from a peel view")
-    return module._linearized[0]
-
-
-def idempotent_from_peel(module: GridModule, x: int, root: int,
+def idempotent_from_peel(module: GridModule, x: int, root: Optional[int],
                          check_rooted: bool = True) -> ModuleMorphism:
     """Matrix realization, on the linearization ``module`` of a peel view, of
-    the idempotent that sends x's class to root's.
+    the idempotent of the trace record (x, root).
 
-    At each grade, the class whose canonically first surviving member is x
-    maps to root's class; every other class stays put. With
-    ``check_rooted=False`` the construction is attempted for arbitrary pairs,
-    and naturality fails precisely when the pair is not rooted.
+    With root None, the bottom record's: x must be the canonically first
+    point and survive, and every class maps to x's class. Otherwise the class
+    whose canonically first surviving member is x maps to root's class at
+    each grade, every other class stays put, and ``root_runs`` must certify
+    the pair unless ``check_rooted`` is False: naturality does not, as with
+    duplicate points an unrooted pair can give a natural map.
     """
-    view = _peel_view(module)
-    if check_rooted and not view.rooted_pair_ok(x, root):
-        raise ConsistencyError(f"({x}, {root}) is not a rooted pair on this view")
+    if module._linearized is None:
+        raise ConsistencyError("the module was not linearized from a peel view")
+    view = module._linearized[0]
     fo = view.forest
-    px, proot = fo.position(x), fo.position(root)
+    px = fo.position(x)
+    if root is None:
+        if px != 0 or not view.survives(x):
+            raise ConsistencyError(f"bottom generator {x} is not the surviving point {int(fo.perm[0])}")
+        return _idempotent(module, lambda j, labels, rep: int(labels[0]))
+    if check_rooted and view.root_runs(x, root) is None:
+        raise ConsistencyError(f"({x}, {root}) is not a rooted pair on this view")
+    proot = fo.position(root)
     return _idempotent(module, lambda j, labels, rep: (
         int(labels[proot]) if rep == px and proot < fo.level_sizes[j] else rep))
-
-
-def bottom_idempotent(module: GridModule) -> ModuleMorphism:
-    """The idempotent, on the linearization ``module`` of a peel view,
-    collapsing every class onto the densest generator's class."""
-    view = _peel_view(module)
-    if not view.survives(int(view.forest.perm[0])):
-        raise ConsistencyError("the densest generator was removed from this view")
-    return _idempotent(module, lambda j, labels, rep: int(labels[0]))
 
 
 def _idempotent(module: GridModule, target) -> ModuleMorphism:
     """The endomorphism of the linearization ``module`` that sends, at each
     grade of level j, the class of each basis representative ``rep`` to the
     class of ``target(j, labels, rep)``; raises ConsistencyError unless it is
-    natural, the rootedness certificate. Each target class's representative
-    stays put, so it is idempotent by construction; ``split_dims`` and
-    ``split`` check."""
+    natural. Each target class's representative stays put, so it is
+    idempotent by construction; ``split_dims`` and ``split`` check."""
     mats: Dict[Tuple[int, int], np.ndarray] = {}
     for (i, j), (labels, basis) in module._linearized[1].items():
         mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
@@ -388,24 +380,21 @@ def split_dims(phi: ModuleMorphism) -> Tuple[Dict[Tuple[int, int], int], Dict[Tu
 
 def check_peel_split(module: GridModule, after: PeelView, x: int, root: Optional[int], support,
                      dim_budget: int = 64) -> Tuple[str, GridModule]:
-    """Certify the peel of x toward root, a rooted pair on the view ``module``
-    was linearized from, in exact arithmetic: split ``module`` along the
-    peel's idempotent, whose builder reads the view off it, check the
-    split-off factor against ``support`` and the residual against ``after``,
-    on the module's scales. A finite threshold of ``support`` must be one of
-    them, as one between two scales is invisible. With root None, x is the
-    bottom generator and the image of the bottom idempotent is checked
-    against ``support``. Returns the first failure ('' if none) and the next
-    peel's module: ``after``'s linearization on the same scales."""
+    """Certify the peel of x toward root, a pair the caller has found rooted
+    on the view ``module`` was linearized from, in exact arithmetic: split
+    ``module`` along the record's idempotent, whose builder reads the view
+    off it, check the split-off factor against ``support`` and the residual
+    against ``after``, on the module's scales. A finite threshold of
+    ``support`` must be one of them, as one between two scales is invisible.
+    With root None, x is the bottom generator and the image of the bottom
+    idempotent is checked against ``support``. Returns the first failure (''
+    if none) and the next peel's module: ``after``'s linearization on the
+    same scales."""
     eps, sig = module.eps_values, module.sigma_values
     for _, theta in support.breaks:
         if math.isfinite(theta) and theta not in eps:
             return f"support threshold {theta!r} is not a scale of the module's grid", module
-    if root is None:
-        phi = bottom_idempotent(module)
-    else:
-        phi = idempotent_from_peel(module, x, root, check_rooted=False)
-    da, db = split_dims(phi)
+    da, db = split_dims(idempotent_from_peel(module, x, root, check_rooted=False))
     what, dims = ("bottom", db) if root is None else ("split", da)
     for (i, j), d in dims.items():
         if d != (1 if support.contains(eps[i], sig[j]) else 0):
@@ -544,22 +533,17 @@ def is_indecomposable(module: GridModule, dim_budget: int = 64) -> Optional[bool
 
     def splits(big) -> bool:
         coeffs = _min_poly(big)
-        poly = sympy.Poly(
-            sum(sympy.Rational(c.numerator, c.denominator) * tsym**k for k, c in enumerate(coeffs)),
-            tsym,
-            domain="QQ",
-        )
+        poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], tsym, domain="QQ")
         factors = poly.factor_list()[1]
         if len(factors) < 2:
             return False
-        p1 = sympy.Poly(factors[0][0] ** factors[0][1], tsym)
-        rest = sympy.Poly(sympy.prod(f**e for f, e in factors[1:]), tsym)
+        p1 = factors[0][0] ** factors[0][1]
+        rest = sympy.prod(f**e for f, e in factors[1:])
         s, w, h = sympy.gcdex(p1, rest)
         # s*p1 + w*rest = 1, so e := (w*rest)(A) is 1 on ker p1(A), 0 elsewhere
         ident = mat_identity(total)
         e = mat_zero(total, total)
-        for c in (sympy.Poly(w, tsym) * rest).all_coeffs():  # Horner, top degree first
-            q = sympy.Rational(c)
+        for q in (w * rest).all_coeffs():  # Horner, top degree first
             e = compose(e, big) + Fraction(int(q.p), int(q.q)) * ident
         if mats_equal(e, ident) or np.count_nonzero(e) == 0:
             return False

@@ -478,21 +478,15 @@ class PeelView:
         cand, runs, _ = fo.root_scan(self._alive, px)
         return runs if cand is not None and proot in cand else None
 
-    def rooted_pair_ok(self, x: int, root: int) -> bool:
-        """Whether ``root`` witnesses x as a rooted generator of this view."""
-        return self.root_runs(x, root) is not None
-
     def restrict(self, x: int, root: int) -> "PeelView":
-        """New view with x removed and sent to root; validates rootedness."""
-        if not self.rooted_pair_ok(x, root):
+        """New view with x removed and sent to root; QueryError unless
+        ``root_runs(x, root)`` certifies the pair."""
+        if self.root_runs(x, root) is None:
             raise QueryError(f"({x}, {root}) is not a valid rooted pair on this view")
-        return self._restrict_unchecked(x, root)
+        return self._without(x)
 
-    def _restrict_unchecked(self, x: int, root: int) -> "PeelView":
-        if not self.survives(x):
-            raise QueryError(f"point {x} already removed")
-        if not self.survives(root):
-            raise QueryError(f"root {root} does not survive")
+    def _without(self, x: int) -> "PeelView":
+        """New view with x removed; the caller has certified the peel."""
         alive = self._alive.copy()
         alive[self.forest.position(x)] = False
         return PeelView(self.forest, alive)

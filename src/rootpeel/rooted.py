@@ -82,7 +82,7 @@ class IntervalSupport:
 # -- nearest neighbors ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NNGraph:
     """All-nearest-neighbor map plus its mutual (reflexive) pairs."""
 
@@ -385,7 +385,7 @@ def replay_steps(forest: LeveledMergeForest, records: Iterable[PeelRecord]) -> I
             why = "pair fails the rootedness criterion"
         else:
             support = _support(forest, runs)
-            after = view._restrict_unchecked(gen, root)
+            after = view._without(gen)
         if not why and rec.support != support:
             why = "recorded support differs from the recomputed one"
         yield view, None if why else after, support, why

@@ -54,6 +54,12 @@ MUTANTS = {
         "        return eps\n",
         ["tests/test_sparse_forest.py::test_root_scan_matches_dense_engine_on_random_masks"],
     ),
+    "root-runs-any-root": (
+        "pset.py",
+        " and proot in cand else None",
+        " else None",
+        ["tests/test_cli.py::test_oracle_check_takes_rootedness_from_the_replay"],
+    ),
     "runs-skip-infinite-levels": (
         "pset.py",
         "            runs.append((j, eps))\n            if math.isinf(eps):\n                continue\n",
@@ -198,6 +204,12 @@ MUTANTS = {
         "if any(db[g] != residual.dims[g] for g in db):",
         "if False:",
         ["tests/test_linalg.py::TestSplit::test_residual_of_another_view_fails_the_check"],
+    ),
+    "bottom-any-generator": (
+        "linalg.py",
+        "if px != 0 or not view.survives(x):",
+        "if not view.survives(x):",
+        ["tests/test_linalg.py::TestIdempotent::test_bottom_record_of_another_generator_is_refused"],
     ),
     "split-dims-unchecked": (
         "linalg.py",

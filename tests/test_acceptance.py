@@ -61,7 +61,7 @@ def test_criterion_2_residual_module_oracle():
     fo = pset.LeveledMergeForest(sp)
     view = pset.fresh_view(fo).restrict(3, 2)
     module = linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo))
-    psi = linalg.bottom_idempotent(module)
+    psi = linalg.idempotent_from_peel(module, int(fo.perm[0]), None)
     resid, bottom = linalg.split(psi)
 
     eps = list(module.eps_values)
@@ -105,7 +105,7 @@ def test_criterion_3_split_replay_on_random_spaces():
             module = linalg.linearize(view, dim_budget=BUDGET)
             phi = linalg.idempotent_from_peel(module, r.generator, r.root)
             da, db = linalg.split_dims(phi)
-            after = view._restrict_unchecked(r.generator, r.root)
+            after = view._without(r.generator)
             resid_dims = linalg.grade_dims(after)
             for (i, j), d in da.items():
                 inside = r.support.contains(module.eps_values[i], module.sigma_values[j])

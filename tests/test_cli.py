@@ -446,6 +446,33 @@ def test_oracle_check_certifies_the_bottom_record(ex4, tmp_path, monkeypatch, ca
     ]
 
 
+def test_oracle_check_takes_rootedness_from_the_replay(tmp_path, capsys):
+    # 2 duplicates 1, so its class is 1's until 2 is peeled: sending it to 0
+    # instead gives a natural idempotent whose split the exact check passes,
+    # and only the replay's root scan finds that 0 does not root 2
+    src = tmp_path / "dup.csv"
+    src.write_text("x,f\n0,0\n1,1\n1,2\n5,3\n")
+    args = ["--input", str(src), "--density-column", "f"]
+    trace = tmp_path / "t.json"
+    assert cli.main(["peel", *args, "--output", str(trace)]) == 0
+    fo = pset.LeveledMergeForest(load_points(src.read_text(), density_column="f"))
+    records = rooted.trace_records_from_json(trace.read_text(), fo)
+    assert [(r.generator, r.root, r.reason, r.zero_interval) for r in records] == [
+        (2, 1, "neighborly", True), (3, 1, "neighborly", False),
+        (1, 0, "general-rooted", False), (0, None, "bottom", False)]
+    doc = json.loads(trace.read_text())
+    doc["records"][0]["root"] = 0
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["oracle-check", str(trace), *args]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL record 0: generator 2 (neighborly) - pair fails the rootedness criterion"]
+    view = pset.fresh_view(fo)  # peeling 2 toward 1 leaves the same view
+    why, _ = linalg.check_peel_split(linalg.linearize(view), view.restrict(2, 1), 2, 0,
+                                     records[0].support)
+    assert why == ""
+
+
 def test_names_the_benchmark_tracer_patches_exist():
     # perfbench/traced.py wraps layer functions by name; read its install()
     # without importing it and look each (owner, "name") up in rootpeel

@@ -169,7 +169,7 @@ def _oracle_digest(space):
             out += [module_json(f) for f in linalg.split(phi)]
         view = view.restrict(rec.generator, rec.root)
     module = linalg.linearize(view, dim_budget=ORACLE_BUDGET, scales=eps_grid(fo))
-    psi = linalg.bottom_idempotent(module)
+    psi = linalg.idempotent_from_peel(module, int(fo.perm[0]), None)
     out += [_mat_text(psi.mats[g]) for g in module.grades()]
     resid, bottom = linalg.split(psi)
     out += [module_json(resid), module_json(bottom)]

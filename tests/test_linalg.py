@@ -26,7 +26,7 @@ def residual4(line4):
     fo = pset.LeveledMergeForest(line4)
     view = pset.fresh_view(fo).restrict(3, 2)
     module = linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo))
-    psi = linalg.bottom_idempotent(module)
+    psi = linalg.idempotent_from_peel(module, int(fo.perm[0]), None)
     resid, bottom = linalg.split(psi)
     return resid, bottom
 
@@ -185,7 +185,16 @@ class TestIdempotent:
         with pytest.raises(linalg.ConsistencyError, match="not linearized from a peel view"):
             linalg.idempotent_from_peel(other, 3, 2)
         with pytest.raises(linalg.ConsistencyError, match="not linearized from a peel view"):
-            linalg.bottom_idempotent(other)
+            linalg.idempotent_from_peel(other, int(full4[0].forest.perm[0]), None)
+
+    def test_bottom_record_of_another_generator_is_refused(self, full4):
+        view, m = full4
+        first = int(view.forest.perm[0])
+        bottom = linalg.split_dims(linalg.idempotent_from_peel(m, first, None))[1]
+        assert bottom == {g: min(d, 1) for g, d in m.dims.items()}
+        for x in view.survivors()[1:]:
+            with pytest.raises(linalg.ConsistencyError, match=f"bottom generator {x} is not"):
+                linalg.idempotent_from_peel(m, x, None)
 
     def test_forced_unrooted_pair_breaks_naturality(self, full4):
         _, m = full4
@@ -211,7 +220,7 @@ class TestSplit:
         # against the view with 1 peeled instead
         view, module = full4
         support = rooted.interval_support(view, 3, 2)
-        for after in (view, view._restrict_unchecked(1, 0)):
+        for after in (view, view._without(1)):
             why, _ = linalg.check_peel_split(module, after, 3, 2, support, dim_budget=BUDGET)
             assert why == "residual factor dimensions differ from the restricted view"
         assert linalg.check_peel_split(module, view.restrict(3, 2), 3, 2, support, dim_budget=BUDGET)[0] == ""
@@ -263,8 +272,8 @@ class TestSplit:
                     module = linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo))
                     phis.append(linalg.idempotent_from_peel(module, r.generator, r.root))
                     view = view.restrict(r.generator, r.root)
-            phis.append(linalg.bottom_idempotent(
-                linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo))))
+            phis.append(linalg.idempotent_from_peel(
+                linalg.linearize(view, dim_budget=BUDGET, scales=eps_grid(fo)), int(fo.perm[0]), None))
             for phi in phis:
                 da, db = linalg.split_dims(phi)
                 for g, m in phi.mats.items():
@@ -297,7 +306,7 @@ class TestSplit:
             fo = pset.LeveledMergeForest(sp)
             view = pset.fresh_view(fo)
             for r in rooted.peel_all(sp, forest=fo).records:
-                after = view if r.root is None else view._restrict_unchecked(r.generator, r.root)
+                after = view if r.root is None else view._without(r.generator)
                 module = linalg.linearize(view, dim_budget=BUDGET)
                 squares.clear()
                 why, _ = linalg.check_peel_split(module, after, r.generator, r.root, r.support,
@@ -597,7 +606,7 @@ def exact_verdicts(fo, records, full):
     out = []
     for r in records:
         try:
-            after = view if r.root is None else view._restrict_unchecked(r.generator, r.root)
+            after = view if r.root is None else view._without(r.generator)
             why, module = linalg.check_peel_split(module, after, r.generator, r.root, r.support,
                                                   BUDGET)
         except (linalg.ConsistencyError, pset.QueryError) as e:

@@ -227,7 +227,7 @@ class TestRestrict:
         fo = forest4
         v = pset.fresh_view(fo).restrict(3, 2)
         with pytest.raises(pset.QueryError):
-            v._restrict_unchecked(3, 2)
+            v.restrict(3, 2)
 
     def test_queries_on_removed_point_fail(self, forest4):
         fo = forest4
@@ -252,7 +252,7 @@ class TestRestrict:
             views = [pset.fresh_view(fo)]
             for r in trace.records:
                 if r.reason != "bottom":
-                    views.append(views[-1]._restrict_unchecked(r.generator, r.root))
+                    views.append(views[-1]._without(r.generator))
             final = views[-1]
             keep = final.survivors()
             f = sp.density

@@ -130,6 +130,12 @@ class TestNNGraph:
         sp = AugmentedMetricSpace(points=[[0.0], [3.0]])
         assert rooted.nn_graph(sp).mutual_pairs == [(0, 1)]
 
+    def test_graphs_compare_and_hash_by_identity(self, line4):
+        # the generated __eq__ and __hash__ would compare and hash the array
+        g, h = rooted.nn_graph(line4), rooted.nn_graph(line4)
+        assert g == g and g != h
+        assert len({g, h}) == 2
+
     def test_rectangle_corners_give_two_pairs(self):
         sp = AugmentedMetricSpace(points=[[0, 0], [1, 0], [0, 2], [1, 2]])
         assert rooted.nn_graph(sp).mutual_pairs == [(0, 1), (2, 3)]
@@ -569,7 +575,7 @@ class TestBruteForceCrossChecks:
                     assert got == want, (t, x, got, want)
                     for y in view.survivors():
                         want = brute_is_witness(view, eps_values, x, y)
-                        assert view.rooted_pair_ok(x, y) == want, (t, x, y, want)
+                        assert (view.root_runs(x, y) is not None) == want, (t, x, y, want)
                 # advance to a peeled view and check there as well
                 peelable = [
                     (x, rooted.is_rooted_generator(view, x))
