@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is no data
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None

@@ -40,7 +40,7 @@ class AugmentedMetricSpace:
         if (points is None) == (dist is None):
             raise ValueError("exactly one of points / dist must be given")
         if points is not None:
-            pts = np.asarray(points, dtype=np.float64)
+            pts = np.array(points, dtype=np.float64)  # a copy: the caller keeps its array
             if pts.ndim == 1:
                 pts = pts[:, None]
             if pts.ndim != 2 or pts.shape[0] < 1:
@@ -390,7 +390,8 @@ def load_points(
 
     One point per row; an optional header row names the columns; an optional
     density column is selected by name or index. A leading ``#matrix n`` line
-    switches to explicit distance-matrix input (n rows of n entries).
+    switches to explicit distance-matrix input (n rows of n entries). Both
+    kinds of rows go through one reader into one float array.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -404,7 +405,14 @@ def load_points(
     if first.startswith("#matrix"):
         if density_column is not None:
             raise ParseError("matrix input has no density column; attach densities instead")
-        return _load_matrix(rows)
+        try:
+            _, n = first.split()
+            n = int(n)
+        except ValueError:
+            raise ParseError("matrix header must be '#matrix n'") from None
+        if len(rows) - 1 != n:  # before the header can size an allocation
+            raise ParseError(f"matrix input: expected {n} rows, got {len(rows) - 1}")
+        return AugmentedMetricSpace(dist=_table(rows[1:], n))
 
     header: Optional[list] = None
     cells0 = _split_row(rows[0][1])
@@ -425,54 +433,31 @@ def load_points(
         else:
             raise ParseError(f"density column {density_column!r} not found in header")
 
-    width = None
-    coords = []
-    dens = []
-    for rowno, line in rows:
+    rowno, width = rows[0][0], len(_split_row(rows[0][1]))
+    if dens_idx is not None and not (0 <= dens_idx < width):
+        raise ParseError(f"density column index {dens_idx} out of range (row {rowno})")
+    if dens_idx is not None and width == 1:
+        raise ParseError(f"row {rowno} has no coordinate fields")
+    table = _table(rows, width)
+    if dens_idx is None:
+        return AugmentedMetricSpace(points=table)
+    return AugmentedMetricSpace(points=np.delete(table, dens_idx, axis=1), density=table[:, dens_idx])
+
+
+def _table(rows, width: int) -> np.ndarray:
+    """The cells of the (row number, line) pairs ``rows`` as one (len(rows),
+    width) float64 array, each converted by ``float()``."""
+    out = np.empty((len(rows), width))
+    for k, (rowno, line) in enumerate(rows):
         cells = _split_row(line)
-        if width is None:
-            width = len(cells)
-            if dens_idx is not None and not (0 <= dens_idx < width):
-                raise ParseError(f"density column index {dens_idx} out of range (row {rowno})")
-        elif len(cells) != width:
+        if len(cells) != width:  # first: numpy would spread one cell across the row
             raise ParseError(f"ragged row {rowno}: expected {width} fields, got {len(cells)}")
         try:
-            vals = [float(c) for c in cells]
+            out[k] = list(map(float, cells))
         except ValueError:
             bad = next(c for c in cells if not _is_number(c))
             raise ParseError(f"non-numeric field {bad!r} in row {rowno}") from None
-        if dens_idx is not None:
-            dens.append(vals[dens_idx])
-            vals = [v for k, v in enumerate(vals) if k != dens_idx]
-        if not vals:
-            raise ParseError(f"row {rowno} has no coordinate fields")
-        coords.append(vals)
-
-    density = dens if dens_idx is not None else None
-    return AugmentedMetricSpace(points=np.asarray(coords), density=density)
-
-
-def _load_matrix(rows) -> AugmentedMetricSpace:
-    head = rows[0][1].split()
-    if len(head) != 2:
-        raise ParseError("matrix header must be '#matrix n'")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ParseError("matrix header must be '#matrix n'") from None
-    body = rows[1:]
-    if len(body) != n:
-        raise ParseError(f"matrix input: expected {n} rows, got {len(body)}")
-    mat = []
-    for rowno, line in body:
-        cells = _split_row(line)
-        if len(cells) != n:
-            raise ParseError(f"ragged matrix row {rowno}: expected {n} entries")
-        try:
-            mat.append([float(c) for c in cells])
-        except ValueError:
-            raise ParseError(f"non-numeric entry in matrix row {rowno}") from None
-    return AugmentedMetricSpace(dist=np.asarray(mat))
+    return out
 
 
 def _is_number(cell: str) -> bool:

@@ -9,6 +9,10 @@ independent check of the level-skipping queries of ``rootpeel.pset``.
 ``reference_trace_json`` is the trace writer the staircase writer of
 ``PeelTrace.to_json`` replaced: one ``[sigma, theta]`` list per record and
 density level, encoded by ``json.dumps(indent=2)``.
+
+``reference_load_points`` is the table reader the one-array reader of
+``rootpeel.space`` replaced: a Python list of floats per row, and a loop of
+its own for ``#matrix`` input.
 """
 
 import json
@@ -18,6 +22,7 @@ import numpy as np
 
 from rootpeel.pset import _scales_from
 from rootpeel.rooted import IntervalSupport, PeelRecord
+from rootpeel.space import AugmentedMetricSpace, ParseError
 
 
 def add_point(work, dist, q):
@@ -263,3 +268,103 @@ def reference_trace_json(trace):
             }
         )
     return json.dumps({"n": trace.n, "records": recs}, indent=2)
+
+
+def _split_row(line):
+    delim = ";" if ";" in line else ","
+    if delim not in line and " " in line.strip():
+        return line.split()
+    return [c.strip() for c in line.split(delim)]
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def reference_load_points(source, density_column=None):
+    """Parse point rows or a ``#matrix`` block into a space, a list per row."""
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = [ln.rstrip("\n") for ln in source]
+    rows = [(i, ln) for i, ln in enumerate(lines) if ln.strip() != ""]
+    if not rows:
+        raise ParseError("empty input")
+
+    first = rows[0][1].strip()
+    if first.startswith("#matrix"):
+        if density_column is not None:
+            raise ParseError("matrix input has no density column; attach densities instead")
+        return _reference_load_matrix(rows)
+
+    header = None
+    cells0 = _split_row(rows[0][1])
+    if any(not _is_number(c) for c in cells0):
+        header = cells0
+        rows = rows[1:]
+        if not rows:
+            raise ParseError("empty input (header only)")
+
+    dens_idx = None
+    if density_column is not None:
+        if isinstance(density_column, int):
+            dens_idx = density_column
+        elif header is not None and density_column in header:
+            dens_idx = header.index(density_column)
+        elif density_column.isdecimal():
+            dens_idx = int(density_column)
+        else:
+            raise ParseError(f"density column {density_column!r} not found in header")
+
+    width = None
+    coords = []
+    dens = []
+    for rowno, line in rows:
+        cells = _split_row(line)
+        if width is None:
+            width = len(cells)
+            if dens_idx is not None and not (0 <= dens_idx < width):
+                raise ParseError(f"density column index {dens_idx} out of range (row {rowno})")
+        elif len(cells) != width:
+            raise ParseError(f"ragged row {rowno}: expected {width} fields, got {len(cells)}")
+        try:
+            vals = [float(c) for c in cells]
+        except ValueError:
+            bad = next(c for c in cells if not _is_number(c))
+            raise ParseError(f"non-numeric field {bad!r} in row {rowno}") from None
+        if dens_idx is not None:
+            dens.append(vals[dens_idx])
+            vals = [v for k, v in enumerate(vals) if k != dens_idx]
+        if not vals:
+            raise ParseError(f"row {rowno} has no coordinate fields")
+        coords.append(vals)
+
+    density = dens if dens_idx is not None else None
+    return AugmentedMetricSpace(points=np.asarray(coords), density=density)
+
+
+def _reference_load_matrix(rows):
+    head = rows[0][1].split()
+    if len(head) != 2:
+        raise ParseError("matrix header must be '#matrix n'")
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise ParseError("matrix header must be '#matrix n'") from None
+    body = rows[1:]
+    if len(body) != n:
+        raise ParseError(f"matrix input: expected {n} rows, got {len(body)}")
+    mat = []
+    for rowno, line in body:
+        cells = _split_row(line)
+        if len(cells) != n:
+            raise ParseError(f"ragged matrix row {rowno}: expected {n} entries")
+        try:
+            mat.append([float(c) for c in cells])
+        except ValueError:
+            raise ParseError(f"non-numeric entry in matrix row {rowno}") from None
+    return AugmentedMetricSpace(dist=np.asarray(mat))

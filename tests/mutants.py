@@ -124,6 +124,19 @@ MUTANTS = {
         "order[1 : r + 1]",
         ["tests/test_sparse_forest.py::test_spanning_tree_level_zero_matches_insertion"],
     ),
+    "table-width-check-only-long": (
+        "space.py",
+        "if len(cells) != width:",
+        "if len(cells) > width:",
+        ["tests/test_space.py::TestLoadPoints::test_ragged_row_names_index"],
+    ),
+    "matrix-row-count-unchecked": (
+        "space.py",
+        "        if len(rows) - 1 != n:  # before the header can size an allocation\n"
+        "            raise ParseError(f\"matrix input: expected {n} rows, got {len(rows) - 1}\")\n",
+        "",
+        ["tests/test_space.py::TestLoadPoints::test_matrix_wrong_row_count"],
+    ),
     "span-bisect-side": (
         "rooted.py",
         "starts = [bisect.bisect_left(sigmas, s) for s, _ in self.breaks]",

@@ -672,6 +672,32 @@ def test_barcode_is_the_elder_barcode_of_the_flat_merges(name, tmp_path, capsys)
         assert _sha(want["csv"]) == BARCODE_SHA
 
 
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("table, argv, lines", [("0\n7.5\n3\n", ["nn", "--format", "csv"], 4),
+                                                ("#matrix 2\n0,1\n1,0\n", ["barcode"], 3)],
+                         ids=["nn", "barcode"])
+def test_a_byte_order_mark_is_no_data(tmp_path, capsys, table, argv, lines):
+    # with a BOM the first row was read as a header, and '#matrix' as points
+    outs = []
+    for mark in (b"", BOM):
+        path = tmp_path / "in.csv"
+        path.write_bytes(mark + table.encode())
+        assert cli.main([*argv, "--input", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].count("\n") == lines
+
+
+def test_a_trace_with_a_byte_order_mark_replays(ex4, tmp_path, capsys):
+    trace = tmp_path / "t.json"
+    args = ["--input", ex4, "--density-column", "f"]
+    assert cli.main(["peel", *args, "--output", str(trace)]) == 0
+    trace.write_bytes(BOM + trace.read_bytes())
+    assert cli.main(["oracle-check", str(trace), *args]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_a_coordinate_space_keeps_no_matrix(ex4, tmp_path, capsys, monkeypatch):
     # the oracle's matrix was kept on the space, and later distances read it;
     # oracle-check now linearizes on the critical scales and makes none

@@ -1,11 +1,13 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import reference_load_points
 from rootpeel.space import (
     AugmentedMetricSpace,
     DensityError,
@@ -16,6 +18,7 @@ from rootpeel.space import (
     is_point,
     load_points,
 )
+from test_exit_codes import table_bytes
 
 
 class TestLoadPoints:
@@ -67,6 +70,71 @@ class TestLoadPoints:
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             load_points("#matrix 2\n0,1\n2,0\n")
+
+
+def outcome(loader, text, density_column):
+    """What a loader makes of a table: the bytes of the space's arrays, or the
+    type and message of the error it raises."""
+    try:
+        sp = loader(text, density_column=density_column)
+    except ValueError as e:
+        return type(e), str(e)
+    return tuple(None if a is None else (a.shape, a.tobytes()) for a in (sp.points, sp._dist, sp.density))
+
+
+# the reader words these errors as point rows do; the reference, as it did
+CHANGED_MESSAGES = [
+    (r"ragged matrix row (\d+): expected (\d+) entries", r"ragged row {0}: expected {1} fields, got \d+"),
+    (r"non-numeric entry in matrix row (\d+)", r"non-numeric field '.*' in row {0}"),
+    # a lone column that is the density column: checked before the cells
+    (r"non-numeric field '.*' in row (\d+)", r"row {0} has no coordinate fields"),
+]
+
+
+def assert_reads_as_reference(text, density_column=None):
+    got = outcome(load_points, text, density_column)
+    want = outcome(reference_load_points, text, density_column)
+    if got == want:
+        return
+    assert isinstance(got[1], str) and got[0] is want[0] is ParseError, (got, want)
+    for old, new in CHANGED_MESSAGES:
+        m = re.fullmatch(old, want[1])
+        if m and re.fullmatch(new.format(*m.groups()), got[1]):
+            return
+    pytest.fail(f"{got[1]!r} against the reference's {want[1]!r}")
+
+
+class TestReaderMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(table=table_bytes(), density_column=st.sampled_from([None, 0, 1, 2, "0", "1", "f", "x", "z"]))
+    def test_generated_tables(self, table, density_column):
+        assert_reads_as_reference(table.decode("utf-8", "replace"), density_column)
+
+    @pytest.mark.parametrize("cell", ["1_0", "١٢", "+1", " 1 ", "-0.0", "1e-300", "inf", "nan", "-inf", "1 0"])
+    def test_cells_float_accepts(self, cell):
+        for delim in (",", ";", " "):
+            for table in (f"{cell}\n2\n", f"2{delim}{cell}\n{cell}{delim}-0.0\n",
+                          f"x{delim}f\n{cell}{delim}1\n3{delim}4\n"):
+                for density_column in (None, 0, 1, "f"):
+                    assert_reads_as_reference(table, density_column)
+            assert_reads_as_reference(f"#matrix 2\n0{delim}{cell}\n{cell}{delim}0\n")
+
+    @pytest.mark.parametrize("table", [
+        "x y f\n0 0 1\n1 0 2\n", "x;y;f\n0;0;1\n1;0;2\n", "0 0 1\n1 0 2\n", "0;0;1\n1;0;2\n",
+        "1,2\n3,4\n5\n", "1,2\n3\n", "1\n2,3\n", "1,2\n3,4,5\n", "x\n1\n", "x\nx\n", "x\n1\ny\n",
+        "f\n1\n", "1\noops\n", "oops,1\n", "1,2\n3,oops\n", "x,f\n1,2\n", "\n\n1,2\n\n3,4\n",
+        "#matrix 2\n0,1\n1,0\n", "#matrix 2\n0,1\n", "#matrix 2\n0,1\n1,0\n0,0\n", "#matrix 2\n0\n1,0\n",
+        "#matrix 2\n0,1,2\n1,0\n", "#matrix 2\n0,x\nx,0\n", "#matrix 1\n0\n", "#matrix 0\n",
+        "#matrix x\n0\n", "#matrix 2 3\n0,1\n1,0\n", "#matrix -1\n", "#matrix\n", "#matrix 2\n0 1\n1 0\n",
+        "#matrix 1_0\n", "#matrix 2\n0,1\n2,0\n", "#matrix 2\n0,-1\n-1,0\n", "#matrix 2\n1,1\n1,1\n",
+    ])
+    def test_tables(self, table):
+        for density_column in (None, 0, 1, 2, "1", "f", "y"):
+            assert_reads_as_reference(table, density_column)
+
+    def test_file_object(self):
+        table = "x,y,f\n0,1,2\n3,4,5\n"
+        assert outcome(load_points, io.StringIO(table), "f") == outcome(reference_load_points, table, "f")
 
 
 class TestDistances:
@@ -188,6 +256,18 @@ class TestDensity:
     def test_density_length_checked(self, line4):
         with pytest.raises(ValueError):
             line4.with_density([1.0])
+
+    def test_points_are_copied(self):
+        # the space neither freezes the caller's array nor follows later
+        # writes to it, also through a view
+        pts = np.array([[0.0], [1.0], [3.0]])
+        AugmentedMetricSpace(points=pts)
+        assert pts.flags.writeable
+        sp = AugmentedMetricSpace(points=pts[::1])
+        kde = attach_density(sp, "kde").density
+        pts[:] = 5.0
+        assert sp.points.tolist() == [[0.0], [1.0], [3.0]]
+        assert attach_density(sp, "kde").density.tobytes() == kde.tobytes()
 
 
 class TestCanonicalOrder:
