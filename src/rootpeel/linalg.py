@@ -3,11 +3,12 @@
 Persistent sets linearize to modules over the grade grid: one vector space per
 grade (free on the surviving clusters) and 0/1 inclusion-induced maps along
 both axes. Everything here is exact, over the rationals. One field suffices:
-the structure maps and the idempotents a peel induces send basis classes to
-basis classes, so they are set maps, and a split along a set map is the same
-over every field. A peel's split dimensions are the traces of its
-idempotent: its builder checks naturality, ``split_dims`` checks idempotency
-before it reads a trace, and over QQ an idempotent's rank is its trace.
+the structure maps and the idempotents a peel induces send each basis class
+to the class of one position (one builder, ``_class_map``), so they are set
+maps, and a split along a set map is the same over every field. A peel's
+split dimensions are the traces of its idempotent: its builder checks
+naturality, ``split_dims`` checks idempotency before it reads a trace, and
+over QQ an idempotent's rank is its trace.
 
 Matrices are numpy arrays: plain int64 for the 0/1 structure maps and
 idempotents, dtype object holding ``Fraction`` once fractions can appear. One
@@ -22,8 +23,8 @@ module; ``idempotent_from_peel``, one builder for every trace record
 module alone and read them back.
 A morphism is an endomorphism of one module, which ``split`` and
 ``split_dims`` read off it.
-Sizes are guarded by an explicit total-dimension budget, checked on a lower
-bound before any grade is built; exceeding it is an error, not a fallback.
+Sizes are guarded by an explicit total-dimension budget, checked on lower
+bounds, cheapest first; exceeding it is an error, not a fallback.
 """
 
 from __future__ import annotations
@@ -275,6 +276,16 @@ def _grade_bases(view: PeelView, eps_values) -> GradeBases:
     return out
 
 
+def _class_map(points: Sequence[int], labels: np.ndarray, basis: Dict[int, int]) -> np.ndarray:
+    """The 0/1 matrix, into a grade with these labels and basis, whose column
+    k holds its one 1 in the row of the class of position ``points[k]``."""
+    mat = np.zeros((len(basis), len(points)), dtype=np.int64)
+    labels = labels.tolist()  # list lookups beat numpy scalar and fancy indexing at these sizes
+    for k, p in enumerate(points):
+        mat[basis[labels[p]], k] = 1
+    return mat
+
+
 def grade_dims(view: PeelView) -> Dict[Tuple[int, int], int]:
     """Fiber dimensions of the linearized view at every grade: the critical
     scales times the density levels."""
@@ -291,28 +302,24 @@ def linearize(view: PeelView, dim_budget: int = 64,
     built on it read back.
     """
     fo = view.forest
-    eps_values = fo.critical_scales() if scales is None else np.asarray(scales, dtype=float)
-    sigma_values = fo.sigma_levels
-    # every grade from the densest survivor's birth level up holds its class
+    # every grade from the densest survivor's birth level up holds its class,
+    # and the critical scales include 0: refuse on the cheapest bound first
     lowest = fo.num_levels - int(fo.birth_level[np.argmax(view._alive)])
+    _check_budget(lowest, dim_budget, "at least ")
+    eps_values = fo.critical_scales() if scales is None else np.asarray(scales, dtype=float)
     _check_budget(len(eps_values) * lowest, dim_budget, "at least ")
     bases = _grade_bases(view, eps_values)
     dims = {g: len(basis) for g, (_, basis) in bases.items()}
     _check_budget(sum(dims.values()), dim_budget)
 
     maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
-    for axis, src, dst in _covering_steps(len(eps_values), len(sigma_values)):
-        dst_labels, dst_basis = bases[dst]
-        mat = np.zeros((dims[dst], dims[src]), dtype=np.int64)
-        for col, rep in enumerate(bases[src][1]):
-            mat[dst_basis[int(dst_labels[rep])], col] = 1
-        maps[axis][src] = mat
+    for axis, src, dst in _covering_steps(len(eps_values), len(fo.sigma_levels)):
+        maps[axis][src] = _class_map(list(bases[src][1]), *bases[dst])
     module = GridModule(
         eps_values=tuple(float(e) for e in eps_values),
-        sigma_values=tuple(float(s) for s in sigma_values),
+        sigma_values=tuple(float(s) for s in fo.sigma_levels),
         dims=dims,
-        right_maps=maps["right_maps"],
-        up_maps=maps["up_maps"],
+        **maps,
     )
     module._linearized = (view, bases)
     return module
@@ -332,32 +339,22 @@ def idempotent_from_peel(module: GridModule, x: int, root: Optional[int],
     """
     if module._linearized is None:
         raise ConsistencyError("the module was not linearized from a peel view")
-    view = module._linearized[0]
+    view, bases = module._linearized
     fo = view.forest
     px = fo.position(x)
     if root is None:
         if px != 0 or not view.survives(x):
             raise ConsistencyError(f"bottom generator {x} is not the surviving point {int(fo.perm[0])}")
-        return _idempotent(module, lambda j, labels, rep: int(labels[0]))
-    if check_rooted and view.root_runs(x, root) is None:
+    elif check_rooted and view.root_runs(x, root) is None:
         raise ConsistencyError(f"({x}, {root}) is not a rooted pair on this view")
-    proot = fo.position(root)
-    return _idempotent(module, lambda j, labels, rep: (
-        int(labels[proot]) if rep == px and proot < fo.level_sizes[j] else rep))
-
-
-def _idempotent(module: GridModule, target) -> ModuleMorphism:
-    """The endomorphism of the linearization ``module`` that sends, at each
-    grade of level j, the class of each basis representative ``rep`` to the
-    class of ``target(j, labels, rep)``; raises ConsistencyError unless it is
-    natural. Each target class's representative stays put, so it is
-    idempotent by construction; ``split_dims`` and ``split`` check."""
-    mats: Dict[Tuple[int, int], np.ndarray] = {}
-    for (i, j), (labels, basis) in module._linearized[1].items():
-        mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
-        for col, rep in enumerate(basis):
-            mat[basis[target(j, labels, rep)], col] = 1
-        mats[(i, j)] = mat
+    proot = None if root is None else fo.position(root)
+    # each target class's representative stays put, so the map is idempotent
+    # by construction; ``split_dims`` and ``split`` check
+    mats = {}
+    for g, (labels, basis) in bases.items():
+        points = ([0] * len(basis) if root is None else  # x's class moves where root is active
+                  [proot if rep == px and proot < len(labels) else rep for rep in basis])
+        mats[g] = _class_map(points, labels, basis)
     phi = ModuleMorphism(module, mats)
     phi.check_natural()
     return phi
@@ -434,8 +431,7 @@ def split(phi: ModuleMorphism) -> Tuple[GridModule, GridModule]:
         maps: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {"right_maps": {}, "up_maps": {}}
         for axis, src, dst, step in module.covering_maps():
             maps[axis][src] = mat_solve(bases[dst], compose(step, bases[src]))
-        return GridModule(module.eps_values, module.sigma_values, dims,
-                          maps["right_maps"], maps["up_maps"])
+        return GridModule(module.eps_values, module.sigma_values, dims, **maps)
 
     return induced(bases_a), induced(bases_b)
 

@@ -397,6 +397,8 @@ def load_points(
         lines = source.splitlines()
     else:
         lines = [ln.rstrip("\n") for ln in source]
+    if lines:  # a leading byte-order mark is no data
+        lines[0] = lines[0].removeprefix("\ufeff")
     rows = [(i, ln) for i, ln in enumerate(lines) if ln.strip() != ""]
     if not rows:
         raise ParseError("empty input")

@@ -206,6 +206,21 @@ MUTANTS = {
         ["tests/test_linalg.py::test_default_grid_refuses_without_a_distance_matrix",
          "tests/test_cli.py::test_no_module_makes_a_distance_matrix"],
     ),
+    "budget-after-critical-scales": (
+        "linalg.py",
+        "    _check_budget(lowest, dim_budget, \"at least \")\n"
+        "    eps_values = fo.critical_scales() if scales is None else np.asarray(scales, dtype=float)\n",
+        "    eps_values = fo.critical_scales() if scales is None else np.asarray(scales, dtype=float)\n"
+        "    _check_budget(lowest, dim_budget, \"at least \")\n",
+        ["tests/test_linalg.py::TestLinearize::test_budget_refused_before_the_critical_scales"],
+    ),
+    "class-map-skips-the-label": (
+        "linalg.py",
+        "mat[basis[labels[p]], k] = 1",
+        "mat[basis[p], k] = 1",
+        ["tests/test_golden.py",
+         "tests/test_linalg.py::TestSubsetIdempotents::test_found_subsets_induce_valid_idempotents"],
+    ),
     "threshold-off-grid-passes": (
         "linalg.py",
         "if math.isfinite(theta) and theta not in eps:",

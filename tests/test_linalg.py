@@ -75,6 +75,20 @@ class TestLinearize:
         with pytest.raises(linalg.BudgetError, match="at least"):
             linalg.linearize(view)
 
+    def test_budget_refused_before_the_critical_scales(self, monkeypatch):
+        # the critical scales include 0, so the levels alone bound the total
+        # dimension: at n = 3000 gathering every level's gaps first took
+        # 0.1 s and 112 MiB only to raise
+        sp = random_space(np.random.default_rng(160), n=160, d=2)
+        view = pset.fresh_view(pset.LeveledMergeForest(sp))
+
+        def no_scales(*_):
+            raise AssertionError("critical scales computed for an over-budget view")
+
+        monkeypatch.setattr(pset.ChainLevels, "critical_scales", no_scales)
+        with pytest.raises(linalg.BudgetError, match="at least 160,"):
+            linalg.linearize(view)
+
     def test_dims_match_grade_dims_helper(self, line4):
         fo = pset.LeveledMergeForest(line4)
         view = pset.fresh_view(fo).restrict(3, 2)
@@ -539,14 +553,9 @@ class TestSubsetIdempotents:
         mset = {int(m) for m in members}
         pw = int(fo.pos_of[witness])
         mats = {}
-        for (i, j), (labels, basis) in linalg._grade_bases(view, module.eps_values).items():
-            d = module.dims[(i, j)]
-            mat = np.zeros((d, d), dtype=np.int64)
-            for col, rep in enumerate(basis):
-                if int(fo.perm[rep]) in mset and pw < int(fo.level_sizes[j]):
-                    rep = int(labels[pw])
-                mat[basis[rep], col] = 1
-            mats[(i, j)] = mat
+        for g, (labels, basis) in linalg._grade_bases(view, module.eps_values).items():
+            points = [pw if int(fo.perm[rep]) in mset and pw < len(labels) else rep for rep in basis]
+            mats[g] = linalg._class_map(points, labels, basis)
         return linalg.ModuleMorphism(module, mats)
 
     def test_found_subsets_induce_valid_idempotents(self):

@@ -71,6 +71,14 @@ class TestLoadPoints:
         with pytest.raises(ValueError, match="symmetric"):
             load_points("#matrix 2\n0,1\n2,0\n")
 
+    @pytest.mark.parametrize("wrap", [str, io.StringIO], ids=["str", "stream"])
+    @pytest.mark.parametrize("table", ["1\n2\n3\n", "#matrix 3\n0,1,2\n1,0,1\n2,1,0\n"],
+                             ids=["points", "matrix"])
+    def test_a_byte_order_mark_is_no_data(self, wrap, table):
+        # with the mark the first row was read as a header, and '#matrix' as one
+        assert outcome(load_points, wrap("\ufeff" + table), None) == outcome(load_points, table, None)
+        assert load_points(wrap("\ufeff" + table)).n == 3
+
 
 def outcome(loader, text, density_column):
     """What a loader makes of a table: the bytes of the space's arrays, or the
